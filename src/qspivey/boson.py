@@ -6,7 +6,8 @@ on the left, and products are reordered with the rewrite
 
     a · ad^k  =  q^k · ad^k · a  +  [k] · ad^(k-1),
 
-applied recursively.  Coefficients are QPoly values, so results are exact.
+applied to a^l · ad^k one lowering factor at a time.  Coefficients are
+QPoly values, so results are exact.
 
 FockVector simulates the same algebra on a truncated occupancy basis.
 Amplitudes are stored in a rescaled basis chosen so that a lowers
@@ -25,7 +26,6 @@ triangles.py.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Mapping, Tuple, Union
 
 from .polys import QPoly, XQPoly
@@ -150,6 +150,7 @@ class NormalForm:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = NormalForm.identity()
+        # linear on purpose: squaring a dense normal form costs more than it saves
         for _ in range(e):
             result = result * self
         return result
@@ -224,21 +225,38 @@ class NormalForm:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
+# normal orderings of a^l ad^k computed so far, keyed by (l, k)
+_REORDERED: dict[TermKey, NormalForm] = {}
+
+
 def _reorder(l: int, k: int) -> NormalForm:
-    """Normal ordering of the word a^l · ad^k."""
-    if l == 0 or k == 0:
-        return NormalForm.monomial(k, l)
-    qk = QPoly.monomial(k)
-    acc: dict[TermKey, QPoly] = {}
-    # a^l ad^k = q^k (a^(l-1) ad^k) a + [k] (a^(l-1) ad^(k-1))
-    for (kt, lt), ct in _reorder(l - 1, k).terms:
-        acc[(kt, lt + 1)] = ct * qk
-    for (kt, lt), ct in _reorder(l - 1, k - 1).terms:
-        val = ct * q_int(k)
-        prev = acc.get((kt, lt))
-        acc[(kt, lt)] = val if prev is None else prev + val
-    return NormalForm(acc)
+    """Normal ordering of the word a^l · ad^k.
+
+    Built bottom-up in l from the memoized shorter words it reads, so the
+    stack depth does not grow with l.
+    """
+    done = _REORDERED.get((l, k))
+    if done is not None:
+        return done
+    # (l, k) reads (l-1, k) and (l-1, k-1), so row i needs k-(l-i) <= j <= k
+    for i in range(l + 1):
+        for j in range(max(0, k - l + i), k + 1):
+            if (i, j) in _REORDERED:
+                continue
+            if i == 0 or j == 0:
+                _REORDERED[(i, j)] = NormalForm.monomial(j, i)
+                continue
+            qj = QPoly.monomial(j)
+            acc: dict[TermKey, QPoly] = {}
+            # a^i ad^j = q^j (a^(i-1) ad^j) a + [j] (a^(i-1) ad^(j-1))
+            for (kt, lt), ct in _REORDERED[(i - 1, j)].terms:
+                acc[(kt, lt + 1)] = ct * qj
+            for (kt, lt), ct in _REORDERED[(i - 1, j - 1)].terms:
+                val = ct * q_int(j)
+                prev = acc.get((kt, lt))
+                acc[(kt, lt)] = val if prev is None else prev + val
+            _REORDERED[(i, j)] = NormalForm(acc)
+    return _REORDERED[(l, k)]
 
 
 class FockVector:

@@ -28,42 +28,12 @@ class UsageError(Exception):
     pass
 
 
-# axes per identity, in sweep order; (lo, hi) defaults are deliberately small
-_AXES: dict[str, tuple[str, ...]] = {
-    "spivey": ("n", "mshift"),
-    "bell-rec": ("n",),
-    "stirling-def": ("n",),
-    "result1": ("n", "mshift", "x"),
-    "result2": ("n", "l", "m", "r", "x"),
-    "result3": ("n", "l", "m", "r"),
-    "katriel": ("n", "l"),
-    "lem1": ("k",),
-    "lem2": ("k", "cap"),
-    "lem3": ("k",),
-    "lem4": ("k", "m", "r"),
-    "triangle-oracle": ("n", "m", "r"),
-    "whitney-special": ("k", "m"),
-}
-
-_DEFAULTS: dict[str, tuple[int, int]] = {
-    "n": (0, 6),
-    "mshift": (0, 4),
-    "l": (0, 4),
-    "m": (1, 2),
-    "r": (0, 1),
-    "x": (0, 3),
-    "k": (1, 6),
-    "cap": (10, 10),
-}
-
-_DEFAULT_OVERRIDES: dict[str, dict[str, tuple[int, int]]] = {
-    "lem2": {"k": (0, 3)},
-    "lem4": {"m": (0, 2), "r": (0, 2)},
-    "whitney-special": {"k": (6, 6)},
-}
-
-_VARIANT_IDENTITIES = ("result1", "result2", "result3")
-_M_GE_1_IDENTITIES = ("result2", "result3", "whitney-special")
+# every axis flag of verify, in order of first appearance in the table
+_AXIS_FLAGS = tuple(
+    dict.fromkeys(
+        name for spec in identities.IDENTITIES.values() for name, _ in spec.axes
+    )
+)
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -92,27 +62,36 @@ def _verify_task(task: tuple[str, str | None, dict]) -> VerificationReport:
     return identities.run_case(identity, variant, params)
 
 
+def _m_r(cmd: str, args: argparse.Namespace, weighted: bool | None):
+    """The validated (m, r) of a command.
+
+    weighted=True: --m >= 1 is required and --r defaults to 0; False: the
+    kind takes neither flag; None: both are optional symbol bindings.  A
+    value that is given must be nonnegative.
+    """
+    m, r = args.m, args.r
+    if weighted is False and (m is not None or r is not None):
+        raise UsageError(f"{cmd}: --m/--r do not apply to kind {args.kind}")
+    if weighted:
+        if m is None or m < 1:
+            raise UsageError(f"{cmd}: --m is required and must be >= 1 for {args.kind}")
+        r = 0 if r is None else r
+    for flag, value in (("m", m), ("r", r)):
+        if value is not None and value < 0:
+            raise UsageError(f"{cmd}: --{flag} must be nonnegative")
+    return m, r
+
+
+def _n_max(cmd: str, args: argparse.Namespace) -> int:
+    if args.n is None or args.n < 0:
+        raise UsageError(f"{cmd}: --n is required and must be nonnegative")
+    return args.n
+
+
 def cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
     kind = args.kind
-    n = args.n
-    if n is None:
-        raise UsageError("triangle: --n is required")
-    if n < 0:
-        raise UsageError("triangle: --n must be nonnegative")
-    whitney = kind in ("r-whitney", "qr-whitney")
-    if whitney:
-        if args.m is None:
-            raise UsageError(f"triangle: --m is required for kind {kind}")
-        if args.m < 1:
-            raise UsageError("triangle: --m must be >= 1")
-        m = args.m
-        r = args.r if args.r is not None else 0
-        if r < 0:
-            raise UsageError("triangle: --r must be nonnegative")
-    else:
-        if args.m is not None or args.r is not None:
-            raise UsageError(f"triangle: --m/--r do not apply to kind {kind}")
-        m = r = None
+    n = _n_max("triangle", args)
+    m, r = _m_r("triangle", args, kind in ("r-whitney", "qr-whitney"))
     if kind == "stirling2":
         cells = [[str(v) for v in row] for row in triangles.stirling2(n)]
     elif kind == "q-stirling2":
@@ -134,124 +113,72 @@ def cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_poly(args: argparse.Namespace) -> tuple[str, int]:
-    if args.n is None or args.n < 0:
-        raise UsageError("poly: --n is required and must be nonnegative")
+    n = _n_max("poly", args)
+    m, r = _m_r("poly", args, args.kind == "qr-dowling")
     if args.kind == "q-bell":
-        if args.m is not None or args.r is not None:
-            raise UsageError("poly: --m/--r do not apply to kind q-bell")
-        coeffs = triangles.q_bell_poly(args.n).to_json()
-        payload = {"kind": "q-bell", "n": args.n, "coeffs": coeffs}
+        coeffs = triangles.q_bell_poly(n).to_json()
+        payload = {"kind": "q-bell", "n": n, "coeffs": coeffs}
     else:
-        if args.m is None or args.m < 1:
-            raise UsageError("poly: --m is required and must be >= 1 for qr-dowling")
-        r = args.r if args.r is not None else 0
-        if r < 0:
-            raise UsageError("poly: --r must be nonnegative")
-        coeffs = triangles.qr_dowling_poly(args.n, args.m, r).to_json()
-        payload = {
-            "kind": "qr-dowling",
-            "n": args.n,
-            "m": args.m,
-            "r": r,
-            "coeffs": coeffs,
-        }
+        coeffs = triangles.qr_dowling_poly(n, m, r).to_json()
+        payload = {"kind": "qr-dowling", "n": n, "m": m, "r": r, "coeffs": coeffs}
     return _dump(payload) + "\n", 0
 
 
 def cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
-    if args.n is None or args.n < 0:
-        raise UsageError("numbers: --n is required and must be nonnegative")
-    n = args.n
+    n = _n_max("numbers", args)
+    m, r = _m_r("numbers", args, args.kind == "r-dowling")
+    payload = {"kind": args.kind, "n_max": n}
     if args.kind == "bell":
-        if args.m is not None or args.r is not None:
-            raise UsageError("numbers: --m/--r do not apply to kind bell")
-        payload = {
-            "kind": "bell",
-            "n_max": n,
-            "values": [str(v) for v in triangles.bell(n)],
-        }
+        payload["values"] = [str(v) for v in triangles.bell(n)]
     elif args.kind == "q-bell":
-        if args.m is not None or args.r is not None:
-            raise UsageError("numbers: --m/--r do not apply to kind q-bell")
-        payload = {
-            "kind": "q-bell",
-            "n_max": n,
-            "values": [
-                triangles.q_bell_poly(i).eval_x(1).to_json() for i in range(n + 1)
-            ],
-        }
+        payload["values"] = [
+            triangles.q_bell_poly(i).eval_x(1).to_json() for i in range(n + 1)
+        ]
     else:
-        if args.m is None or args.m < 1:
-            raise UsageError("numbers: --m is required and must be >= 1 for r-dowling")
-        r = args.r if args.r is not None else 0
-        if r < 0:
-            raise UsageError("numbers: --r must be nonnegative")
-        payload = {
-            "kind": "r-dowling",
-            "n_max": n,
-            "m": args.m,
-            "r": r,
-            "values": [str(v) for v in triangles.r_dowling(n, args.m, r)],
-        }
+        values = [str(v) for v in triangles.r_dowling(n, m, r)]
+        payload.update(m=m, r=r, values=values)
     return _dump(payload) + "\n", 0
 
 
 def cmd_normal_order(args: argparse.Namespace) -> tuple[str, int]:
-    nf = opexpr.normal_order(args.expr, m=args.m, r=args.r)
+    m, r = _m_r("normal-order", args, None)
+    nf = opexpr.normal_order(args.expr, m=m, r=r)
     return _dump(nf.to_json()) + "\n", 0
-
-
-def _verify_axes(args: argparse.Namespace) -> list[tuple[str, tuple[int, int]]]:
-    identity = args.identity
-    axes = _AXES[identity]
-    if identity == "triangle-oracle" and args.kind == "q-stirling":
-        axes = ("n",)
-    overrides = _DEFAULT_OVERRIDES.get(identity, {})
-    chosen = []
-    for name in axes:
-        given = getattr(args, name if name != "l" else "l")
-        if given is not None:
-            chosen.append((name, _parse_range(given, f"--{name}")))
-        else:
-            chosen.append((name, overrides.get(name, _DEFAULTS[name])))
-    # reject flags that do not belong to this identity
-    for name in _DEFAULTS:
-        if getattr(args, name) is not None and name not in axes:
-            raise UsageError(f"verify: --{name} does not apply to {identity}")
-    return chosen
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     identity = args.identity
-    variant = args.variant
-    if variant is not None and identity not in _VARIANT_IDENTITIES:
+    spec = identities.IDENTITIES[identity]
+    if args.variant is not None and not spec.variant:
         raise UsageError(f"verify: --variant does not apply to {identity}")
-    if args.kind is not None and identity != "triangle-oracle":
+    axes, fixed = spec.axes, {}
+    if identity == "triangle-oracle":
+        fixed["kind"] = args.kind or "q-stirling"
+        if fixed["kind"] == "q-stirling":
+            axes = axes[:1]  # the q-Stirling rows take no weight or shift
+    elif args.kind is not None:
         raise UsageError("verify: --kind only applies to triangle-oracle")
-    if identity == "triangle-oracle" and args.kind is None:
-        args.kind = "q-stirling"
     if args.jobs < 1:
         raise UsageError("verify: --jobs must be >= 1")
-    chosen = _verify_axes(args)
-    bounds = dict(chosen)
-    if identity in _M_GE_1_IDENTITIES or (
-        identity == "triangle-oracle" and args.kind == "qr-whitney"
-    ):
-        if bounds["m"][0] < 1:
-            raise UsageError(f"verify: {identity} needs m >= 1")
-    if identity in ("lem1", "lem3") and bounds["k"][0] < 1:
-        raise UsageError(f"verify: {identity} needs k >= 1")
+    names = [name for name, _ in axes]
+    for name in _AXIS_FLAGS:
+        if getattr(args, name) is not None and name not in names:
+            raise UsageError(f"verify: --{name} does not apply to {identity}")
+    bounds = {}
+    for name, default in axes:
+        given = getattr(args, name)
+        bounds[name] = default if given is None else _parse_range(given, f"--{name}")
+        least = spec.lower.get(name, 0)
+        if bounds[name][0] < least:
+            raise UsageError(f"verify: {identity} needs {name} >= {least}")
     if identity == "lem2" and bounds["cap"][0] < bounds["k"][1]:
         raise UsageError("verify: lem2 needs cap >= k")
 
-    tasks = []
-    names = [name for name, _ in chosen]
-    spans = [range(lo, hi + 1) for _, (lo, hi) in chosen]
-    for combo in product(*spans):
-        params = dict(zip(names, combo))
-        if identity == "triangle-oracle":
-            params["kind"] = args.kind
-        tasks.append((identity, variant, params))
+    spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
+    tasks = [
+        (identity, args.variant, {**dict(zip(names, combo)), **fixed})
+        for combo in product(*spans)
+    ]
 
     if args.jobs == 1:
         reports = [_verify_task(t) for t in tasks]
@@ -360,11 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normal_order)
 
     p = sub.add_parser("verify", help="verify one identity over parameter ranges")
-    p.add_argument("--identity", required=True, choices=sorted(_AXES))
+    p.add_argument("--identity", required=True, choices=sorted(identities.IDENTITIES))
     p.add_argument("--variant", choices=["literal", "corrected"], default=None)
     p.add_argument("--kind", choices=["q-stirling", "qr-whitney"], default=None)
-    for flag in ("--n", "--mshift", "--l", "--m", "--r", "--x", "--k", "--cap"):
-        p.add_argument(flag, default=None, metavar="LO..HI")
+    for name in _AXIS_FLAGS:
+        p.add_argument(f"--{name}", default=None, metavar="LO..HI")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -397,8 +324,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"qspivey: internal error: {e}\n")
         return 1
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            sys.stderr.write(f"qspivey: error: {e}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -19,6 +19,17 @@ the identities exist in two printed shapes, selected by ``variant``:
 The corrected shapes are the ones the operator algebra produces; the
 verifiers treat both shapes as data and let the arithmetic decide.
 
+katriel, result1 (and result1_xpoly) and result2 (and result2_xpoly) are
+all one double sum, Σ_j Σ_k W[l,j]·C(n,k)·base(j)^(n-k)·q^(jk)·D_k·X_j,
+computed by the private kernel _expand.  Each wrapper picks its own
+triangle row: katriel and result1 read q_stirling2 with base [j], result2
+reads qr_whitney with base m[j] + r, so the two triangles keep checking
+each other.  spivey and result3 stay on the classical integer route.
+
+IDENTITIES is the one table of tags: verifier, axes with their default
+ranges, variant support and per-axis lower bounds; run_case and the CLI
+read it.
+
 Identities in x are checked at integer substitutions.  Both sides are
 polynomials in x of degree at most n plus the shift, so agreement at
 degree + 1 distinct points is agreement as polynomials; for the corrected
@@ -27,6 +38,10 @@ sides directly as XQPoly values.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import triangles
 from .boson import NormalForm, coherent_truncated
@@ -39,6 +54,13 @@ _VARIANTS = ("literal", "corrected")
 
 def _enc_ints(vs) -> list[str]:
     return [str(v) for v in vs]
+
+
+def _report(identity: str, variant: str, params: dict, lhs, rhs) -> VerificationReport:
+    """A report on two values that encode themselves with to_json()."""
+    return VerificationReport(
+        identity, variant, params, lhs.to_json(), rhs.to_json(), lhs == rhs
+    )
 
 
 def _check_variant(variant: str) -> None:
@@ -109,6 +131,42 @@ def verify_spivey(n: int, mshift: int) -> VerificationReport:
     )
 
 
+def _expand(row, n: int, base, d: list, xfactor, zero):
+    """The double sum  Σ_j Σ_k row[j]·C(n,k)·base(j)^(n-k)·q^(jk)·d[k]·X_j.
+
+    row is a triangle row read by the caller, base(j) a QPoly, d the list
+    D_0..D_n (QPoly or XQPoly values) and xfactor(j) the factor X_j in the
+    ring of d; zero is that ring's additive zero.  Each base(j)^(n-k) is
+    built once per j.
+    """
+    total = zero
+    for j, w in enumerate(row):
+        if not w:
+            continue
+        xj = xfactor(j)
+        if not xj:
+            continue
+        b = base(j)
+        powers = [QPoly.one()]
+        for _ in range(n):
+            powers.append(powers[-1] * b)
+        for k in range(n + 1):
+            c = w * binom(n, k) * powers[n - k] * QPoly.monomial(j * k)
+            total = total + d[k] * c * xj
+    return total
+
+
+def _xfactor(variant: str, x: int, m: int = 1):
+    """X_j at integer x: m^j·[x][x-1]..[x-j+1] when literal, x^j when corrected."""
+    if variant == "literal":
+        return lambda j: q_falling(x, j) * (m**j)
+    return lambda j: QPoly.const(x**j)
+
+
+def _whitney_base(m: int, r: int):
+    return lambda j: q_int(j) * m + r
+
+
 def verify_katriel(n: int, l: int) -> VerificationReport:
     """q-Bell numbers: B_{n+l} == sum_{j,k} S[l,j] C(n,k) [j]^(n-k) q^(jk) B_k."""
     if n < 0 or l < 0:
@@ -116,26 +174,8 @@ def verify_katriel(n: int, l: int) -> VerificationReport:
     srow = triangles.q_stirling2(l)[l]
     qbell = [triangles.q_bell_poly(k).eval_x(1) for k in range(n + 1)]
     lhs = triangles.q_bell_poly(n + l).eval_x(1)
-    rhs = QPoly.zero()
-    for j in range(l + 1):
-        if not srow[j]:
-            continue
-        for k in range(n + 1):
-            rhs = rhs + (
-                srow[j]
-                * binom(n, k)
-                * (q_int(j) ** (n - k))
-                * QPoly.monomial(j * k)
-                * qbell[k]
-            )
-    return VerificationReport(
-        "katriel",
-        "n/a",
-        {"n": n, "l": l},
-        lhs.to_json(),
-        rhs.to_json(),
-        lhs == rhs,
-    )
+    rhs = _expand(srow, n, q_int, qbell, _xfactor("corrected", 1), QPoly.zero())
+    return _report("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
 
 
 def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationReport:
@@ -151,30 +191,8 @@ def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationRep
     srow = triangles.q_stirling2(mshift)[mshift]
     bx = [triangles.q_bell_poly(k).eval_x(x) for k in range(n + 1)]
     lhs = triangles.q_bell_poly(n + mshift).eval_x(x)
-    rhs = QPoly.zero()
-    for j in range(mshift + 1):
-        if not srow[j]:
-            continue
-        xfactor = q_falling(x, j) if variant == "literal" else QPoly.const(x**j)
-        if not xfactor:
-            continue
-        for k in range(n + 1):
-            rhs = rhs + (
-                srow[j]
-                * binom(n, k)
-                * (q_int(j) ** (n - k))
-                * QPoly.monomial(j * k)
-                * bx[k]
-                * xfactor
-            )
-    return VerificationReport(
-        "result1",
-        variant,
-        {"n": n, "mshift": mshift, "x": x},
-        lhs.to_json(),
-        rhs.to_json(),
-        lhs == rhs,
-    )
+    rhs = _expand(srow, n, q_int, bx, _xfactor(variant, x), QPoly.zero())
+    return _report("result1", variant, {"n": n, "mshift": mshift, "x": x}, lhs, rhs)
 
 
 def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
@@ -183,22 +201,9 @@ def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
         raise ValueError("arguments must be nonnegative")
     srow = triangles.q_stirling2(mshift)[mshift]
     lhs = triangles.q_bell_poly(n + mshift)
-    rhs = XQPoly.zero()
-    for j in range(mshift + 1):
-        if not srow[j]:
-            continue
-        xj = XQPoly.monomial(j)
-        for k in range(n + 1):
-            c = srow[j] * binom(n, k) * (q_int(j) ** (n - k)) * QPoly.monomial(j * k)
-            rhs = rhs + triangles.q_bell_poly(k) * c * xj
-    return VerificationReport(
-        "result1-poly",
-        "corrected",
-        {"n": n, "mshift": mshift},
-        lhs.to_json(),
-        rhs.to_json(),
-        lhs == rhs,
-    )
+    bells = [triangles.q_bell_poly(k) for k in range(n + 1)]
+    rhs = _expand(srow, n, q_int, bells, XQPoly.monomial, XQPoly.zero())
+    return _report("result1-poly", "corrected", {"n": n, "mshift": mshift}, lhs, rhs)
 
 
 def verify_result2(
@@ -218,34 +223,10 @@ def verify_result2(
     wrow = triangles.qr_whitney(l, m, r)[l]
     d0 = [triangles.qr_dowling_poly(k, m, 0).eval_x(x) for k in range(n + 1)]
     lhs = triangles.qr_dowling_poly(n + l, m, r).eval_x(x)
-    rhs = QPoly.zero()
-    for j in range(l + 1):
-        if not wrow[j]:
-            continue
-        if variant == "literal":
-            xfactor = q_falling(x, j) * (m**j)
-        else:
-            xfactor = QPoly.const(x**j)
-        if not xfactor:
-            continue
-        base = q_int(j) * m + r
-        for k in range(n + 1):
-            rhs = rhs + (
-                wrow[j]
-                * binom(n, k)
-                * (base ** (n - k))
-                * QPoly.monomial(j * k)
-                * d0[k]
-                * xfactor
-            )
-    return VerificationReport(
-        "result2",
-        variant,
-        {"n": n, "l": l, "m": m, "r": r, "x": x},
-        lhs.to_json(),
-        rhs.to_json(),
-        lhs == rhs,
-    )
+    xfactor = _xfactor(variant, x, m)
+    rhs = _expand(wrow, n, _whitney_base(m, r), d0, xfactor, QPoly.zero())
+    params = {"n": n, "l": l, "m": m, "r": r, "x": x}
+    return _report("result2", variant, params, lhs, rhs)
 
 
 def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
@@ -256,23 +237,11 @@ def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
         raise ValueError("arguments must be nonnegative")
     wrow = triangles.qr_whitney(l, m, r)[l]
     lhs = triangles.qr_dowling_poly(n + l, m, r)
-    rhs = XQPoly.zero()
-    for j in range(l + 1):
-        if not wrow[j]:
-            continue
-        xj = XQPoly.monomial(j)
-        base = q_int(j) * m + r
-        for k in range(n + 1):
-            c = wrow[j] * binom(n, k) * (base ** (n - k)) * QPoly.monomial(j * k)
-            rhs = rhs + triangles.qr_dowling_poly(k, m, 0) * c * xj
-    return VerificationReport(
-        "result2-poly",
-        "corrected",
-        {"n": n, "l": l, "m": m, "r": r},
-        lhs.to_json(),
-        rhs.to_json(),
-        lhs == rhs,
-    )
+    d0 = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
+    base = _whitney_base(m, r)
+    rhs = _expand(wrow, n, base, d0, XQPoly.monomial, XQPoly.zero())
+    params = {"n": n, "l": l, "m": m, "r": r}
+    return _report("result2-poly", "corrected", params, lhs, rhs)
 
 
 def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> VerificationReport:
@@ -322,9 +291,7 @@ def verify_lemma(
             raise ValueError("lem1 needs k >= 1")
         lhs_nf = NormalForm.lowering().q_commutator(ad**k, k)
         rhs_nf = (ad ** (k - 1)) * q_int(k)
-        return VerificationReport(
-            "lem1", "n/a", {"k": k}, lhs_nf.to_json(), rhs_nf.to_json(), lhs_nf == rhs_nf
-        )
+        return _report("lem1", "n/a", {"k": k}, lhs_nf, rhs_nf)
     if which == "lem2":
         if cap < k:
             raise ValueError("lem2 needs cap >= k")
@@ -345,9 +312,7 @@ def verify_lemma(
             NormalForm.identity() * q_int(k)
             + NormalForm.number() * QPoly.monomial(k)
         )
-        return VerificationReport(
-            "lem3", "n/a", {"k": k}, lhs_nf.to_json(), rhs_nf.to_json(), lhs_nf == rhs_nf
-        )
+        return _report("lem3", "n/a", {"k": k}, lhs_nf, rhs_nf)
     if which == "lem4":
         if m < 0 or r < 0:
             raise ValueError("m and r must be nonnegative")
@@ -357,14 +322,7 @@ def verify_lemma(
             NormalForm.identity() * (q_int(k) * m + r)
             + NormalForm.number() * (QPoly.monomial(k) * m)
         )
-        return VerificationReport(
-            "lem4",
-            "n/a",
-            {"k": k, "m": m, "r": r},
-            lhs_nf.to_json(),
-            rhs_nf.to_json(),
-            lhs_nf == rhs_nf,
-        )
+        return _report("lem4", "n/a", {"k": k, "m": m, "r": r}, lhs_nf, rhs_nf)
     raise ValueError(f"unknown lemma {which!r}")
 
 
@@ -402,37 +360,66 @@ def verify_triangle_vs_oracle(
     )
 
 
+class IdentitySpec(NamedTuple):
+    """How one identity tag is driven over parameter ranges.
+
+    verify:  takes one keyword argument per axis, plus variant if it has one
+    axes:    (name, (lo, hi)) pairs in sweep order, (lo, hi) the default range
+    variant: whether the verifier takes the literal/corrected shape
+    lower:   per-axis lower bounds, where an axis must stay above 0
+    """
+
+    verify: Callable[..., VerificationReport]
+    axes: tuple[tuple[str, tuple[int, int]], ...]
+    variant: bool = False
+    lower: Mapping[str, int] = MappingProxyType({})
+
+
+# default ranges are deliberately small
+_N = ("n", (0, 6))
+_MSHIFT = ("mshift", (0, 4))
+_L = ("l", (0, 4))
+_M = ("m", (1, 2))
+_R = ("r", (0, 1))
+_K = ("k", (1, 6))
+_M_GE_1 = MappingProxyType({"m": 1})
+_K_GE_1 = MappingProxyType({"k": 1})
+
+IDENTITIES: dict[str, IdentitySpec] = {
+    "spivey": IdentitySpec(verify_spivey, (_N, _MSHIFT)),
+    "bell-rec": IdentitySpec(verify_bell_recurrence, (_N,)),
+    "stirling-def": IdentitySpec(verify_stirling_def, (_N,)),
+    "result1": IdentitySpec(verify_result1, (_N, _MSHIFT, ("x", (0, 3))), True),
+    "result2": IdentitySpec(
+        verify_result2, (_N, _L, _M, _R, ("x", (0, 3))), True, _M_GE_1
+    ),
+    "result3": IdentitySpec(verify_result3, (_N, _L, _M, _R), True, _M_GE_1),
+    "katriel": IdentitySpec(verify_katriel, (_N, _L)),
+    "lem1": IdentitySpec(partial(verify_lemma, "lem1"), (_K,), lower=_K_GE_1),
+    "lem2": IdentitySpec(
+        partial(verify_lemma, "lem2"), (("k", (0, 3)), ("cap", (10, 10)))
+    ),
+    "lem3": IdentitySpec(partial(verify_lemma, "lem3"), (_K,), lower=_K_GE_1),
+    "lem4": IdentitySpec(
+        partial(verify_lemma, "lem4"), (_K, ("m", (0, 2)), ("r", (0, 2)))
+    ),
+    # --kind q-stirling keeps only the n axis; the CLI handles that case
+    "triangle-oracle": IdentitySpec(
+        verify_triangle_vs_oracle, (_N, _M, _R), lower=_M_GE_1
+    ),
+    "whitney-special": IdentitySpec(
+        lambda k, m: triangles.whitney_special_check(k, m),
+        (("k", (6, 6)), _M),
+        lower=_M_GE_1,
+    ),
+}
+
+
 def run_case(identity: str, variant: str | None, params: dict) -> VerificationReport:
-    """Dispatch one verification by identity tag; used by the CLI sweeps."""
-    p = params
-    if identity == "spivey":
-        return verify_spivey(p["n"], p["mshift"])
-    if identity == "bell-rec":
-        return verify_bell_recurrence(p["n"])
-    if identity == "stirling-def":
-        return verify_stirling_def(p["n"])
-    if identity == "result1":
-        return verify_result1(p["n"], p["mshift"], p["x"], variant or "corrected")
-    if identity == "katriel":
-        return verify_katriel(p["n"], p["l"])
-    if identity == "result2":
-        return verify_result2(
-            p["n"], p["l"], p["m"], p["r"], p["x"], variant or "corrected"
-        )
-    if identity == "result3":
-        return verify_result3(p["n"], p["l"], p["m"], p["r"], variant or "corrected")
-    if identity in ("lem1", "lem2", "lem3", "lem4"):
-        return verify_lemma(
-            identity,
-            p["k"],
-            m=p.get("m", 0),
-            r=p.get("r", 0),
-            cap=p.get("cap", 0),
-        )
-    if identity == "triangle-oracle":
-        return verify_triangle_vs_oracle(
-            p["kind"], p["n"], m=p.get("m", 0), r=p.get("r", 0)
-        )
-    if identity == "whitney-special":
-        return triangles.whitney_special_check(p["k"], p["m"])
-    raise ValueError(f"unknown identity {identity!r}")
+    """Run one verification by identity tag, params holding one value per axis."""
+    spec = IDENTITIES.get(identity)
+    if spec is None:
+        raise ValueError(f"unknown identity {identity!r}")
+    if spec.variant:
+        return spec.verify(**params, variant=variant or "corrected")
+    return spec.verify(**params)

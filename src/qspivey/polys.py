@@ -25,6 +25,20 @@ def _trim(cs: list) -> tuple:
     return tuple(cs[:n])
 
 
+def _power(base, e: int, one):
+    """base**e by square-and-multiply, for either ring."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 class QPoly:
     """Polynomial in q, coefficients stored dense and ascending by power.
 
@@ -123,17 +137,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QPoly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = _QP_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, _QP_ONE)
 
     def eval_int(self, v: int) -> int:
         """Evaluate at an integer point by Horner's rule."""
@@ -285,17 +289,7 @@ class XQPoly:
         return NotImplemented
 
     def __pow__(self, e: int) -> "XQPoly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = _XQ_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, _XQ_ONE)
 
     def eval_x(self, s: int) -> QPoly:
         """Substitute a nonnegative integer for x; the result stays in q."""

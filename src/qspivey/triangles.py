@@ -20,7 +20,9 @@ identities.verify_triangle_vs_oracle.
 Row sums at x = 1 give the q-Bell numbers and (q,r)-Dowling numbers; with
 x kept symbolic they give the q-Bell and (q,r)-Dowling polynomials.
 
-All builders return nested tuples and are memoized per parameter set.
+All builders return nested tuples and are memoized per parameter set.  A
+request for more rows than any earlier call extends the longest triangle
+built so far, bottom-up, so the work and the stack depth stay flat in n.
 """
 
 from __future__ import annotations
@@ -32,24 +34,40 @@ from .qcalc import q_int
 from .report import VerificationReport
 
 
+# longest triangle built so far per builder and parameter set; a call for
+# a larger n_max extends it row by row, so no call recurses on n_max - 1
+_BUILT: dict[tuple, tuple] = {}
+
+
+def _resume(key: tuple, seed: tuple) -> list:
+    return list(_BUILT.get(key, (seed,)))
+
+
+def _keep(key: tuple, rows: list, n_max: int) -> tuple:
+    rows = tuple(rows)
+    if len(rows) > len(_BUILT.get(key, ())):
+        _BUILT[key] = rows
+    return rows[: n_max + 1]
+
+
 @lru_cache(maxsize=None)
 def stirling2(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n_max of the classical Stirling-set triangle."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max == 0:
-        return ((1,),)
-    rows = stirling2(n_max - 1)
-    last = rows[-1]
-    row = []
-    for k in range(n_max + 1):
-        v = 0
-        if k >= 1:
-            v += last[k - 1]
-        if k <= n_max - 1:
-            v += k * last[k]
-        row.append(v)
-    return rows + (tuple(row),)
+    rows = _resume(("stirling2",), (1,))
+    for n in range(len(rows), n_max + 1):
+        last = rows[-1]
+        row = []
+        for k in range(n + 1):
+            v = 0
+            if k >= 1:
+                v += last[k - 1]
+            if k <= n - 1:
+                v += k * last[k]
+            row.append(v)
+        rows.append(tuple(row))
+    return _keep(("stirling2",), rows, n_max)
 
 
 def bell(n_max: int) -> tuple[int, ...]:
@@ -62,19 +80,19 @@ def q_stirling2(n_max: int) -> tuple[tuple[QPoly, ...], ...]:
     """Rows 0..n_max of the q-Stirling triangle."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max == 0:
-        return ((QPoly.one(),),)
-    rows = q_stirling2(n_max - 1)
-    last = rows[-1]
-    row = []
-    for k in range(n_max + 1):
-        v = QPoly.zero()
-        if k >= 1:
-            v = v + last[k - 1] * QPoly.monomial(k - 1)
-        if k <= n_max - 1:
-            v = v + last[k] * q_int(k)
-        row.append(v)
-    return rows + (tuple(row),)
+    rows = _resume(("q_stirling2",), (QPoly.one(),))
+    for n in range(len(rows), n_max + 1):
+        last = rows[-1]
+        row = []
+        for k in range(n + 1):
+            v = QPoly.zero()
+            if k >= 1:
+                v = v + last[k - 1] * QPoly.monomial(k - 1)
+            if k <= n - 1:
+                v = v + last[k] * q_int(k)
+            row.append(v)
+        rows.append(tuple(row))
+    return _keep(("q_stirling2",), rows, n_max)
 
 
 def q_bell_poly(n: int) -> XQPoly:
@@ -91,19 +109,19 @@ def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
         raise ValueError("shift r must be nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max == 0:
-        return ((QPoly.one(),),)
-    rows = qr_whitney(n_max - 1, m, r)
-    last = rows[-1]
-    row = []
-    for k in range(n_max + 1):
-        v = QPoly.zero()
-        if k >= 1:
-            v = v + last[k - 1] * QPoly.monomial(k - 1)
-        if k <= n_max - 1:
-            v = v + last[k] * (q_int(k) * m + r)
-        row.append(v)
-    return rows + (tuple(row),)
+    rows = _resume(("qr_whitney", m, r), (QPoly.one(),))
+    for n in range(len(rows), n_max + 1):
+        last = rows[-1]
+        row = []
+        for k in range(n + 1):
+            v = QPoly.zero()
+            if k >= 1:
+                v = v + last[k - 1] * QPoly.monomial(k - 1)
+            if k <= n - 1:
+                v = v + last[k] * (q_int(k) * m + r)
+            row.append(v)
+        rows.append(tuple(row))
+    return _keep(("qr_whitney", m, r), rows, n_max)
 
 
 def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
@@ -134,19 +152,19 @@ def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]
         raise ValueError("weight m must be >= 1")
     if r < 0 or n_max < 0:
         raise ValueError("arguments must be nonnegative")
-    if n_max == 0:
-        return ((1,),)
-    rows = r_whitney_classic(n_max - 1, m, r)
-    last = rows[-1]
-    row = []
-    for k in range(n_max + 1):
-        v = 0
-        if k >= 1:
-            v += last[k - 1]
-        if k <= n_max - 1:
-            v += (m * k + r) * last[k]
-        row.append(v)
-    return rows + (tuple(row),)
+    rows = _resume(("r_whitney_classic", m, r), (1,))
+    for n in range(len(rows), n_max + 1):
+        last = rows[-1]
+        row = []
+        for k in range(n + 1):
+            v = 0
+            if k >= 1:
+                v += last[k - 1]
+            if k <= n - 1:
+                v += (m * k + r) * last[k]
+            row.append(v)
+        rows.append(tuple(row))
+    return _keep(("r_whitney_classic", m, r), rows, n_max)
 
 
 def whitney_special_check(k_max: int, m: int) -> VerificationReport:

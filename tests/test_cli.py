@@ -5,10 +5,13 @@ spawn real subprocesses where that is the thing under test.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from qspivey import QPoly, cli, opexpr, triangles
 from qspivey.report import VerificationReport
@@ -205,6 +208,19 @@ def test_verify_usage_errors(capsys):
         assert out == "", argv
 
 
+def test_bad_bindings_and_unwritable_out_exit_two(tmp_path, capsys):
+    missing_dir = str(tmp_path / "missing" / "rows.json")
+    cases = [
+        ("normal-order", "--expr", "a", "--m", "-1"),
+        ("normal-order", "--expr", "r*a", "--r", "-2"),
+        ("poly", "--kind", "q-bell", "--n", "2", "--out", missing_dir),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "qspivey: error:" in err, argv
+
+
 def test_unknown_identity_and_missing_subcommand(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "fermat")
     assert code == 2 and out == ""
@@ -254,6 +270,27 @@ def test_triangle_oracle_verify_kinds(capsys):
     assert code == 2
 
 
+def test_large_n_runs_without_exhausting_the_stack(capsys):
+    code, out, err = run_cli(capsys, "triangle", "--kind", "stirling2", "--n", "600")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 601 and rows[600][1] == rows[600][600] == "1"
+
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "spivey", "--n", "0", "--mshift", "600"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out.split("\n")[-2]) == {"failed": 0, "passed": 1, "total": 1}
+
+    # a^600 ad = q^600 ad a^600 + [600] a^599
+    code, out, err = run_cli(capsys, "normal-order", "--expr", "a^600*ad")
+    assert code == 0 and err == ""
+    assert json.loads(out) == [
+        {"coeff": ["1"] * 600, "k": 0, "l": 599},
+        {"coeff": ["0"] * 600 + ["1"], "k": 1, "l": 600},
+    ]
+
+
 def test_sweep_catches_a_corrupted_triangle(capsys, monkeypatch):
     """Corrupt one q-Stirling cell and the sweep must go red."""
     real = triangles.q_stirling2
@@ -290,3 +327,58 @@ def test_help_exits_zero():
     )
     assert proc.returncode == 0
     assert "triangle" in proc.stdout and "sweep" in proc.stdout
+
+
+# stdout sha256 and byte count of the sweep and of every default-range
+# verify run, so a byte drift in the defaults, the literal shapes or the
+# sweep fails here; the sweep digest is the one in bench/golden.json
+PINNED_STDOUT = [
+    ("sweep --jobs 1", 0,
+     "a85682796e27f4efd64f0a8de0f4875dd9667151d4e6577259b9c4be55d5154c", 983881),
+    ("verify --identity bell-rec", 0,
+     "ccd8314ca4f0882c28281902fd453210429d4d2a19da330c1230b8495c9ac748", 881),
+    ("verify --identity katriel", 0,
+     "1b3d47999ad30c39f5632068a51a8b48f14488aa5a5f013a8a645d32fd0230b0", 8074),
+    ("verify --identity lem1", 0,
+     "b96d0b9c0c2d26bd4aa82498dd437a924df0c4bdd9a23deaf907f47eb6f232a3", 988),
+    ("verify --identity lem2", 0,
+     "33ad6930742503b89ba5836481439e8a501abbd3d06c6728d8fad39d99741b40", 2306),
+    ("verify --identity lem3", 0,
+     "0ab6ae991bc6875c64c1290fa546149d2fff2225a0fdd3e29ed06080f61214a8", 1492),
+    ("verify --identity lem4", 0,
+     "a47f6ad0e9f18259aae596ea8cd4c58a5da59ef7d44f7b9b819b642463d4ebc6", 11610),
+    ("verify --identity result1", 0,
+     "24965811696613b15c1f32365e6edc1e898b95b36badd4ccf16d8326d7bba61f", 32776),
+    ("verify --identity result2", 0,
+     "6ba4709579fbb3707c4ca1fddfd88f932877ee8c33ef04fac41793a27284b54f", 142636),
+    ("verify --identity result3", 0,
+     "fb1734a25d797684b97a0b6897f4b8d4348164713e538fab6126e1b774140852", 16568),
+    ("verify --identity spivey", 0,
+     "b6ba68ecc0e8d573fa09a3f0cec3ed621a9c6b2a4761b13c2a412a1ef4e4f926", 3636),
+    ("verify --identity stirling-def", 0,
+     "dba31eea23e6deae1bb1bdaf74db2fbf91ad89ba903bcf02fa2440efcc0efd94", 951),
+    ("verify --identity triangle-oracle", 0,
+     "40eb11d1cbec26c0c0a8cedf84f7964306c9109f18e7974411ff230aea30c3b4", 1994),
+    ("verify --identity whitney-special", 0,
+     "cc00eb48e1599779ab1111f67a1f89bd31d238b36f11004356174d875b585240", 2660),
+    ("verify --identity result1 --variant literal", 1,
+     "9fbdf4208159705e6c465ef10f10068171c2d516b2d77a9f6a6a24a84f2f0079", 30891),
+    ("verify --identity result2 --variant literal", 1,
+     "52b58d36dcc0b5e2c7bafae29b68950801e4834023dd8a53593f2e52d6fdc156", 136046),
+    ("verify --identity result3 --variant literal", 1,
+     "fbf174e835198cac1beaa422d09d2b176b910c2e1b389e56ab1250bd0c0fbffe", 16369),
+    ("verify --identity triangle-oracle --kind qr-whitney", 0,
+     "6c95f0600f21695928b8625644be5b649c19c4534422531aa367dfd4383e2d03", 8616),
+]
+
+
+@pytest.mark.parametrize(
+    "command,want_code,want_sha,want_bytes",
+    PINNED_STDOUT,
+    ids=[pin[0] for pin in PINNED_STDOUT],
+)
+def test_pinned_stdout_digest(capsys, command, want_code, want_sha, want_bytes):
+    code, out, err = run_cli(capsys, *command.split())
+    data = out.encode()
+    assert code == want_code, err
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (want_sha, want_bytes)

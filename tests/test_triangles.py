@@ -1,5 +1,8 @@
 """Triangle builders against enumeration oracles and frozen values."""
 
+import subprocess
+import sys
+
 import pytest
 
 from qspivey import QPoly, q_falling, q_int, triangles
@@ -42,6 +45,23 @@ def test_bell_frozen_values():
 def test_stirling_rejects_negative():
     with pytest.raises(ValueError):
         triangles.stirling2(-1)
+
+
+def test_builders_extend_bottom_up_under_a_small_stack():
+    # far fewer frames than rows: a builder that recursed once per row, or
+    # a reorder that recursed once per lowering factor, would overflow
+    code = (
+        "import sys\n"
+        "from qspivey import boson, triangles\n"
+        "sys.setrecursionlimit(50)\n"
+        "triangles.stirling2(100)\n"
+        "triangles.r_whitney_classic(100, 2, 1)\n"
+        "triangles.q_stirling2(30)\n"
+        "triangles.qr_whitney(30, 2, 1)\n"
+        "boson._reorder(100, 2)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_q_stirling_small_rows():
