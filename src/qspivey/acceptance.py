@@ -1,25 +1,53 @@
 """The acceptance suite: every graded criterion, runnable as a library.
 
-Each criterion function returns the full list of VerificationReports it
-produced; a criterion holds iff every report passed.  Expected failures of
-the literal variants are pinned by wrapper reports whose lhs is the
-observed (passed, lhs, rhs) triple and whose rhs is the frozen
-expectation, so a literal variant that quietly started passing would fail
-the suite just as loudly as a corrected variant that broke.
+Each criterion function returns a task list: a functools.partial over a
+verifier per checked instance, plus the cheap pinned witnesses as reports
+built with the list.  run_tasks is the one runner, for the sweep and for
+the CLI's verify: it calls the partials, passes reports through and keeps
+task order for any job count.  A criterion holds iff all its reports
+passed.  Expected failures of the literal variants are pinned by wrapper
+reports whose lhs is the observed (passed, lhs, rhs) triple and whose rhs
+is the frozen expectation, so a literal variant that quietly started
+passing fails the suite as loudly as a corrected variant that broke.
 
-The suite is pure computation over immutable values, so criteria can run
-in parallel processes; run_suite(jobs=4) and run_suite(jobs=1) return
-identical results in identical order.
+run_suite runs criteria 1..10 as one task list, so --jobs shards by task,
+renders the sweep lines and adds criterion 11: every line must parse back
+into a report that re-renders to the identical bytes.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from typing import Callable, Union
 
 from . import identities, triangles
 from .polys import QPoly
 from .qcalc import q_falling, q_int
-from .report import VerificationReport
+from .report import VerificationReport, dumps
+
+Task = Union[VerificationReport, Callable[[], VerificationReport]]
+
+# work items per worker process; more items balance the load better, fewer
+# cost less inter-process traffic
+_CHUNKS_PER_WORKER = 8
+
+
+def _run(task: Task) -> VerificationReport:
+    return task if isinstance(task, VerificationReport) else task()
+
+
+def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
+    """The reports of tasks in task order, on at most min(jobs, tasks, CPUs)
+    worker processes; one worker or fewer runs them in this process."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_run(task) for task in tasks]
+    chunk = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run, tasks, chunksize=chunk))
 
 
 def _pin(identity: str, params: dict, observed, expected) -> VerificationReport:
@@ -52,17 +80,18 @@ def count_set_partitions(n: int) -> int:
     return grow(0, [])
 
 
-def criterion_1() -> list[VerificationReport]:
+def criterion_1() -> list[Task]:
     """Classical Spivey on 0 <= n, mshift <= 12, with Bell numbers pinned
     by the binomial recurrence and by brute-force partition enumeration."""
-    reports = []
-    for n in range(13):
-        for mshift in range(13):
-            reports.append(identities.verify_spivey(n, mshift))
-    reports.append(identities.verify_bell_recurrence(24))
+    tasks: list[Task] = [
+        partial(identities.verify_spivey, n, mshift)
+        for n in range(13)
+        for mshift in range(13)
+    ]
+    tasks.append(partial(identities.verify_bell_recurrence, 24))
     bells = triangles.bell(7)
     brute = [count_set_partitions(i) for i in range(8)]
-    reports.append(
+    tasks.append(
         _pin(
             "bell-bruteforce",
             {"n": 7},
@@ -70,31 +99,31 @@ def criterion_1() -> list[VerificationReport]:
             [str(b) for b in brute],
         )
     )
-    reports.append(_pin("bell-b7-witness", {"n": 7}, str(bells[7]), "877"))
-    return reports
+    tasks.append(_pin("bell-b7-witness", {"n": 7}, str(bells[7]), "877"))
+    return tasks
 
 
-def criterion_2() -> list[VerificationReport]:
+def criterion_2() -> list[Task]:
     """q-Stirling rows certified against normal ordering for n <= 9."""
-    reports = [
-        identities.verify_triangle_vs_oracle("q-stirling", n) for n in range(10)
+    tasks: list[Task] = [
+        partial(identities.verify_triangle_vs_oracle, "q-stirling", n)
+        for n in range(10)
     ]
     row3 = [c.to_json() for c in triangles.q_stirling2(3)[3]]
     expected = [[], ["1"], ["0", "2", "1"], ["0", "0", "0", "1"]]
-    reports.append(_pin("q-stirling-row3-witness", {"n": 3}, row3, expected))
-    return reports
+    tasks.append(_pin("q-stirling-row3-witness", {"n": 3}, row3, expected))
+    return tasks
 
 
-def criterion_3() -> list[VerificationReport]:
+def criterion_3() -> list[Task]:
     """(q,r)-Whitney rows certified against normal ordering for n <= 7,
     m in 1..3, r in 0..2, with the n = 2 coefficients pinned in closed form."""
-    reports = []
+    oracle = identities.verify_triangle_vs_oracle
+    tasks: list[Task] = []
     for m in (1, 2, 3):
         for r in (0, 1, 2):
             for n in range(8):
-                reports.append(
-                    identities.verify_triangle_vs_oracle("qr-whitney", n, m, r)
-                )
+                tasks.append(partial(oracle, "qr-whitney", n, m, r))
             row2 = [
                 (c * (m**k)).to_json()
                 for k, c in enumerate(triangles.qr_whitney(2, m, r)[2])
@@ -104,51 +133,49 @@ def criterion_3() -> list[VerificationReport]:
                 QPoly.const(m * m + 2 * m * r).to_json(),
                 QPoly.monomial(1, m * m).to_json(),
             ]
-            reports.append(
+            tasks.append(
                 _pin("qr-whitney-square-witness", {"m": m, "r": r}, row2, expected)
             )
-    return reports
+    return tasks
 
 
-def criterion_4() -> list[VerificationReport]:
+def criterion_4() -> list[Task]:
     """The four operator lemmas over their stated ranges."""
-    reports = []
-    for k in range(1, 11):
-        reports.append(identities.verify_lemma("lem1", k))
-    for k in range(1, 11):
-        reports.append(identities.verify_lemma("lem3", k))
+    lemma = identities.verify_lemma
+    tasks: list[Task] = []
+    tasks += [partial(lemma, "lem1", k) for k in range(1, 11)]
+    tasks += [partial(lemma, "lem3", k) for k in range(1, 11)]
     for k in range(1, 9):
         for m in range(4):
             for r in range(4):
-                reports.append(identities.verify_lemma("lem4", k, m=m, r=r))
-    for k in range(5):
-        reports.append(identities.verify_lemma("lem2", k, cap=12))
-    return reports
+                tasks.append(partial(lemma, "lem4", k, m=m, r=r))
+    tasks += [partial(lemma, "lem2", k, cap=12) for k in range(5)]
+    return tasks
 
 
-def criterion_5() -> list[VerificationReport]:
+def criterion_5() -> list[Task]:
     """The q-Bell number expansion for all n + l <= 9, witness pinned."""
-    reports = []
-    for total in range(10):
-        for n in range(total + 1):
-            reports.append(identities.verify_katriel(n, total - n))
+    tasks: list[Task] = [
+        partial(identities.verify_katriel, n, total - n)
+        for total in range(10)
+        for n in range(total + 1)
+    ]
     inner = identities.verify_katriel(1, 1)
-    reports.append(_pin("katriel-witness", {"n": 1, "l": 1}, inner.lhs, ["1", "1"]))
-    return reports
+    tasks.append(_pin("katriel-witness", {"n": 1, "l": 1}, inner.lhs, ["1", "1"]))
+    return tasks
 
 
-def criterion_6() -> list[VerificationReport]:
+def criterion_6() -> list[Task]:
     """q-Bell polynomial expansion: corrected passes on n + mshift <= 8,
     x in 0..6; the literal shape fails at (n, mshift, x) = (1, 2, 1)."""
-    reports = []
-    for total in range(9):
-        for n in range(total + 1):
-            for x in range(7):
-                reports.append(
-                    identities.verify_result1(n, total - n, x, "corrected")
-                )
+    tasks: list[Task] = [
+        partial(identities.verify_result1, n, total - n, x, "corrected")
+        for total in range(9)
+        for n in range(total + 1)
+        for x in range(7)
+    ]
     inner = identities.verify_result1(1, 2, 1, "literal")
-    reports.append(
+    tasks.append(
         _pin(
             "result1-literal-witness",
             {"n": 1, "mshift": 2, "x": 1},
@@ -156,29 +183,27 @@ def criterion_6() -> list[VerificationReport]:
             [False, ["1", "2", "1", "1"], ["1", "1"]],
         )
     )
-    return reports
+    return tasks
 
 
-def criterion_7() -> list[VerificationReport]:
+def criterion_7() -> list[Task]:
     """(q,r)-Dowling polynomial expansion: corrected passes on n + l <= 7,
     m in 1..3, r in 0..2, x in 0..5; the literal shape fails at
     (n, l, m, r, x) = (1, 1, 2, 1, 1), where q = 1 gives 10 against 6."""
-    reports = []
-    for total in range(8):
-        for n in range(total + 1):
-            l = total - n
-            for m in (1, 2, 3):
-                for r in (0, 1, 2):
-                    for x in range(6):
-                        reports.append(
-                            identities.verify_result2(n, l, m, r, x, "corrected")
-                        )
+    tasks: list[Task] = [
+        partial(identities.verify_result2, n, total - n, m, r, x, "corrected")
+        for total in range(8)
+        for n in range(total + 1)
+        for m in (1, 2, 3)
+        for r in (0, 1, 2)
+        for x in range(6)
+    ]
     inner = identities.verify_result2(1, 1, 2, 1, 1, "literal")
     at_q1 = [
         str(QPoly.from_json(inner.lhs).eval_int(1)),
         str(QPoly.from_json(inner.rhs).eval_int(1)),
     ]
-    reports.append(
+    tasks.append(
         _pin(
             "result2-literal-witness",
             {"n": 1, "l": 1, "m": 2, "r": 1, "x": 1},
@@ -186,27 +211,25 @@ def criterion_7() -> list[VerificationReport]:
             [False, "6", "10"],
         )
     )
-    return reports
+    return tasks
 
 
-def criterion_8() -> list[VerificationReport]:
+def criterion_8() -> list[Task]:
     """Classical r-Dowling expansion: corrected passes on n + l <= 10,
     m in 1..3, r in 0..2; witnesses pinned, and the m = 1, r = 0 slice
     must coincide with the classical Spivey values."""
-    reports = []
-    for total in range(11):
-        for n in range(total + 1):
-            l = total - n
-            for m in (1, 2, 3):
-                for r in (0, 1, 2):
-                    reports.append(
-                        identities.verify_result3(n, l, m, r, "corrected")
-                    )
+    tasks: list[Task] = [
+        partial(identities.verify_result3, n, total - n, m, r, "corrected")
+        for total in range(11)
+        for n in range(total + 1)
+        for m in (1, 2, 3)
+        for r in (0, 1, 2)
+    ]
     dowling = triangles.r_dowling(3, 2, 1)
-    reports.append(_pin("dowling-21-witness", {"n": 2}, str(dowling[2]), "6"))
-    reports.append(_pin("dowling-21-witness", {"n": 3}, str(dowling[3]), "24"))
+    tasks.append(_pin("dowling-21-witness", {"n": 2}, str(dowling[2]), "6"))
+    tasks.append(_pin("dowling-21-witness", {"n": 3}, str(dowling[3]), "24"))
     inner = identities.verify_result3(1, 1, 2, 1, "literal")
-    reports.append(
+    tasks.append(
         _pin(
             "result3-literal-witness",
             {"n": 1, "l": 1, "m": 2, "r": 1},
@@ -222,20 +245,20 @@ def criterion_8() -> list[VerificationReport]:
             spivey = identities.verify_spivey(n, total - n)
             observed.append([rep.lhs, rep.rhs])
             expected.append([spivey.lhs, spivey.rhs])
-    reports.append(
+    tasks.append(
         _pin("result3-vs-spivey", {"n": 10}, observed, expected)
     )
-    return reports
+    return tasks
 
 
-def criterion_9() -> list[VerificationReport]:
+def criterion_9() -> list[Task]:
     """Specialization chain: q = 1 collapses and the m-weighted reduction."""
-    reports = []
+    tasks: list[Task] = []
     q1 = [
         [c.eval_int(1) for c in row] for row in triangles.q_stirling2(12)
     ]
     classical = [list(row) for row in triangles.stirling2(12)]
-    reports.append(
+    tasks.append(
         _pin(
             "q-stirling-at-1",
             {"n": 12},
@@ -247,7 +270,7 @@ def criterion_9() -> list[VerificationReport]:
         for r in (0, 1, 2):
             got = [list(row) for row in triangles.r_whitney(10, m, r)]
             want = [list(row) for row in triangles.r_whitney_classic(10, m, r)]
-            reports.append(
+            tasks.append(
                 _pin(
                     "r-whitney-at-1",
                     {"n": 10, "m": m, "r": r},
@@ -260,37 +283,30 @@ def criterion_9() -> list[VerificationReport]:
         for n in range(13)
     ]
     want = [str(b) for b in triangles.bell(12)]
-    reports.append(_pin("dowling-10-is-bell", {"n": 12}, got, want))
-    for m in (1, 2, 3):
-        reports.append(triangles.whitney_special_check(8, m))
-    return reports
+    tasks.append(_pin("dowling-10-is-bell", {"n": 12}, got, want))
+    tasks += [partial(triangles.whitney_special_check, 8, m) for m in (1, 2, 3)]
+    return tasks
 
 
-def criterion_10() -> list[VerificationReport]:
+def _q_expansion(s: int, n: int) -> VerificationReport:
+    lhs = q_int(s) ** n
+    row = triangles.q_stirling2(n)[n]
+    rhs = QPoly.zero()
+    for k in range(n + 1):
+        rhs = rhs + row[k] * q_falling(s, k)
+    params = {"s": s, "n": n}
+    return VerificationReport(
+        "q-expansion", "n/a", params, lhs.to_json(), rhs.to_json(), lhs == rhs
+    )
+
+
+def criterion_10() -> list[Task]:
     """The q-expansion law [s]^n == sum_k S[n,k] · [s][s-1]..[s-k+1]
     as QPoly identities for 0 <= s, n <= 8."""
-    reports = []
-    for s in range(9):
-        for n in range(9):
-            lhs = q_int(s) ** n
-            row = triangles.q_stirling2(n)[n]
-            rhs = QPoly.zero()
-            for k in range(n + 1):
-                rhs = rhs + row[k] * q_falling(s, k)
-            reports.append(
-                VerificationReport(
-                    "q-expansion",
-                    "n/a",
-                    {"s": s, "n": n},
-                    lhs.to_json(),
-                    rhs.to_json(),
-                    lhs == rhs,
-                )
-            )
-    return reports
+    return [partial(_q_expansion, s, n) for s in range(9) for n in range(9)]
 
 
-CRITERIA: tuple[tuple[int, str, object], ...] = (
+CRITERIA: tuple[tuple[int, str, Callable[[], list[Task]]], ...] = (
     (1, "classical-spivey", criterion_1),
     (2, "q-stirling-oracle", criterion_2),
     (3, "qr-whitney-oracle", criterion_3),
@@ -307,17 +323,37 @@ CRITERIA: tuple[tuple[int, str, object], ...] = (
 def run_criterion(num: int) -> list[VerificationReport]:
     for n, _slug, fn in CRITERIA:
         if n == num:
-            return fn()
+            return run_tasks(fn())
     raise ValueError(f"no criterion {num}")
 
 
-def run_suite(jobs: int = 1) -> list[tuple[int, str, list[VerificationReport]]]:
-    """Run criteria 1..10; the result is independent of the job count."""
-    nums = [num for num, _slug, _fn in CRITERIA]
-    slugs = {num: slug for num, slug, _fn in CRITERIA}
-    if jobs <= 1:
-        batches = [run_criterion(n) for n in nums]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(run_criterion, nums))
-    return [(n, slugs[n], batch) for n, batch in zip(nums, batches)]
+def _line(num: int, slug: str, rep: VerificationReport) -> str:
+    return dumps({"criterion": num, "slug": slug, "report": rep.to_json()})
+
+
+def _roundtrip(lines: list[str]) -> VerificationReport:
+    """Criterion 11, in-run half: every line parses back into a report that
+    re-renders to the identical bytes."""
+    ok = 0
+    for line in lines:
+        d = json.loads(line)
+        rep = VerificationReport.from_json(d["report"])
+        ok += _line(d["criterion"], d["slug"], rep) == line
+    total = len(lines)
+    return _pin("json-roundtrip", {"lines": total}, str(ok), str(total))
+
+
+def run_suite(jobs: int = 1) -> tuple[list[str], int]:
+    """The sweep's report lines for criteria 1..11 and the number of failed
+    reports; criteria 1..10 run as one task list, so jobs shards by task."""
+    labels: list[tuple[int, str]] = []
+    tasks: list[Task] = []
+    for num, slug, fn in CRITERIA:
+        batch = fn()
+        labels += [(num, slug)] * len(batch)
+        tasks += batch
+    reports = run_tasks(tasks, jobs)
+    lines = [_line(num, slug, rep) for (num, slug), rep in zip(labels, reports)]
+    reports.append(_roundtrip(lines))
+    lines.append(_line(11, "engineering-determinism", reports[-1]))
+    return lines, sum(1 for rep in reports if not rep.passed)

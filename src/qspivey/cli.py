@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import product
 
 from . import acceptance, identities, opexpr, triangles
-from .report import VerificationReport
+from .report import dumps
 
 
 class UsageError(Exception):
@@ -53,13 +52,11 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _verify_task(task: tuple[str, str | None, dict]) -> VerificationReport:
-    identity, variant, params = task
-    return identities.run_case(identity, variant, params)
+def _emit(lines: list[str], failed: int) -> tuple[str, int]:
+    """Report lines plus the summary line; exit code 1 if a report failed."""
+    total = len(lines)
+    summary = dumps({"total": total, "passed": total - failed, "failed": failed})
+    return "\n".join([*lines, summary]) + "\n", 0 if failed == 0 else 1
 
 
 def _m_r(cmd: str, args: argparse.Namespace, weighted: bool | None):
@@ -101,14 +98,14 @@ def cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
     else:
         cells = [[c.to_json() for c in row] for row in triangles.qr_whitney(n, m, r)]
     if args.format == "json":
-        text = _dump({"kind": kind, "m": m, "r": r, "n_max": n, "rows": cells}) + "\n"
+        text = dumps({"kind": kind, "m": m, "r": r, "n_max": n, "rows": cells}) + "\n"
         return text, 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "m", "r", "n_max"])
     writer.writerow([kind, "" if m is None else m, "" if r is None else r, n])
     for row in cells:
-        writer.writerow([c if isinstance(c, str) else _dump(c) for c in row])
+        writer.writerow([c if isinstance(c, str) else dumps(c) for c in row])
     return buf.getvalue(), 0
 
 
@@ -121,7 +118,7 @@ def cmd_poly(args: argparse.Namespace) -> tuple[str, int]:
     else:
         coeffs = triangles.qr_dowling_poly(n, m, r).to_json()
         payload = {"kind": "qr-dowling", "n": n, "m": m, "r": r, "coeffs": coeffs}
-    return _dump(payload) + "\n", 0
+    return dumps(payload) + "\n", 0
 
 
 def cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
@@ -137,13 +134,13 @@ def cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
     else:
         values = [str(v) for v in triangles.r_dowling(n, m, r)]
         payload.update(m=m, r=r, values=values)
-    return _dump(payload) + "\n", 0
+    return dumps(payload) + "\n", 0
 
 
 def cmd_normal_order(args: argparse.Namespace) -> tuple[str, int]:
     m, r = _m_r("normal-order", args, None)
     nf = opexpr.normal_order(args.expr, m=m, r=r)
-    return _dump(nf.to_json()) + "\n", 0
+    return dumps(nf.to_json()) + "\n", 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -175,72 +172,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError("verify: lem2 needs cap >= k")
 
     spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
-    tasks = [
-        (identity, args.variant, {**dict(zip(names, combo)), **fixed})
-        for combo in product(*spans)
-    ]
-
-    if args.jobs == 1:
-        reports = [_verify_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_task, tasks))
-
-    lines = [rep.to_json_line() for rep in reports]
+    cases = [{**dict(zip(names, combo)), **fixed} for combo in product(*spans)]
+    tasks = [partial(identities.run_case, identity, args.variant, p) for p in cases]
+    reports = acceptance.run_tasks(tasks, args.jobs)
     failed = sum(1 for rep in reports if not rep.passed)
-    lines.append(
-        _dump({"total": len(reports), "passed": len(reports) - failed, "failed": failed})
-    )
-    return "\n".join(lines) + "\n", 0 if failed == 0 else 1
+    return _emit([rep.to_json_line() for rep in reports], failed)
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     if args.jobs < 1:
         raise UsageError("sweep: --jobs must be >= 1")
-    results = acceptance.run_suite(jobs=args.jobs)
-    lines: list[str] = []
-    n_reports = 0
-    n_passed = 0
-    for num, slug, reports in results:
-        for rep in reports:
-            lines.append(
-                _dump({"criterion": num, "slug": slug, "report": rep.to_json()})
-            )
-            n_reports += 1
-            n_passed += 1 if rep.passed else 0
-    # criterion 11, in-run half: every emitted line parses back into a
-    # report that re-renders to the identical bytes
-    ok = 0
-    for line in lines:
-        d = json.loads(line)
-        rep = VerificationReport.from_json(d["report"])
-        again = _dump(
-            {"criterion": d["criterion"], "slug": d["slug"], "report": rep.to_json()}
-        )
-        if again == line:
-            ok += 1
-    roundtrip = VerificationReport(
-        identity="json-roundtrip",
-        variant="n/a",
-        params={"lines": len(lines)},
-        lhs=str(ok),
-        rhs=str(len(lines)),
-        passed=ok == len(lines),
-    )
-    lines.append(
-        _dump(
-            {
-                "criterion": 11,
-                "slug": "engineering-determinism",
-                "report": roundtrip.to_json(),
-            }
-        )
-    )
-    n_reports += 1
-    n_passed += 1 if roundtrip.passed else 0
-    failed = n_reports - n_passed
-    lines.append(_dump({"total": n_reports, "passed": n_passed, "failed": failed}))
-    return "\n".join(lines) + "\n", 0 if failed == 0 else 1
+    return _emit(*acceptance.run_suite(jobs=args.jobs))
 
 
 def _build_parser() -> argparse.ArgumentParser:

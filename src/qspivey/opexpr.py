@@ -11,9 +11,10 @@ tighter than + and -):
 a is the lowering operator, ad the raising operator, and N abbreviates
 ad*a.  The symbols m and r stand for nonnegative integers and must be
 bound when parsing; they appear in the AST as integer literals.
-Exponents are nonnegative integer literals.  q is not a symbol of the
-language; deformation lives in the coefficients, not the grammar.  A
-Unicode minus sign is accepted for "-".
+Exponents are nonnegative integer literals, and parentheses nest at most
+MAX_NESTING levels deep.  q is not a symbol of the language; deformation
+lives in the coefficients, not the grammar.  A Unicode minus sign is
+accepted for "-".
 """
 
 from __future__ import annotations
@@ -63,14 +64,19 @@ class Sum:
 
 OpExpr = Union[Lit, Atom, Pow, Prod, Sum]
 
+# each open parenthesis holds four parser frames, so this bound keeps the
+# parse well inside Python's default recursion limit of 1000
+MAX_NESTING = 200
+
 _MINUS = {"-", "−"}
-_ATOM_NAMES = ("a", "ad", "N")
+_ATOMS = {"a": NormalForm.lowering, "ad": NormalForm.raising, "N": NormalForm.number}
 
 
 class _Parser:
     def __init__(self, text: str, bindings: dict[str, int | None]) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
         self.bindings = bindings
 
     def skip_ws(self) -> None:
@@ -126,8 +132,14 @@ class _Parser:
         if ch is None:
             raise ParseError("unexpected end of input", at)
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", at
+                )
             self.pos += 1
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.skip_ws()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
@@ -139,7 +151,7 @@ class _Parser:
             while self.pos < len(self.text) and self.text[self.pos].isalpha():
                 self.pos += 1
             name = self.text[at : self.pos]
-            if name in _ATOM_NAMES:
+            if name in _ATOMS:
                 return Atom(name)
             if name in self.bindings:
                 bound = self.bindings[name]
@@ -164,24 +176,39 @@ def parse(text: str, m: int | None = None, r: int | None = None) -> OpExpr:
 
 
 def to_normal_form(node: OpExpr) -> NormalForm:
-    """Evaluate an AST in the normal-ordering engine."""
-    if isinstance(node, Lit):
-        return NormalForm.identity() * node.value
-    if isinstance(node, Atom):
-        if node.name == "a":
-            return NormalForm.lowering()
-        if node.name == "ad":
-            return NormalForm.raising()
-        return NormalForm.number()
-    if isinstance(node, Pow):
-        return to_normal_form(node.base) ** node.exponent
-    if isinstance(node, Prod):
-        return to_normal_form(node.left) * to_normal_form(node.right)
-    if isinstance(node, Sum):
-        left = to_normal_form(node.left)
-        right = to_normal_form(node.right)
-        return left + right if node.sign > 0 else left - right
-    raise TypeError(f"not an operator expression node: {node!r}")
+    """Evaluate an AST in the normal-ordering engine.
+
+    The walk keeps its own stack, so the left-deep Sum and Prod chains of
+    long sums and products cost no Python recursion.  An entry (node,
+    False) is still to be visited; (node, True) has its operands' values
+    on top of the value stack, the left one below the right one.
+    """
+    todo: list[tuple[OpExpr, bool]] = [(node, False)]
+    values: list[NormalForm] = []
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Lit):
+            values.append(NormalForm.identity() * node.value)
+        elif isinstance(node, Atom):
+            values.append(_ATOMS[node.name]())
+        elif not isinstance(node, (Pow, Prod, Sum)):
+            raise TypeError(f"not an operator expression node: {node!r}")
+        elif not ready:
+            todo.append((node, True))
+            if isinstance(node, Pow):
+                todo.append((node.base, False))
+            else:
+                todo += [(node.right, False), (node.left, False)]
+        elif isinstance(node, Pow):
+            values.append(values.pop() ** node.exponent)
+        else:
+            right = values.pop()
+            left = values.pop()
+            if isinstance(node, Prod):
+                values.append(left * right)
+            else:
+                values.append(left + right if node.sign > 0 else left - right)
+    return values[0]
 
 
 def normal_order(text: str, m: int | None = None, r: int | None = None) -> NormalForm:

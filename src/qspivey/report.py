@@ -13,6 +13,11 @@ from dataclasses import dataclass
 from typing import Any
 
 
+def dumps(obj) -> str:
+    """Canonical JSON text: sorted keys and no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """One verified instance of an identity.
@@ -57,4 +62,4 @@ class VerificationReport:
         )
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_json())

@@ -20,14 +20,13 @@ identities.verify_triangle_vs_oracle.
 Row sums at x = 1 give the q-Bell numbers and (q,r)-Dowling numbers; with
 x kept symbolic they give the q-Bell and (q,r)-Dowling polynomials.
 
-All builders return nested tuples and are memoized per parameter set.  A
-request for more rows than any earlier call extends the longest triangle
-built so far, bottom-up, so the work and the stack depth stay flat in n.
+All builders return nested tuples and keep one triangle per parameter
+set, the longest built so far: a request for fewer rows is a prefix of
+it, and a request for more rows extends it bottom-up, so the work and the
+stack depth stay flat in n.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .polys import QPoly, XQPoly
 from .qcalc import q_int
@@ -37,6 +36,12 @@ from .report import VerificationReport
 # longest triangle built so far per builder and parameter set; a call for
 # a larger n_max extends it row by row, so no call recurses on n_max - 1
 _BUILT: dict[tuple, tuple] = {}
+
+
+def _prefix(key: tuple, n_max: int) -> tuple | None:
+    """Rows 0..n_max of triangle key if they are built already."""
+    rows = _BUILT.get(key, ())
+    return rows[: n_max + 1] if len(rows) > n_max else None
 
 
 def _resume(key: tuple, seed: tuple) -> list:
@@ -50,11 +55,13 @@ def _keep(key: tuple, rows: list, n_max: int) -> tuple:
     return rows[: n_max + 1]
 
 
-@lru_cache(maxsize=None)
 def stirling2(n_max: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n_max of the classical Stirling-set triangle."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    done = _prefix(("stirling2",), n_max)
+    if done is not None:
+        return done
     rows = _resume(("stirling2",), (1,))
     for n in range(len(rows), n_max + 1):
         last = rows[-1]
@@ -75,11 +82,13 @@ def bell(n_max: int) -> tuple[int, ...]:
     return tuple(sum(row) for row in stirling2(n_max))
 
 
-@lru_cache(maxsize=None)
 def q_stirling2(n_max: int) -> tuple[tuple[QPoly, ...], ...]:
     """Rows 0..n_max of the q-Stirling triangle."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    done = _prefix(("q_stirling2",), n_max)
+    if done is not None:
+        return done
     rows = _resume(("q_stirling2",), (QPoly.one(),))
     for n in range(len(rows), n_max + 1):
         last = rows[-1]
@@ -100,7 +109,6 @@ def q_bell_poly(n: int) -> XQPoly:
     return XQPoly(q_stirling2(n)[n])
 
 
-@lru_cache(maxsize=None)
 def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
     """Rows 0..n_max of the (q,r)-Whitney triangle for weight m, shift r."""
     if m < 1:
@@ -109,6 +117,9 @@ def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
         raise ValueError("shift r must be nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    done = _prefix(("qr_whitney", m, r), n_max)
+    if done is not None:
+        return done
     rows = _resume(("qr_whitney", m, r), (QPoly.one(),))
     for n in range(len(rows), n_max + 1):
         last = rows[-1]
@@ -141,7 +152,6 @@ def r_dowling(n_max: int, m: int, r: int) -> tuple[int, ...]:
     return tuple(sum(row) for row in r_whitney(n_max, m, r))
 
 
-@lru_cache(maxsize=None)
 def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Independent classical recurrence W(n,k) = W(n-1,k-1) + (mk+r)·W(n-1,k).
 
@@ -152,6 +162,9 @@ def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]
         raise ValueError("weight m must be >= 1")
     if r < 0 or n_max < 0:
         raise ValueError("arguments must be nonnegative")
+    done = _prefix(("r_whitney_classic", m, r), n_max)
+    if done is not None:
+        return done
     rows = _resume(("r_whitney_classic", m, r), (1,))
     for n in range(len(rows), n_max + 1):
         last = rows[-1]

@@ -14,10 +14,11 @@ parse and re-render round trip.
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
-from qspivey import acceptance
+from qspivey import acceptance, identities
 from qspivey.report import VerificationReport
 
 
@@ -35,13 +36,43 @@ def _verdict(num, slug, reports):
     ids=[f"{num:02d}-{slug}" for num, slug, _fn in acceptance.CRITERIA],
 )
 def test_criterion(num, slug, fn):
-    reports = fn()
+    reports = acceptance.run_criterion(num)
     assert reports, "criterion produced no reports"
     ok, _ = _verdict(num, slug, reports)
     if not ok:
         bad = [r for r in reports if not r.passed][:3]
         detail = "\n".join(r.to_json_line() for r in bad)
         pytest.fail(f"criterion {num} ({slug}) has failing checks:\n{detail}")
+
+
+def _spivey_tasks():
+    tasks = [partial(identities.verify_spivey, n, 2) for n in range(6)]
+    tasks.insert(3, VerificationReport("ready", "n/a", {"n": 0}, "1", "1", True))
+    return tasks
+
+
+def test_run_tasks_keeps_task_order_for_any_job_count():
+    tasks = _spivey_tasks()
+    seq = acceptance.run_tasks(tasks, 1)
+    assert seq[3] is tasks[3], "a ready report passes through as it is"
+    assert [rep.params for rep in seq[:3] + seq[4:]] == [
+        {"n": n, "mshift": 2} for n in range(6)
+    ]
+    assert acceptance.run_tasks(tasks, 2) == seq
+    assert acceptance.run_tasks([], 4) == []
+
+
+def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker must not start a process pool")
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", no_pool)
+    tasks = _spivey_tasks()
+    assert len(acceptance.run_tasks(tasks[:1], 8)) == 1  # one task
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 1)
+    assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: None)
+    assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
 
 
 def _run_sweep(jobs):

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from qspivey import QPoly, cli, opexpr, triangles
+from qspivey import QPoly, acceptance, cli, opexpr, triangles
 from qspivey.report import VerificationReport
 
 
@@ -382,3 +382,67 @@ def test_pinned_stdout_digest(capsys, command, want_code, want_sha, want_bytes):
     data = out.encode()
     assert code == want_code, err
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (want_sha, want_bytes)
+
+
+def test_jobs_never_asks_for_more_workers_than_cpus(capsys, monkeypatch):
+    """--jobs N starts at most min(N, CPUs, tasks) workers, never N.
+
+    A stand-in pool runs the mapped tasks in this process and records what
+    it was asked for, so no process is started here.
+    """
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            asked.append((self.max_workers, len(items)))
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 4)
+    code, out, _ = run_cli(capsys, "sweep", "--jobs", "1000000")
+    assert code == 0
+    [(workers, items)] = asked
+    assert workers == 4 and items > 10, "the sweep shards by task"
+    _, _, want_sha, want_bytes = PINNED_STDOUT[0]
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (
+        want_sha,
+        want_bytes,
+    )
+
+    asked.clear()
+    code, _, _ = run_cli(
+        capsys, "verify", "--identity", "spivey", "--n", "0..2", "--jobs", "1000000"
+    )
+    assert code == 0 and asked == [(4, 15)]
+
+
+def test_deep_expressions_give_a_result_or_exit_two(capsys):
+    code, out, err = run_cli(capsys, "normal-order", "--expr", "+".join(["a"] * 2000))
+    assert code == 0 and err == ""
+    assert json.loads(out) == [{"coeff": ["2000"], "k": 0, "l": 1}]
+
+    code, out, err = run_cli(capsys, "normal-order", "--expr", "*".join(["a"] * 1500))
+    assert code == 0 and err == ""
+    assert run_cli(capsys, "normal-order", "--expr", "a^1500") == (0, out, "")
+
+    deep = "(" * 300 + "a" + ")" * 300
+    code, out, err = run_cli(capsys, "normal-order", "--expr", deep)
+    assert code == 2 and out == ""
+    assert f"nested deeper than {opexpr.MAX_NESTING} levels" in err
+
+    limit = opexpr.MAX_NESTING
+    code, out, err = run_cli(
+        capsys, "normal-order", "--expr", "(" * limit + "a" + ")" * limit
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == [{"coeff": ["1"], "k": 0, "l": 1}]

@@ -97,3 +97,12 @@ def test_normal_order_with_bindings():
 def test_n_desugars_to_ad_a():
     assert normal_order("N") == normal_order("ad*a")
     assert normal_order("N^3") == normal_order("ad*a*ad*a*ad*a")
+
+
+def test_to_normal_form_walks_deep_trees_without_recursion():
+    left = right = Atom("a")
+    for _ in range(2999):
+        left = Sum(left, Atom("a"), 1)
+        right = Prod(Atom("a"), right)
+    assert to_normal_form(left) == NormalForm.lowering() * 3000
+    assert to_normal_form(right) == NormalForm.lowering() ** 3000
