@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Tuple, Union
 
-from .polys import QPoly, XQPoly
+from .polys import QPoly, XQPoly, _to_qpoly
 from .qcalc import q_falling, q_int
 
 Scalar = Union[int, QPoly]
@@ -37,14 +37,6 @@ TermKey = Tuple[int, int]
 
 class CapOverflowError(Exception):
     """A raising term would push a nonzero amplitude above the cap."""
-
-
-def _as_coeff(c: object) -> QPoly:
-    if isinstance(c, QPoly):
-        return c
-    if isinstance(c, int):
-        return QPoly((c,))
-    raise TypeError(f"QPoly or int coefficient expected, got {type(c).__name__}")
 
 
 class NormalForm:
@@ -62,7 +54,7 @@ class NormalForm:
         for (k, l), c in items:
             if k < 0 or l < 0:
                 raise ValueError("exponents must be nonnegative")
-            c = _as_coeff(c)
+            c = _to_qpoly(c)
             if not c:
                 continue
             prev = acc.get((k, l))

@@ -11,10 +11,11 @@ tighter than + and -):
 a is the lowering operator, ad the raising operator, and N abbreviates
 ad*a.  The symbols m and r stand for nonnegative integers and must be
 bound when parsing; they appear in the AST as integer literals.
-Exponents are nonnegative integer literals, and parentheses nest at most
-MAX_NESTING levels deep.  q is not a symbol of the language; deformation
-lives in the coefficients, not the grammar.  A Unicode minus sign is
-accepted for "-".
+A uint is a run of ASCII digits 0-9; other Unicode digits such as "²"
+are rejected.  Exponents are nonnegative integer literals, and
+parentheses nest at most MAX_NESTING levels deep.  q is not a symbol of
+the language; deformation lives in the coefficients, not the grammar.  A
+Unicode minus sign is accepted for "-".
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ OpExpr = Union[Lit, Atom, Pow, Prod, Sum]
 MAX_NESTING = 200
 
 _MINUS = {"-", "−"}
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also admits "²"
 _ATOMS = {"a": NormalForm.lowering, "ad": NormalForm.raising, "N": NormalForm.number}
 
 
@@ -88,7 +90,7 @@ class _Parser:
 
     def read_uint(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", start)
@@ -145,7 +147,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return node
-        if ch.isdigit():
+        if ch in _DIGITS:
             return Lit(self.read_uint())
         if ch.isalpha():
             while self.pos < len(self.text) and self.text[self.pos].isalpha():

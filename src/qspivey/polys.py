@@ -6,6 +6,17 @@ x whose coefficients are QPoly values.  These two types carry every
 triangle entry, polynomial family and operator coefficient in the package;
 there are no floats and no tolerances anywhere.
 
+Both rings are one dense body, _Dense, with one addition loop, one
+convolution and one Horner loop; a class adds only its coefficient zero
+and one, its coefficient check and its JSON and printed forms.  Each ring
+takes its coefficient ring (int, and QPoly for XQPoly) as the other
+operand of + - * on either side, and a product by such a scalar is O(deg).
+
+Validation stays at the boundary: the constructors, const, monomial and
+from_json check every coefficient.  Ring operations build their results
+from checked operands through one trusted builder, _Dense._make, which
+only trims trailing zeros.
+
 Both types are immutable: every operation returns a fresh normalized
 value, so instances can be shared freely.  The zero polynomial is the
 empty coefficient tuple.  The degree of zero is None rather than a
@@ -15,7 +26,7 @@ rely on the empty-product reading of their j = 0 terms.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 
 def _trim(cs: list) -> tuple:
@@ -25,128 +36,161 @@ def _trim(cs: list) -> tuple:
     return tuple(cs[:n])
 
 
-def _power(base, e: int, one):
-    """base**e by square-and-multiply, for either ring."""
-    if not isinstance(e, int) or e < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    result = one
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+class _Dense:
+    """Dense polynomial, coefficients ascending by power.
 
-
-class QPoly:
-    """Polynomial in q, coefficients stored dense and ascending by power.
-
-    coeffs[i] is the integer coefficient of q**i.  The last stored
-    coefficient is nonzero; the zero polynomial stores the empty tuple.
+    The last stored coefficient is nonzero; zero stores the empty tuple.
+    A subclass sets _C0 (the coefficient zero), _check (returns a checked
+    coefficient or raises TypeError) and, after its body, _ZERO and _ONE.
+    It binds the arithmetic dunders by name in its own body, because
+    bench/tracer.py wraps only what it finds in a class's own namespace.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
-        self.coeffs: tuple[int, ...] = _trim(cs)
+    def __init__(self, coeffs: Iterable = ()) -> None:
+        self.coeffs: tuple = _trim(list(map(self._check, coeffs)))
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return _QP_ZERO
+    def _make(cls, cs: list):
+        """Trusted builder: cs comes from checked operands, so only trim."""
+        p = object.__new__(cls)
+        p.coeffs = _trim(cs)
+        return p
 
     @classmethod
-    def one(cls) -> "QPoly":
-        return _QP_ONE
+    def zero(cls):
+        return cls._ZERO
 
     @classmethod
-    def const(cls, c: int) -> "QPoly":
+    def one(cls):
+        return cls._ONE
+
+    @classmethod
+    def const(cls, c):
         return cls((c,))
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "QPoly":
-        """coeff * q**power."""
+    def monomial(cls, power: int, coeff=1):
+        """coeff times the variable to the power."""
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls._make([cls._C0] * power + [cls._check(coeff)])
 
     @property
     def degree(self) -> int | None:
-        """Degree in q, or None for the zero polynomial."""
+        """Degree in the ring's variable, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPoly):
+        if type(other) is type(self):
             return self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("QPoly", self.coeffs))
+        return hash((type(self).__name__, self.coeffs))
 
-    def __add__(self, other: Union["QPoly", int]) -> "QPoly":
-        other = _as_qpoly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+    def __iter__(self) -> Iterator:
+        return iter(self.coeffs)
+
+    def _operand(self, other) -> tuple | None:
+        """Coefficients of other read in this ring, or None if it is foreign."""
+        if type(other) is type(self):
+            return other.coeffs
+        try:
+            return (self._check(other),)
+        except TypeError:
+            return None
+
+    def _sum(self, a, b):
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return self._make(out)
 
-    __radd__ = __add__
+    def _add(self, other):
+        b = self._operand(other)
+        return NotImplemented if b is None else self._sum(self.coeffs, b)
 
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+    def _neg(self):
+        return self._make([-c for c in self.coeffs])
 
-    def __sub__(self, other: Union["QPoly", int]) -> "QPoly":
-        other = _as_qpoly(other)
-        if other is None:
+    def _sub(self, other):
+        b = self._operand(other)
+        return NotImplemented if b is None else self._sum(self.coeffs, [-c for c in b])
+
+    def _rsub(self, other):
+        b = self._operand(other)
+        return NotImplemented if b is None else self._sum(b, [-c for c in self.coeffs])
+
+    def _mul(self, other):
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Union["QPoly", int]) -> "QPoly":
-        other = _as_qpoly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: Union["QPoly", int]) -> "QPoly":
-        other = _as_qpoly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        if len(b) == 1:
+            # a coefficient-ring scalar: O(deg); zero coefficients stay zero
+            c = b[0]
+            return self._make([ai * c if ai else ai for ai in a])
         if not a or not b:
-            return _QP_ZERO
-        out = [0] * (len(a) + len(b) - 1)
+            return self._ZERO
+        out = [self._C0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return QPoly(out)
+        return self._make(out)
 
-    __rmul__ = __mul__
+    def _pow(self, e: int):
+        """self**e by square-and-multiply."""
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result, base = self._ONE, self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
-    def __pow__(self, e: int) -> "QPoly":
-        return _power(self, e, _QP_ONE)
+    def _horner(self, v):
+        acc = self._C0
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return acc
+
+
+class QPoly(_Dense):
+    """Polynomial in q: coeffs[i] is the integer coefficient of q**i."""
+
+    __slots__ = ()
+    _C0 = 0
+
+    @staticmethod
+    def _check(c: object) -> int:
+        if not isinstance(c, int):
+            raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
+        return c
+
+    __add__ = __radd__ = _Dense._add
+    __sub__ = _Dense._sub
+    __rsub__ = _Dense._rsub
+    __neg__ = _Dense._neg
+    __mul__ = __rmul__ = _Dense._mul
+    __pow__ = _Dense._pow
 
     def eval_int(self, v: int) -> int:
         """Evaluate at an integer point by Horner's rule."""
         if not isinstance(v, int):
             raise TypeError("evaluation point must be an integer")
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        return self._horner(v)
 
     def to_json(self) -> list[str]:
         """List of decimal strings, ascending powers of q; [] is zero."""
@@ -182,123 +226,38 @@ class QPoly:
         return out
 
 
-def _as_qpoly(v: object) -> QPoly | None:
-    if isinstance(v, QPoly):
-        return v
-    if isinstance(v, int):
-        return QPoly((v,))
-    return None
+QPoly._ZERO = QPoly()
+QPoly._ONE = QPoly((1,))
 
 
-_QP_ZERO = QPoly()
-_QP_ONE = QPoly((1,))
+def _to_qpoly(c: object) -> QPoly:
+    """Lift a scalar into Z[q]: the coefficient check of XQPoly and NormalForm."""
+    if isinstance(c, QPoly):
+        return c
+    if isinstance(c, int):
+        return QPoly._make([c])
+    raise TypeError(f"QPoly or int coefficient expected, got {type(c).__name__}")
 
 
-class XQPoly:
+class XQPoly(_Dense):
     """Polynomial in x with QPoly coefficients, ascending by power of x."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _C0 = QPoly._ZERO
+    _check = staticmethod(_to_qpoly)
 
-    def __init__(self, coeffs: Iterable[Union[QPoly, int]] = ()) -> None:
-        cs = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = QPoly((c,))
-            elif not isinstance(c, QPoly):
-                raise TypeError(f"QPoly coefficient expected, got {type(c).__name__}")
-            cs.append(c)
-        self.coeffs: tuple[QPoly, ...] = _trim(cs)
-
-    @classmethod
-    def zero(cls) -> "XQPoly":
-        return _XQ_ZERO
-
-    @classmethod
-    def one(cls) -> "XQPoly":
-        return _XQ_ONE
-
-    @classmethod
-    def const(cls, c: Union[QPoly, int]) -> "XQPoly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: Union[QPoly, int] = 1) -> "XQPoly":
-        """coeff * x**power."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
-
-    @property
-    def degree(self) -> int | None:
-        """Degree in x, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, XQPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("XQPoly", self.coeffs))
-
-    def __iter__(self) -> Iterator[QPoly]:
-        return iter(self.coeffs)
-
-    def __add__(self, other: "XQPoly") -> "XQPoly":
-        if not isinstance(other, XQPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XQPoly(out)
-
-    def __neg__(self) -> "XQPoly":
-        return XQPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "XQPoly") -> "XQPoly":
-        if not isinstance(other, XQPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["XQPoly", QPoly, int]) -> "XQPoly":
-        if isinstance(other, (QPoly, int)):
-            c = other if isinstance(other, QPoly) else QPoly((other,))
-            return XQPoly([ci * c for ci in self.coeffs])
-        if not isinstance(other, XQPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _XQ_ZERO
-        out = [QPoly.zero()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return XQPoly(out)
-
-    def __rmul__(self, other: Union[QPoly, int]) -> "XQPoly":
-        if isinstance(other, (QPoly, int)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, e: int) -> "XQPoly":
-        return _power(self, e, _XQ_ONE)
+    __add__ = __radd__ = _Dense._add
+    __sub__ = _Dense._sub
+    __rsub__ = _Dense._rsub
+    __neg__ = _Dense._neg
+    __mul__ = __rmul__ = _Dense._mul
+    __pow__ = _Dense._pow
 
     def eval_x(self, s: int) -> QPoly:
         """Substitute a nonnegative integer for x; the result stays in q."""
         if not isinstance(s, int) or s < 0:
             raise ValueError("x substitution must be a nonnegative integer")
-        acc = QPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        return self._horner(s)
 
     def to_json(self) -> list[list[str]]:
         """List of QPoly encodings, ascending powers of x."""
@@ -328,5 +287,5 @@ class XQPoly:
         return " + ".join(parts)
 
 
-_XQ_ZERO = XQPoly()
-_XQ_ONE = XQPoly((QPoly((1,)),))
+XQPoly._ZERO = XQPoly()
+XQPoly._ONE = XQPoly((QPoly._ONE,))

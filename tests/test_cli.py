@@ -329,9 +329,11 @@ def test_help_exits_zero():
     assert "triangle" in proc.stdout and "sweep" in proc.stdout
 
 
-# stdout sha256 and byte count of the sweep and of every default-range
-# verify run, so a byte drift in the defaults, the literal shapes or the
-# sweep fails here; the sweep digest is the one in bench/golden.json
+# stdout sha256 and byte count of the sweep, of every default-range verify
+# run and of the big-coefficient triangles, XQPoly rows and NormalForm
+# subtraction, so a byte drift in the defaults, the literal shapes, the
+# sweep or the polynomial rings fails here; the sweep digest is the one in
+# bench/golden.json
 PINNED_STDOUT = [
     ("sweep --jobs 1", 0,
      "a85682796e27f4efd64f0a8de0f4875dd9667151d4e6577259b9c4be55d5154c", 983881),
@@ -369,6 +371,18 @@ PINNED_STDOUT = [
      "fbf174e835198cac1beaa422d09d2b176b910c2e1b389e56ab1250bd0c0fbffe", 16369),
     ("verify --identity triangle-oracle --kind qr-whitney", 0,
      "6c95f0600f21695928b8625644be5b649c19c4534422531aa367dfd4383e2d03", 8616),
+    ("triangle --kind q-stirling2 --n 30", 0,
+     "6ef1de968117b473530618e9c3790f259d140f96914f9a6175e7cc45d33a91e8", 583072),
+    ("triangle --kind qr-whitney --n 24 --m 3 --r 2", 0,
+     "c9ea823ea9cbbce32aabe5cbf0f8e8475c94f027ad801181b4e3ad459439503a", 264145),
+    ("triangle --kind r-whitney --n 30 --m 2 --r 1 --format csv", 0,
+     "216ac8449f3518f7f97c115321949c3520e1cd6d5baa7b4bd9df08798ed359fe", 6754),
+    ("poly --kind qr-dowling --n 16 --m 2 --r 1", 0,
+     "3d81d951b876bb2ff4a78e62e4368587d55d5ee18593faeb19aca784f0fdb690", 9239),
+    ("numbers --kind q-bell --n 16", 0,
+     "b963a327f939189aafd439f1c3a5b576ec4e477039233c8d984f587a48c59ca6", 5319),
+    ("normal-order --expr (2*N+1)^10-ad^3*a^2+7", 0,
+     "3353116852b155285d5ea0ac17e64b58f39d9197c9180743bf94f707394d9bf3", 2124),
 ]
 
 
@@ -446,3 +460,10 @@ def test_deep_expressions_give_a_result_or_exit_two(capsys):
     )
     assert code == 0 and err == ""
     assert json.loads(out) == [{"coeff": ["1"], "k": 0, "l": 1}]
+
+    # a uint is ASCII 0-9: superscript and Arabic-Indic digits exit 2
+    for expr, position in [("a^\u00b2", 2), ("\u00b2", 0), ("a^\u0663", 2),
+                           ("2*a^1\u00b2", 5)]:
+        code, out, err = run_cli(capsys, "normal-order", "--expr", expr)
+        assert (code, out) == (2, ""), expr
+        assert f"(at position {position})" in err, expr

@@ -1,5 +1,6 @@
 """Exactness and ring behavior of the two polynomial types."""
 
+import operator
 import random
 
 import pytest
@@ -24,7 +25,27 @@ def test_rejects_non_integer_coefficients():
     with pytest.raises(TypeError):
         QPoly([1.5])
     with pytest.raises(TypeError):
+        QPoly.monomial(2, 1.5)
+    with pytest.raises(TypeError):
+        QPoly.const("1")
+    with pytest.raises(TypeError):
         XQPoly(["1"])
+    with pytest.raises(TypeError):
+        XQPoly.monomial(1, "1")
+    with pytest.raises(TypeError):
+        XQPoly([QPoly([1]), XQPoly([1])])
+
+
+def test_foreign_operands_raise_and_cross_ring_equality_is_false():
+    p, x = QPoly([1, 2]), XQPoly([1])
+    for bad in (1.5, "1", None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
+    assert QPoly([1]) != XQPoly([1]) and XQPoly([1]) != QPoly([1])
+    assert QPoly([1]) != 1 and XQPoly.zero() != QPoly.zero()
 
 
 def test_add_examples():
@@ -63,8 +84,28 @@ def test_eval_int():
     assert QPoly([1, -1]).eval_int(-2) == 3
 
 
+def _rand_coeffs(rng):
+    """Raw int list: empty, length 1, negative, >= 10**40 or trailing zeros."""
+    shape = rng.randrange(5)
+    n = 0 if shape == 0 else 1 if shape == 1 else rng.randint(2, 6)
+    cs = [rng.randint(-9, 9) for _ in range(n)]
+    if cs and shape == 2:
+        cs[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(10**40, 10**41)
+    if shape == 3:
+        cs += [0] * rng.randint(1, 3)
+    return cs
+
+
+def _rand_xcoeffs(rng):
+    """Raw list of int lists, with empty and trailing-zero rows as above."""
+    rows = [_rand_coeffs(rng) for _ in range(rng.choice((0, 1, 2, 3, 4)))]
+    if rng.random() < 0.2:
+        rows.append([0, 0])
+    return rows
+
+
 def _rand_qpoly(rng):
-    return QPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
+    return QPoly(_rand_coeffs(rng))
 
 
 def test_ring_axioms_random():
@@ -121,8 +162,8 @@ def test_xqpoly_basics():
 def test_xqpoly_mul_matches_pointwise_eval():
     rng = random.Random(99)
     for _ in range(100):
-        a = XQPoly([_rand_qpoly(rng) for _ in range(rng.randint(0, 4))])
-        b = XQPoly([_rand_qpoly(rng) for _ in range(rng.randint(0, 4))])
+        a = XQPoly(QPoly(c) for c in _rand_xcoeffs(rng))
+        b = XQPoly(QPoly(c) for c in _rand_xcoeffs(rng))
         s = rng.randint(0, 5)
         assert (a * b).eval_x(s) == a.eval_x(s) * b.eval_x(s)
         assert (a + b).eval_x(s) == a.eval_x(s) + b.eval_x(s)
@@ -149,3 +190,122 @@ def test_str_forms():
     assert str(QPoly([1, 2, 1])) == "1 + 2q + q^2"
     assert str(QPoly([0, -1])) == "-q"
     assert str(XQPoly([QPoly([1]), QPoly([1, 1])])) == "(1) + (1 + q)x"
+
+
+# plain list-of-ints reference for the differential test below; an XQPoly
+# is a list of such lists, and results are compared after trimming
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b, add=operator.add, zero=0):
+    n = max(len(a), len(b))
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    return [add(x, y) for x, y in zip(a, b)]
+
+
+def _ref_mul(a, b, add=operator.add, mul=operator.mul, zero=0):
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _ref_horner(cs, v, add=operator.add, mul=operator.mul, zero=0):
+    acc = zero
+    for c in reversed(cs):
+        acc = add(mul(acc, v), c)
+    return acc
+
+
+# the same operations one level up, on lists of int lists
+def _x_add(a, b):
+    return _ref_add(a, b, _ref_add, [])
+
+
+def _x_mul(a, b):
+    return _ref_mul(a, b, _ref_add, _ref_mul, [])
+
+
+def _x_neg(a):
+    return [[-c for c in row] for row in a]
+
+
+def _x_norm(rows):
+    return _ref_trim([_ref_trim(row) for row in rows])
+
+
+def _check_normal(p):
+    """Last stored coefficient nonzero; coefficients int or normal QPoly."""
+    assert type(p.coeffs) is tuple
+    assert not p.coeffs or p.coeffs[-1]
+    if isinstance(p, QPoly):
+        assert all(type(c) is int for c in p.coeffs)
+    else:
+        assert all(type(c) is QPoly for c in p.coeffs)
+        for c in p.coeffs:
+            _check_normal(c)
+
+
+def _q(p, want):
+    _check_normal(p)
+    assert isinstance(p, QPoly) and list(p.coeffs) == _ref_trim(want)
+
+
+def _x(p, want):
+    _check_normal(p)
+    assert isinstance(p, XQPoly)
+    assert [list(c.coeffs) for c in p.coeffs] == _x_norm(want)
+
+
+def test_differential_against_plain_lists():
+    """Both rings and every mixed pairing against the list reference."""
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a, b = _rand_coeffs(rng), _rand_coeffs(rng)
+        k = rng.choice((0, 1, -1, 7, -(10**40)))
+        pa, pb = QPoly(a), QPoly(b)
+        _q(pa + pb, _ref_add(a, b))
+        _q(pa - pb, _ref_add(a, [-c for c in b]))
+        _q(-pa, [-c for c in a])
+        _q(pa * pb, _ref_mul(a, b))
+        e = rng.randint(0, 3)
+        want = [1]
+        for _ in range(e):
+            want = _ref_mul(want, a)
+        _q(pa**e, want)
+        # QPoly with an int on either side
+        _q(pa * k, [c * k for c in a])
+        _q(k * pa, [c * k for c in a])
+        _q(pa + k, _ref_add(a, [k]))
+        _q(k + pa, _ref_add(a, [k]))
+        _q(pa - k, _ref_add(a, [-k]))
+        _q(k - pa, _ref_add([k], [-c for c in a]))
+        v = rng.randint(-3, 3)
+        assert pa.eval_int(v) == _ref_horner(a, v)
+
+        xa, xb = _rand_xcoeffs(rng), _rand_xcoeffs(rng)
+        pxa, pxb = XQPoly(QPoly(c) for c in xa), XQPoly(QPoly(c) for c in xb)
+        _check_normal(pxa)
+        _x(pxa + pxb, _x_add(xa, xb))
+        _x(pxa - pxb, _x_add(xa, _x_neg(xb)))
+        _x(-pxa, _x_neg(xa))
+        _x(pxa * pxb, _x_mul(xa, xb))
+        _x(pxa**2, _x_mul(xa, xa))
+        # XQPoly with a QPoly or an int on either side
+        for s, sc in ((pa, a), (k, [k])):
+            _x(pxa * s, [_ref_mul(row, sc) for row in xa])
+            _x(s * pxa, [_ref_mul(row, sc) for row in xa])
+            _x(pxa + s, _x_add(xa, [sc]))
+            _x(s + pxa, _x_add(xa, [sc]))
+            _x(pxa - s, _x_add(xa, [[-c for c in sc]]))
+            _x(s - pxa, _x_add([sc], _x_neg(xa)))
+        s = rng.randint(0, 4)
+        _q(pxa.eval_x(s), _ref_horner(xa, [s], _ref_add, _ref_mul, []))
