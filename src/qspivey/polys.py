@@ -10,7 +10,8 @@ Both rings are one dense body, _Dense, with one addition loop, one
 convolution and one Horner loop; a class adds only its coefficient zero
 and one, its coefficient check and its JSON and printed forms.  Each ring
 takes its coefficient ring (int, and QPoly for XQPoly) as the other
-operand of + - * on either side, and a product by such a scalar is O(deg).
+operand of + - * on either side; such a scalar is a one-term operand, so
+the convolution multiplies by it in O(deg).
 
 Validation stays at the boundary: the constructors, const, monomial and
 from_json check every coefficient.  Ring operations build their results
@@ -93,9 +94,6 @@ class _Dense:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.coeffs))
 
-    def __iter__(self) -> Iterator:
-        return iter(self.coeffs)
-
     def _operand(self, other) -> tuple | None:
         """Coefficients of other read in this ring, or None if it is foreign."""
         if type(other) is type(self):
@@ -133,10 +131,6 @@ class _Dense:
         if b is None:
             return NotImplemented
         a = self.coeffs
-        if len(b) == 1:
-            # a coefficient-ring scalar: O(deg); zero coefficients stay zero
-            c = b[0]
-            return self._make([ai * c if ai else ai for ai in a])
         if not a or not b:
             return self._ZERO
         out = [self._C0] * (len(a) + len(b) - 1)
@@ -252,6 +246,9 @@ class XQPoly(_Dense):
     __neg__ = _Dense._neg
     __mul__ = __rmul__ = _Dense._mul
     __pow__ = _Dense._pow
+
+    def __iter__(self) -> Iterator[QPoly]:
+        return iter(self.coeffs)
 
     def eval_x(self, s: int) -> QPoly:
         """Substitute a nonnegative integer for x; the result stays in q."""

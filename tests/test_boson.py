@@ -190,3 +190,10 @@ def test_apply_is_linear_on_random_words():
         fa, fb = _rand_nf(rng), _rand_nf(rng)
         v = FockVector.unit(rng.randint(0, 3), 8)
         assert (fa + fb).apply(v) == fa.apply(v) + fb.apply(v)
+
+
+def test_vector_amplitudes_must_be_a_sequence():
+    # a single QPoly is one amplitude, not an amplitude list
+    with pytest.raises(TypeError):
+        FockVector(1, QPoly([1, 2]))
+    assert FockVector(1, [QPoly([1]), 2]).amplitude(1) == XQPoly.const(2)

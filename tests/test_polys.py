@@ -34,6 +34,9 @@ def test_rejects_non_integer_coefficients():
         XQPoly.monomial(1, "1")
     with pytest.raises(TypeError):
         XQPoly([QPoly([1]), XQPoly([1])])
+    # a QPoly is a coefficient, not a coefficient sequence
+    with pytest.raises(TypeError):
+        XQPoly(QPoly([1]))
 
 
 def test_foreign_operands_raise_and_cross_ring_equality_is_false():
