@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Tuple, Union
 
 from .polys import QPoly, XQPoly, _to_qpoly
-from .qcalc import q_falling, q_int
+from .qcalc import q_falling
 
 Scalar = Union[int, QPoly]
 TermKey = Tuple[int, int]
@@ -238,13 +238,12 @@ def _reorder(l: int, k: int) -> NormalForm:
             if i == 0 or j == 0:
                 _REORDERED[(i, j)] = NormalForm.monomial(j, i)
                 continue
-            qj = QPoly.monomial(j)
             acc: dict[TermKey, QPoly] = {}
             # a^i ad^j = q^j (a^(i-1) ad^j) a + [j] (a^(i-1) ad^(j-1))
             for (kt, lt), ct in _REORDERED[(i - 1, j)].terms:
-                acc[(kt, lt + 1)] = ct * qj
+                acc[(kt, lt + 1)] = ct.shift(j)
             for (kt, lt), ct in _REORDERED[(i - 1, j - 1)].terms:
-                val = ct * q_int(j)
+                val = ct.window(j)
                 prev = acc.get((kt, lt))
                 acc[(kt, lt)] = val if prev is None else prev + val
             _REORDERED[(i, j)] = NormalForm(acc)

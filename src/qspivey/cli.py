@@ -35,15 +35,30 @@ _AXIS_FLAGS = tuple(
 )
 
 
+def _parse_int(text: str, flag: str) -> int:
+    """A decimal integer: ASCII digits after an optional '-'.
+
+    int() alone would also read non-ASCII digits such as '٣', which the
+    --expr grammar rejects.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or not opexpr._DIGITS.issuperset(digits):
+        raise UsageError(f"{flag}: expected an integer, got {text!r}")
+    return int(text)
+
+
+def _int_flag(args: argparse.Namespace, name: str) -> int | None:
+    text = getattr(args, name)
+    return None if text is None else _parse_int(text, f"--{name}")
+
+
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
     """Inclusive integer range: 'lo..hi' or a single value."""
+    lo_s, dots, hi_s = text.partition("..")
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
-    except ValueError:
+        lo = _parse_int(lo_s, flag)
+        hi = _parse_int(hi_s, flag) if dots else lo
+    except UsageError:
         raise UsageError(f"{flag}: expected an integer or lo..hi, got {text!r}")
     if lo < 0 or hi < 0:
         raise UsageError(f"{flag}: values must be nonnegative")
@@ -66,7 +81,7 @@ def _m_r(cmd: str, args: argparse.Namespace, weighted: bool | None):
     kind takes neither flag; None: both are optional symbol bindings.  A
     value that is given must be nonnegative.
     """
-    m, r = args.m, args.r
+    m, r = _int_flag(args, "m"), _int_flag(args, "r")
     if weighted is False and (m is not None or r is not None):
         raise UsageError(f"{cmd}: --m/--r do not apply to kind {args.kind}")
     if weighted:
@@ -80,9 +95,17 @@ def _m_r(cmd: str, args: argparse.Namespace, weighted: bool | None):
 
 
 def _n_max(cmd: str, args: argparse.Namespace) -> int:
-    if args.n is None or args.n < 0:
+    n = _int_flag(args, "n")
+    if n is None or n < 0:
         raise UsageError(f"{cmd}: --n is required and must be nonnegative")
-    return args.n
+    return n
+
+
+def _jobs(cmd: str, args: argparse.Namespace) -> int:
+    jobs = _parse_int(args.jobs, "--jobs")
+    if jobs < 1:
+        raise UsageError(f"{cmd}: --jobs must be >= 1")
+    return jobs
 
 
 def cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
@@ -155,8 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             axes = axes[:1]  # the q-Stirling rows take no weight or shift
     elif args.kind is not None:
         raise UsageError("verify: --kind only applies to triangle-oracle")
-    if args.jobs < 1:
-        raise UsageError("verify: --jobs must be >= 1")
+    jobs = _jobs("verify", args)
     names = [name for name, _ in axes]
     for name in _AXIS_FLAGS:
         if getattr(args, name) is not None and name not in names:
@@ -174,15 +196,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
     cases = [{**dict(zip(names, combo)), **fixed} for combo in product(*spans)]
     tasks = [partial(identities.run_case, identity, args.variant, p) for p in cases]
-    reports = acceptance.run_tasks(tasks, args.jobs)
+    reports = acceptance.run_tasks(tasks, jobs)
     failed = sum(1 for rep in reports if not rep.passed)
     return _emit([rep.to_json_line() for rep in reports], failed)
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    if args.jobs < 1:
-        raise UsageError("sweep: --jobs must be >= 1")
-    return _emit(*acceptance.run_suite(jobs=args.jobs))
+    return _emit(*acceptance.run_suite(jobs=_jobs("sweep", args)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,33 +218,33 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["stirling2", "q-stirling2", "r-whitney", "qr-whitney"],
     )
-    p.add_argument("--n", type=int, default=None, help="largest row index")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--n", help="largest row index")
+    p.add_argument("--m")
+    p.add_argument("--r")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("poly", help="emit a q-Bell or (q,r)-Dowling polynomial")
     p.add_argument("--kind", required=True, choices=["q-bell", "qr-dowling"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--n")
+    p.add_argument("--m")
+    p.add_argument("--r")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("numbers", help="emit Bell, q-Bell or r-Dowling numbers")
     p.add_argument("--kind", required=True, choices=["bell", "q-bell", "r-dowling"])
-    p.add_argument("--n", type=int, default=None, help="largest index")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--n", help="largest index")
+    p.add_argument("--m")
+    p.add_argument("--r")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_numbers)
 
     p = sub.add_parser("normal-order", help="normally order an operator expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--m")
+    p.add_argument("--r")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_normal_order)
 
@@ -234,13 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["q-stirling", "qr-whitney"], default=None)
     for name in _AXIS_FLAGS:
         p.add_argument(f"--{name}", default=None, metavar="LO..HI")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default="1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run the acceptance suite")
     p.add_argument("--suite", choices=["acceptance"], default="acceptance")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default="1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

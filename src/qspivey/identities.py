@@ -151,7 +151,7 @@ def _expand(row, n: int, base, d: list, xfactor, zero):
         for _ in range(n):
             powers.append(powers[-1] * b)
         for k in range(n + 1):
-            c = w * binom(n, k) * powers[n - k] * QPoly.monomial(j * k)
+            c = (w * binom(n, k) * powers[n - k]).shift(j * k)
             total = total + d[k] * c * xj
     return total
 

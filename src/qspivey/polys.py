@@ -13,6 +13,12 @@ takes its coefficient ring (int, and QPoly for XQPoly) as the other
 operand of + - * on either side; such a scalar is a one-term operand, so
 the convolution multiplies by it in O(deg).
 
+Two O(deg) kernels serve the products that every recurrence in the
+package takes: shift(s) is the product by the monomial v^s (s zeros
+prepended) and window(k) the product by [k] = 1 + v + ... + v^(k-1) (a
+sliding-window sum), v being the ring's variable.  The schoolbook
+convolution _mul is the reference they are tested against.
+
 Validation stays at the boundary: the constructors, const, monomial and
 from_json check every coefficient.  Ring operations build their results
 from checked operands through one trusted builder, _Dense._make, which
@@ -30,6 +36,20 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+def _json_int(c: object) -> int:
+    """A JSON coefficient: a non-bool int, or ASCII digits after an optional '-'.
+
+    int() alone would read 1.5 and true as 1 and accept non-ASCII digits.
+    """
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c
+    if isinstance(c, str):
+        digits = c[1:] if c.startswith("-") else c
+        if digits.isascii() and digits.isdigit():
+            return int(c)
+    raise TypeError(f"integer or decimal string expected, got {c!r}")
+
+
 def _trim(cs: list) -> tuple:
     n = len(cs)
     while n and not cs[n - 1]:
@@ -43,8 +63,9 @@ class _Dense:
     The last stored coefficient is nonzero; zero stores the empty tuple.
     A subclass sets _C0 (the coefficient zero), _check (returns a checked
     coefficient or raises TypeError) and, after its body, _ZERO and _ONE.
-    It binds the arithmetic dunders by name in its own body, because
-    bench/tracer.py wraps only what it finds in a class's own namespace.
+    It binds the arithmetic dunders by name in its own body (QPoly also
+    the shift and window kernels it takes), because bench/tracer.py wraps
+    only what it finds in a class's own namespace.
     """
 
     __slots__ = ("coeffs",)
@@ -141,6 +162,36 @@ class _Dense:
                 out[i + j] += ai * bj
         return self._make(out)
 
+    def shift(self, s: int):
+        """self times the variable to the power s: s zeros prepended."""
+        if s < 0:
+            raise ValueError("shift must be nonnegative")
+        if not self.coeffs:
+            return self
+        return self._make([self._C0] * s + list(self.coeffs))
+
+    def window(self, k: int):
+        """self times [k] = 1 + v + ... + v^(k-1), in O(deg + k).
+
+        Coefficient i of the product is a[i] + a[i-1] + ... + a[i-k+1]: one
+        running sum gains a[i] and drops a[i-k] at each step.
+        """
+        if k < 0:
+            raise ValueError("window length must be nonnegative")
+        a = self.coeffs
+        if not a or not k:
+            return self._ZERO
+        n = len(a)
+        out = []
+        acc = self._C0
+        for i in range(n + k - 1):
+            if i < n:
+                acc = acc + a[i]
+            if i >= k:
+                acc = acc - a[i - k]
+            out.append(acc)
+        return self._make(out)
+
     def _pow(self, e: int):
         """self**e by square-and-multiply."""
         if not isinstance(e, int) or e < 0:
@@ -179,6 +230,8 @@ class QPoly(_Dense):
     __neg__ = _Dense._neg
     __mul__ = __rmul__ = _Dense._mul
     __pow__ = _Dense._pow
+    shift = _Dense.shift
+    window = _Dense.window
 
     def eval_int(self, v: int) -> int:
         """Evaluate at an integer point by Horner's rule."""
@@ -192,7 +245,8 @@ class QPoly(_Dense):
 
     @classmethod
     def from_json(cls, data: Iterable) -> "QPoly":
-        return cls(int(c) for c in data)
+        """Read to_json's decimal strings back; plain ints are accepted too."""
+        return cls(map(_json_int, data))
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"

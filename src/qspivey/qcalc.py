@@ -35,7 +35,7 @@ def q_falling(s: int, k: int) -> QPoly:
         return QPoly.zero()
     out = QPoly.one()
     for i in range(s, s - k, -1):
-        out = out * q_int(i)
+        out = out.window(i)
     return out
 
 

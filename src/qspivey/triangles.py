@@ -29,7 +29,6 @@ stack depth stay flat in n.
 from __future__ import annotations
 
 from .polys import QPoly, XQPoly
-from .qcalc import q_int
 from .report import VerificationReport
 
 
@@ -96,9 +95,9 @@ def q_stirling2(n_max: int) -> tuple[tuple[QPoly, ...], ...]:
         for k in range(n + 1):
             v = QPoly.zero()
             if k >= 1:
-                v = v + last[k - 1] * QPoly.monomial(k - 1)
+                v = v + last[k - 1].shift(k - 1)
             if k <= n - 1:
-                v = v + last[k] * q_int(k)
+                v = v + last[k].window(k)
             row.append(v)
         rows.append(tuple(row))
     return _keep(("q_stirling2",), rows, n_max)
@@ -127,9 +126,9 @@ def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
         for k in range(n + 1):
             v = QPoly.zero()
             if k >= 1:
-                v = v + last[k - 1] * QPoly.monomial(k - 1)
+                v = v + last[k - 1].shift(k - 1)
             if k <= n - 1:
-                v = v + last[k] * (q_int(k) * m + r)
+                v = v + last[k].window(k) * m + last[k] * r
             row.append(v)
         rows.append(tuple(row))
     return _keep(("qr_whitney", m, r), rows, n_max)

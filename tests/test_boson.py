@@ -15,6 +15,7 @@ from qspivey import (
     NormalForm,
     QPoly,
     XQPoly,
+    boson,
     coherent_truncated,
     q_falling,
     q_int,
@@ -197,3 +198,26 @@ def test_vector_amplitudes_must_be_a_sequence():
     with pytest.raises(TypeError):
         FockVector(1, QPoly([1, 2]))
     assert FockVector(1, [QPoly([1]), 2]).amplitude(1) == XQPoly.const(2)
+
+
+def test_reorder_matches_the_rewrite_with_plain_products(monkeypatch):
+    """_reorder takes shift and window products, and the Fock simulator
+    checks it through the same kernels; the rewrite a^l ad^k =
+    q^k (a^(l-1) ad^k) a + [k] (a^(l-1) ad^(k-1)) written here with the
+    schoolbook * pins it independently of them."""
+    monkeypatch.setattr(boson, "_REORDERED", {})
+    want = {}
+    for l in range(8):
+        for k in range(8):
+            if l == 0 or k == 0:
+                want[l, k] = {(k, l): QPoly.one()}
+                continue
+            terms = {
+                (kt, lt + 1): c * QPoly.monomial(k)
+                for (kt, lt), c in want[l - 1, k].items()
+            }
+            for key, c in want[l - 1, k - 1].items():
+                terms[key] = terms.get(key, QPoly.zero()) + c * q_int(k)
+            want[l, k] = terms
+    for (l, k), terms in want.items():
+        assert dict(boson._reorder(l, k).terms) == terms, (l, k)

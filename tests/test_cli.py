@@ -214,6 +214,12 @@ def test_bad_bindings_and_unwritable_out_exit_two(tmp_path, capsys):
         ("normal-order", "--expr", "a", "--m", "-1"),
         ("normal-order", "--expr", "r*a", "--r", "-2"),
         ("poly", "--kind", "q-bell", "--n", "2", "--out", missing_dir),
+        # integer flags read ASCII digits only, as the --expr grammar does
+        ("numbers", "--kind", "bell", "--n", "٣"),
+        ("verify", "--identity", "spivey", "--n", "0..٢", "--mshift", "١"),
+        ("triangle", "--kind", "qr-whitney", "--n", "3", "--m", "٢", "--r", "0"),
+        ("poly", "--kind", "qr-dowling", "--n", "3", "--m", "1", "--r", "²"),
+        ("sweep", "--jobs", "٢"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

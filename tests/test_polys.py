@@ -4,8 +4,10 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qspivey import QPoly, XQPoly
+from qspivey import QPoly, XQPoly, q_int
 
 
 def test_constructor_normalizes_trailing_zeros():
@@ -37,6 +39,12 @@ def test_rejects_non_integer_coefficients():
     # a QPoly is a coefficient, not a coefficient sequence
     with pytest.raises(TypeError):
         XQPoly(QPoly([1]))
+    # JSON coefficients are ints or ASCII decimal strings, nothing int() reads
+    for bad in (1.5, True, "1.5"):
+        with pytest.raises(TypeError):
+            QPoly.from_json([bad])
+        with pytest.raises(TypeError):
+            XQPoly.from_json([["1"], [bad]])
 
 
 def test_foreign_operands_raise_and_cross_ring_equality_is_false():
@@ -312,3 +320,49 @@ def test_differential_against_plain_lists():
             _x(s - pxa, _x_add([sc], _x_neg(xa)))
         s = rng.randint(0, 4)
         _q(pxa.eval_x(s), _ref_horner(xa, [s], _ref_add, _ref_mul, []))
+
+        # the O(deg) kernels: shift by s = 0..4 and window [w] for w = 0, 1,
+        # 2 and past the operand's length
+        w = rng.choice((0, 1, 2, len(a) + rng.randint(1, 3)))
+        _q(pa.shift(s), _ref_mul(a, [0] * s + [1]))
+        _q(pa.window(w), _ref_mul(a, [1] * w))
+        _x(pxa.shift(s), _x_mul(xa, [[]] * s + [[1]]))
+        _x(pxa.window(w), _x_mul(xa, [[1]] * w))
+        assert pa.shift(s) == pa * QPoly.monomial(s)
+        assert pa.window(w) == pa * q_int(w)
+        assert pxa.shift(s) == pxa * XQPoly.monomial(s)
+        assert pxa.window(w) == pxa * XQPoly([1] * w)
+
+
+def test_kernels_reject_negative_lengths():
+    with pytest.raises(ValueError):
+        QPoly([1]).shift(-1)
+    with pytest.raises(ValueError):
+        XQPoly([1]).window(-1)
+
+
+_COEFF = st.one_of(
+    st.integers(-9, 9),
+    st.integers(10**40, 10**41),
+    st.integers(-(10**41), -(10**40)),
+)
+# raw coefficient lists, some padded with trailing zeros
+_COEFFS = st.tuples(st.lists(_COEFF, max_size=8), st.integers(0, 3)).map(
+    lambda t: t[0] + [0] * t[1]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(a=_COEFFS, b=_COEFFS, s=st.integers(0, 12), w=st.integers(0, 12))
+def test_kernels_match_schoolbook_product(a, b, s, w):
+    """shift and window against the convolution, in both rings."""
+    p = QPoly(a)
+    x = XQPoly([p, QPoly(b)])
+    for got, want in (
+        (p.shift(s), p * QPoly.monomial(s)),
+        (p.window(w), p * q_int(w)),
+        (x.shift(s), x * XQPoly.monomial(s)),
+        (x.window(w), x * XQPoly([1] * w)),
+    ):
+        _check_normal(got)
+        assert type(got) is type(want) and got == want

@@ -174,3 +174,31 @@ def test_builders_return_fresh_equal_structures():
     # memoized builders must be pure: same arguments, same value
     assert triangles.q_stirling2(5) == triangles.q_stirling2(5)
     assert triangles.qr_whitney(5, 2, 1)[5] == triangles.qr_whitney(5, 2, 1)[5]
+
+
+def test_builders_match_the_recurrence_with_plain_products(monkeypatch):
+    """The builders and q_falling take shift and window products; the same
+    recurrences written here with the schoolbook * must give the same rows,
+    so a bug shared by the kernels cannot hide behind agreeing oracles."""
+    monkeypatch.setattr(triangles, "_BUILT", {})
+    n_max = 25
+    for m, r, rows in (
+        (1, 0, triangles.q_stirling2(n_max)),
+        (1, 0, triangles.qr_whitney(n_max, 1, 0)),
+        (2, 1, triangles.qr_whitney(n_max, 2, 1)),
+        (3, 2, triangles.qr_whitney(n_max, 3, 2)),
+    ):
+        want = [(QPoly.one(),)]
+        for n in range(1, n_max + 1):
+            last = want[-1] + (QPoly.zero(),)
+            want.append(tuple(
+                (last[k - 1] * QPoly.monomial(k - 1) if k else QPoly.zero())
+                + last[k] * (q_int(k) * m + r)
+                for k in range(n + 1)
+            ))
+        assert rows == tuple(want)
+    for s in range(n_max + 1):
+        want = QPoly.one()
+        for k in range(n_max + 1):
+            assert q_falling(s, k) == want
+            want = want * q_int(s - k) if s > k else QPoly.zero()
