@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Tuple, Union
 
-from .polys import QPoly, XQPoly, _to_qpoly
+from .polys import QPoly, XQPoly, _json_int, _to_qpoly
 from .qcalc import q_falling
 
 Scalar = Union[int, QPoly]
@@ -151,7 +151,10 @@ class NormalForm:
         """self·other - q**t · other·self."""
         if t < 0:
             raise ValueError("twist exponent must be nonnegative")
-        return self * other - (other * self) * QPoly.monomial(t)
+        # q**t · c is c shifted by t; a product by the monomial would walk
+        # its t stored zeros for every coefficient
+        twisted = NormalForm([(kl, c.shift(t)) for kl, c in (other * self).terms])
+        return self * other - twisted
 
     def coefficient(self, k: int, l: int) -> QPoly:
         """Coefficient of ad^k a^l, zero if absent."""
@@ -191,7 +194,10 @@ class NormalForm:
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "NormalForm":
         return cls(
-            [((int(d["k"]), int(d["l"])), QPoly.from_json(d["coeff"])) for d in data]
+            [
+                ((_json_int(d["k"]), _json_int(d["l"])), QPoly.from_json(d["coeff"]))
+                for d in data
+            ]
         )
 
     def __repr__(self) -> str:

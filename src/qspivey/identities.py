@@ -20,11 +20,20 @@ The corrected shapes are the ones the operator algebra produces; the
 verifiers treat both shapes as data and let the arithmetic decide.
 
 katriel, result1 (and result1_xpoly) and result2 (and result2_xpoly) are
-all one double sum, Σ_j Σ_k W[l,j]·C(n,k)·base(j)^(n-k)·q^(jk)·D_k·X_j,
-computed by the private kernel _expand.  Each wrapper picks its own
-triangle row: katriel and result1 read q_stirling2 with base [j], result2
-reads qr_whitney with base m[j] + r, so the two triangles keep checking
-each other.  spivey and result3 stay on the classical integer route.
+all one (q,r)-Dowling expansion,
+
+    D_{m,r}(n+l) == Σ_j Σ_k W[l,j]·C(n,k)·(m[j]+r)^(n-k)·q^(jk)·D_{m,0}(k)·X_j,
+
+whose two sides the private _dowling_sides computes at an integer x or
+symbolically in x; the wrappers keep their own tags, parameters, variants
+and argument checks.  katriel and result1 are its (m, r) = (1, 0) case:
+there W is the q-Stirling triangle, m[j] + r is [j] and D_{1,0} the q-Bell
+polynomial, which is how the paper's (q,r)-Dowling formula generalises the
+q-Bell form of Spivey's formula.  All five read the one q-triangle
+builder, so they check the expansion, not the triangle; the triangle is
+checked against the normal-ordering engine (triangle-oracle) and, at
+q = 1, against the integer triangle.  spivey, stirling-def and bell-rec
+read that integer triangle, and result3 keeps its own integer double sum.
 
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
@@ -131,50 +140,51 @@ def verify_spivey(n: int, mshift: int) -> VerificationReport:
     )
 
 
-def _expand(row, n: int, base, d: list, xfactor, zero):
-    """The double sum  Σ_j Σ_k row[j]·C(n,k)·base(j)^(n-k)·q^(jk)·d[k]·X_j.
-
-    row is a triangle row read by the caller, base(j) a QPoly, d the list
-    D_0..D_n (QPoly or XQPoly values) and xfactor(j) the factor X_j in the
-    ring of d; zero is that ring's additive zero.  Each base(j)^(n-k) is
-    built once per j.
-    """
-    total = zero
-    for j, w in enumerate(row):
-        if not w:
-            continue
-        xj = xfactor(j)
-        if not xj:
-            continue
-        b = base(j)
-        powers = [QPoly.one()]
-        for _ in range(n):
-            powers.append(powers[-1] * b)
-        for k in range(n + 1):
-            c = (w * binom(n, k) * powers[n - k]).shift(j * k)
-            total = total + d[k] * c * xj
-    return total
-
-
-def _xfactor(variant: str, x: int, m: int = 1):
+def _xfactor(variant: str, x: int, m: int):
     """X_j at integer x: m^j·[x][x-1]..[x-j+1] when literal, x^j when corrected."""
     if variant == "literal":
         return lambda j: q_falling(x, j) * (m**j)
     return lambda j: QPoly.const(x**j)
 
 
-def _whitney_base(m: int, r: int):
-    return lambda j: q_int(j) * m + r
+def _dowling_sides(n: int, l: int, m: int, r: int, x=None, variant="corrected"):
+    """Both sides of the (q,r)-Dowling expansion
+
+        D_{m,r}(n+l) == Σ_j Σ_k W[l,j]·C(n,k)·(m[j]+r)^(n-k)·q^(jk)·D_{m,0}(k)·X_j
+
+    at the integer x, or symbolically in x when x is None; the symbolic
+    form has only the corrected shape, X_j = x^j.  Each (m[j]+r)^(n-k) is
+    built once per j.
+    """
+    row = triangles.qr_whitney(l, m, r)[l]
+    lhs = triangles.qr_dowling_poly(n + l, m, r)
+    d = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
+    if x is None:
+        xfactor, rhs = XQPoly.monomial, XQPoly.zero()
+    else:
+        lhs, d = lhs.eval_x(x), [p.eval_x(x) for p in d]
+        xfactor, rhs = _xfactor(variant, x, m), QPoly.zero()
+    for j, w in enumerate(row):
+        if not w:
+            continue
+        xj = xfactor(j)
+        if not xj:
+            continue
+        b = q_int(j) * m + r
+        powers = [QPoly.one()]
+        for _ in range(n):
+            powers.append(powers[-1] * b)
+        for k in range(n + 1):
+            c = (w * binom(n, k) * powers[n - k]).shift(j * k)
+            rhs = rhs + d[k] * c * xj
+    return lhs, rhs
 
 
 def verify_katriel(n: int, l: int) -> VerificationReport:
     """q-Bell numbers: B_{n+l} == sum_{j,k} S[l,j] C(n,k) [j]^(n-k) q^(jk) B_k."""
     if n < 0 or l < 0:
         raise ValueError("arguments must be nonnegative")
-    srow = triangles.q_stirling2(l)[l]
-    qbell = [triangles.q_bell_poly(k).eval_x(1) for k in range(n + 1)]
-    lhs = triangles.q_bell_poly(n + l).eval_x(1)
-    rhs = _expand(srow, n, q_int, qbell, _xfactor("corrected", 1), QPoly.zero())
+    lhs, rhs = _dowling_sides(n, l, 1, 0, 1)
     return _report("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
 
 
@@ -188,10 +198,7 @@ def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationRep
     _check_variant(variant)
     if n < 0 or mshift < 0 or x < 0:
         raise ValueError("arguments must be nonnegative")
-    srow = triangles.q_stirling2(mshift)[mshift]
-    bx = [triangles.q_bell_poly(k).eval_x(x) for k in range(n + 1)]
-    lhs = triangles.q_bell_poly(n + mshift).eval_x(x)
-    rhs = _expand(srow, n, q_int, bx, _xfactor(variant, x), QPoly.zero())
+    lhs, rhs = _dowling_sides(n, mshift, 1, 0, x, variant)
     return _report("result1", variant, {"n": n, "mshift": mshift, "x": x}, lhs, rhs)
 
 
@@ -199,10 +206,7 @@ def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
     """The corrected q-Bell expansion compared symbolically in x."""
     if n < 0 or mshift < 0:
         raise ValueError("arguments must be nonnegative")
-    srow = triangles.q_stirling2(mshift)[mshift]
-    lhs = triangles.q_bell_poly(n + mshift)
-    bells = [triangles.q_bell_poly(k) for k in range(n + 1)]
-    rhs = _expand(srow, n, q_int, bells, XQPoly.monomial, XQPoly.zero())
+    lhs, rhs = _dowling_sides(n, mshift, 1, 0)
     return _report("result1-poly", "corrected", {"n": n, "mshift": mshift}, lhs, rhs)
 
 
@@ -220,11 +224,7 @@ def verify_result2(
         raise ValueError("weight m must be >= 1")
     if n < 0 or l < 0 or r < 0 or x < 0:
         raise ValueError("arguments must be nonnegative")
-    wrow = triangles.qr_whitney(l, m, r)[l]
-    d0 = [triangles.qr_dowling_poly(k, m, 0).eval_x(x) for k in range(n + 1)]
-    lhs = triangles.qr_dowling_poly(n + l, m, r).eval_x(x)
-    xfactor = _xfactor(variant, x, m)
-    rhs = _expand(wrow, n, _whitney_base(m, r), d0, xfactor, QPoly.zero())
+    lhs, rhs = _dowling_sides(n, l, m, r, x, variant)
     params = {"n": n, "l": l, "m": m, "r": r, "x": x}
     return _report("result2", variant, params, lhs, rhs)
 
@@ -235,11 +235,7 @@ def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
         raise ValueError("weight m must be >= 1")
     if n < 0 or l < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    wrow = triangles.qr_whitney(l, m, r)[l]
-    lhs = triangles.qr_dowling_poly(n + l, m, r)
-    d0 = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
-    base = _whitney_base(m, r)
-    rhs = _expand(wrow, n, base, d0, XQPoly.monomial, XQPoly.zero())
+    lhs, rhs = _dowling_sides(n, l, m, r)
     params = {"n": n, "l": l, "m": m, "r": r}
     return _report("result2-poly", "corrected", params, lhs, rhs)
 
@@ -331,30 +327,24 @@ def verify_triangle_vs_oracle(
 ) -> VerificationReport:
     """Row n of a recurrence-built triangle against normal-ordering coefficients.
 
-    For the q-Stirling triangle, S[n,k] must be the (k,k) coefficient of
-    N^n.  For the (q,r)-Whitney triangle, m^k·W[n,k] must be the (k,k)
-    coefficient of (m·N + r)^n.
+    For the (q,r)-Whitney triangle, m^k·W[n,k] must be the (k,k)
+    coefficient of (m·N + r)^n.  The q-Stirling triangle is its (m, r) =
+    (1, 0) case, so S[n,k] must be the (k,k) coefficient of N^n; its params
+    name only the kind and n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if kind == "q-stirling":
-        row = triangles.q_stirling2(n)[n]
-        op = NormalForm.number() ** n
-        lhs = [c.to_json() for c in row]
-        rhs = [op.coefficient(k, k).to_json() for k in range(n + 1)]
-        params = {"kind": kind, "n": n}
+        m, r, params = 1, 0, {"kind": kind, "n": n}
     elif kind == "qr-whitney":
-        if m < 1:
-            raise ValueError("weight m must be >= 1")
-        if r < 0:
-            raise ValueError("shift r must be nonnegative")
-        row = triangles.qr_whitney(n, m, r)[n]
-        op = (NormalForm.number() * m + NormalForm.identity() * r) ** n
-        lhs = [(c * (m**k)).to_json() for k, c in enumerate(row)]
-        rhs = [op.coefficient(k, k).to_json() for k in range(n + 1)]
         params = {"kind": kind, "n": n, "m": m, "r": r}
     else:
         raise ValueError(f"unknown triangle kind {kind!r}")
+    # qr_whitney rejects m < 1 and r < 0 before any operator is built
+    row = triangles.qr_whitney(n, m, r)[n]
+    op = (NormalForm.number() * m + NormalForm.identity() * r) ** n
+    lhs = [(c * (m**k)).to_json() for k, c in enumerate(row)]
+    rhs = [op.coefficient(k, k).to_json() for k in range(n + 1)]
     return VerificationReport(
         "triangle-oracle", "n/a", params, lhs, rhs, lhs == rhs
     )

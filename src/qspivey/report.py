@@ -52,13 +52,16 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "VerificationReport":
+        # bool() would read the string "false" as True
+        if not isinstance(data["passed"], bool):
+            raise TypeError(f"passed must be a JSON bool, got {data['passed']!r}")
         return cls(
             identity=data["identity"],
             variant=data["variant"],
             params=dict(data["params"]),
             lhs=data["lhs"],
             rhs=data["rhs"],
-            passed=bool(data["passed"]),
+            passed=data["passed"],
         )
 
     def to_json_line(self) -> str:

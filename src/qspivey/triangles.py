@@ -1,21 +1,24 @@
 """Triangle and polynomial families built by recurrence.
 
-Classical Stirling numbers of the second kind satisfy
-S(n,k) = S(n-1,k-1) + k·S(n-1,k).  The q-deformed triangle used here is
-
-    S[n,k] = q^(k-1) · S[n-1,k-1] + [k] · S[n-1,k],
-
-and the (q,r)-Whitney triangle with weight m >= 1 and shift r >= 0 is
+The (q,r)-Whitney triangle with weight m >= 1 and shift r >= 0 is
 
     W[n,k] = q^(k-1) · W[n-1,k-1] + (m[k] + r) · W[n-1,k],
 
-both seeded with a single 1 at n = k = 0.  The k = 0 column then comes out
-as 0 for n >= 1 in the Stirling case and r^n in the Whitney case, which
-matches the operator picture: S[n,k] is the coefficient of ad^k a^k in the
-normal ordering of N^n, and m^k·W[n,k] is the same coefficient for
-(m·N + r)^n.  That correspondence is not taken on faith; it is certified
-row by row against the normal-ordering engine by
-identities.verify_triangle_vs_oracle.
+seeded with a single 1 at n = k = 0.  At (m, r) = (1, 0) it is the
+q-Stirling triangle S[n,k] = q^(k-1) · S[n-1,k-1] + [k] · S[n-1,k], and at
+q = 1 it is the classical r-Whitney triangle, whose (1, 0) case is the
+Stirling triangle S(n,k) = S(n-1,k-1) + k·S(n-1,k).  So there are two row
+loops: qr_whitney over q-polynomials and r_whitney_classic over the
+integers; q_stirling2, q_bell_poly and stirling2 are their (1, 0) cases.
+r_whitney_classic never touches the q-triangle, so the q = 1
+specialization of qr_whitney has an independent route to be checked
+against.
+
+The k = 0 column comes out as r^n, so 0 for n >= 1 in the Stirling case,
+which matches the operator picture: m^k·W[n,k] is the coefficient of
+ad^k a^k in the normal ordering of (m·N + r)^n, and S[n,k] that of N^n.
+That correspondence is not taken on faith; it is certified row by row
+against the normal-ordering engine by identities.verify_triangle_vs_oracle.
 
 Row sums at x = 1 give the q-Bell numbers and (q,r)-Dowling numbers; with
 x kept symbolic they give the q-Bell and (q,r)-Dowling polynomials.
@@ -55,25 +58,8 @@ def _keep(key: tuple, rows: list, n_max: int) -> tuple:
 
 
 def stirling2(n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n_max of the classical Stirling-set triangle."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    done = _prefix(("stirling2",), n_max)
-    if done is not None:
-        return done
-    rows = _resume(("stirling2",), (1,))
-    for n in range(len(rows), n_max + 1):
-        last = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = 0
-            if k >= 1:
-                v += last[k - 1]
-            if k <= n - 1:
-                v += k * last[k]
-            row.append(v)
-        rows.append(tuple(row))
-    return _keep(("stirling2",), rows, n_max)
+    """Rows 0..n_max of the classical Stirling-set triangle: W at m = 1, r = 0."""
+    return r_whitney_classic(n_max, 1, 0)
 
 
 def bell(n_max: int) -> tuple[int, ...]:
@@ -82,30 +68,14 @@ def bell(n_max: int) -> tuple[int, ...]:
 
 
 def q_stirling2(n_max: int) -> tuple[tuple[QPoly, ...], ...]:
-    """Rows 0..n_max of the q-Stirling triangle."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    done = _prefix(("q_stirling2",), n_max)
-    if done is not None:
-        return done
-    rows = _resume(("q_stirling2",), (QPoly.one(),))
-    for n in range(len(rows), n_max + 1):
-        last = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = QPoly.zero()
-            if k >= 1:
-                v = v + last[k - 1].shift(k - 1)
-            if k <= n - 1:
-                v = v + last[k].window(k)
-            row.append(v)
-        rows.append(tuple(row))
-    return _keep(("q_stirling2",), rows, n_max)
+    """Rows 0..n_max of the q-Stirling triangle: the (q,r)-Whitney triangle
+    at m = 1, r = 0."""
+    return qr_whitney(n_max, 1, 0)
 
 
 def q_bell_poly(n: int) -> XQPoly:
-    """The q-Bell polynomial: row n of the q-Stirling triangle read in x."""
-    return XQPoly(q_stirling2(n)[n])
+    """The q-Bell polynomial: the (q,r)-Dowling polynomial at m = 1, r = 0."""
+    return qr_dowling_poly(n, 1, 0)
 
 
 def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
@@ -124,11 +94,17 @@ def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
         last = rows[-1]
         row = []
         for k in range(n + 1):
-            v = QPoly.zero()
-            if k >= 1:
-                v = v + last[k - 1].shift(k - 1)
+            v = last[k - 1].shift(k - 1) if k >= 1 else QPoly.zero()
             if k <= n - 1:
-                v = v + last[k].window(k) * m + last[k] * r
+                # (m[k] + r)·p; the products by m = 1 and r = 0 are skipped,
+                # since a full product per cell would more than double the
+                # cost of the q-Stirling case
+                w = last[k].window(k)
+                if m != 1:
+                    w = w * m
+                if r:
+                    w = w + last[k] * r
+                v = v + w
             row.append(v)
         rows.append(tuple(row))
     return _keep(("qr_whitney", m, r), rows, n_max)
@@ -169,9 +145,7 @@ def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]
         last = rows[-1]
         row = []
         for k in range(n + 1):
-            v = 0
-            if k >= 1:
-                v += last[k - 1]
+            v = last[k - 1] if k >= 1 else 0
             if k <= n - 1:
                 v += (m * k + r) * last[k]
             row.append(v)

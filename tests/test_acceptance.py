@@ -123,3 +123,12 @@ def test_criterion_11_engineering_determinism():
         "[PASS] criterion 11 (engineering-determinism): "
         f"jobs=1 and jobs=4 byte-identical, {len(lines) - 1} lines round-trip"
     )
+
+
+def test_report_from_json_takes_only_a_json_bool_verdict():
+    rep = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["2"], False)
+    assert VerificationReport.from_json(rep.to_json()) == rep
+    # bool("false") is True, which would flip the verdict
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(TypeError):
+            VerificationReport.from_json(dict(rep.to_json(), passed=bad))

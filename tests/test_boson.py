@@ -77,6 +77,15 @@ def test_pow_validates():
     assert N**0 == ONE
 
 
+def test_from_json_rejects_non_integer_exponents():
+    # int() would read 1.5 and true as 1 and "٣" as 3
+    for bad in (1.5, True, "1.5", "٣"):
+        for key in ("k", "l"):
+            rec = {"k": 1, "l": 1, "coeff": ["1"], key: bad}
+            with pytest.raises(TypeError):
+                NormalForm.from_json([rec])
+
+
 def test_json_round_trip():
     w = A * AD - (AD * A) * 2  # has a negative coefficient entry
     enc = w.to_json()
@@ -221,3 +230,15 @@ def test_reorder_matches_the_rewrite_with_plain_products(monkeypatch):
             want[l, k] = terms
     for (l, k), terms in want.items():
         assert dict(boson._reorder(l, k).terms) == terms, (l, k)
+
+
+def test_q_commutator_matches_the_product_by_the_monomial():
+    """q_commutator twists by a shift; the schoolbook product by q^t is the
+    reference."""
+    rng = random.Random(2024)
+    forms = [A, AD**3, N * QPoly([0, -1, 2]) + ONE] + [_rand_nf(rng) for _ in range(4)]
+    for x in forms:
+        for y in forms:
+            for t in range(21):
+                want = x * y - (y * x) * QPoly.monomial(t)
+                assert x.q_commutator(y, t) == want

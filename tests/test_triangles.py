@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from math import comb, factorial
 
 import pytest
 
@@ -202,3 +203,27 @@ def test_builders_match_the_recurrence_with_plain_products(monkeypatch):
         for k in range(n_max + 1):
             assert q_falling(s, k) == want
             want = want * q_int(s - k) if s > k else QPoly.zero()
+
+
+def test_integer_builder_matches_the_closed_form(monkeypatch):
+    """W(n,k) = Σ_i (-1)^(k-i) C(k,i) (m·i + r)^n / (m^k k!) cell by cell.
+
+    The explicit sum shares nothing with the recurrence; at (1, 0) it is
+    the Stirling triangle, which has no recurrence line of its own."""
+    monkeypatch.setattr(triangles, "_BUILT", {})
+    n_max = 30
+    for m, r, rows in (
+        (1, 0, triangles.stirling2(n_max)),
+        (2, 1, triangles.r_whitney_classic(n_max, 2, 1)),
+        (3, 2, triangles.r_whitney_classic(n_max, 3, 2)),
+        (1, 2, triangles.r_whitney_classic(n_max, 1, 2)),
+    ):
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                num = sum(
+                    (-1) ** (k - i) * comb(k, i) * (m * i + r) ** n
+                    for i in range(k + 1)
+                )
+                den = m**k * factorial(k)
+                assert num % den == 0, (m, r, n, k)
+                assert rows[n][k] == num // den, (m, r, n, k)
