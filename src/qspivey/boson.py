@@ -2,12 +2,17 @@
 
 NormalForm does exact symbolic normal ordering.  Every operator value is a
 finite sum of monomials c_{k,l}(q) · ad^k · a^l with all raising factors
-on the left, and products are reordered with the rewrite
+on the left, and products reorder each middle word a^l · ad^k by the
+closed q-Wick form (Katriel & Kibler 1992, J. Phys. A 25)
 
-    a · ad^k  =  q^k · ad^k · a  +  [k] · ad^(k-1),
+    a^l · ad^k  =  Σ_j T_j · q^((l-j)(k-j)) · ad^(k-j) · a^(l-j),
+    T_0 = 1,  T_j = T_(j-1) · [l-j+1] · [k-j+1] / [j],
 
-applied to a^l · ad^k one lowering factor at a time.  Coefficients are
-QPoly values, so results are exact.
+stepped with two windows and one exact division per j, memoized per
+(l, k) pair.  The one-factor rewrite a · ad^k = q^k · ad^k · a +
+[k] · ad^(k-1) it sums is kept as the reference in the tests, written
+there with schoolbook products.  Coefficients are QPoly values, so
+results are exact.
 
 FockVector simulates the same algebra on a truncated occupancy basis.
 Amplitudes are stored in a rescaled basis chosen so that a lowers
@@ -228,32 +233,23 @@ _REORDERED: dict[TermKey, NormalForm] = {}
 
 
 def _reorder(l: int, k: int) -> NormalForm:
-    """Normal ordering of the word a^l · ad^k.
+    """Normal ordering of the word a^l · ad^k, by the q-Wick closed form.
 
-    Built bottom-up in l from the memoized shorter words it reads, so the
-    stack depth does not grow with l.
+    T_j = [l choose j]·[k choose j]·[j]! is stepped from T_(j-1); the
+    product by [l-j+1]·[k-j+1] comes before the division by [j], so the
+    division is exact.
     """
     done = _REORDERED.get((l, k))
     if done is not None:
         return done
-    # (l, k) reads (l-1, k) and (l-1, k-1), so row i needs k-(l-i) <= j <= k
-    for i in range(l + 1):
-        for j in range(max(0, k - l + i), k + 1):
-            if (i, j) in _REORDERED:
-                continue
-            if i == 0 or j == 0:
-                _REORDERED[(i, j)] = NormalForm.monomial(j, i)
-                continue
-            acc: dict[TermKey, QPoly] = {}
-            # a^i ad^j = q^j (a^(i-1) ad^j) a + [j] (a^(i-1) ad^(j-1))
-            for (kt, lt), ct in _REORDERED[(i - 1, j)].terms:
-                acc[(kt, lt + 1)] = ct.shift(j)
-            for (kt, lt), ct in _REORDERED[(i - 1, j - 1)].terms:
-                val = ct.window(j)
-                prev = acc.get((kt, lt))
-                acc[(kt, lt)] = val if prev is None else prev + val
-            _REORDERED[(i, j)] = NormalForm(acc)
-    return _REORDERED[(l, k)]
+    terms = []
+    t = QPoly.one()
+    for j in range(min(l, k) + 1):
+        if j:
+            t = t.window(l - j + 1).window(k - j + 1).unwindow(j)
+        terms.append(((k - j, l - j), t.shift((l - j) * (k - j))))
+    done = _REORDERED[(l, k)] = NormalForm(terms)
+    return done
 
 
 class FockVector:

@@ -322,6 +322,27 @@ def verify_lemma(
     raise ValueError(f"unknown lemma {which!r}")
 
 
+# highest power of m·N + r built so far per (m, r), as (e, (m·N + r)^e),
+# so rows n = 0..N cost N NormalForm products rather than N(N+1)/2
+_POWERS: dict[tuple[int, int], tuple[int, NormalForm]] = {}
+
+
+def _whitney_power(m: int, r: int, n: int) -> NormalForm:
+    """(m·N + r)^n, extended from the highest power kept for (m, r).
+
+    It multiplies by the base on the right, as NormalForm.__pow__ does; a
+    call below the kept power starts again from the identity.
+    """
+    base = NormalForm.number() * m + NormalForm.identity() * r
+    kept = _POWERS.get((m, r))
+    e, p = kept if kept is not None and kept[0] <= n else (0, NormalForm.identity())
+    for _ in range(n - e):
+        p = p * base
+    if kept is None or n > kept[0]:
+        _POWERS[(m, r)] = (n, p)
+    return p
+
+
 def verify_triangle_vs_oracle(
     kind: str, n: int, m: int = 0, r: int = 0
 ) -> VerificationReport:
@@ -342,7 +363,7 @@ def verify_triangle_vs_oracle(
         raise ValueError(f"unknown triangle kind {kind!r}")
     # qr_whitney rejects m < 1 and r < 0 before any operator is built
     row = triangles.qr_whitney(n, m, r)[n]
-    op = (NormalForm.number() * m + NormalForm.identity() * r) ** n
+    op = _whitney_power(m, r, n)
     lhs = [(c * (m**k)).to_json() for k, c in enumerate(row)]
     rhs = [op.coefficient(k, k).to_json() for k in range(n + 1)]
     return VerificationReport(

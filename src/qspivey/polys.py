@@ -17,7 +17,12 @@ Two O(deg) kernels serve the products that every recurrence in the
 package takes: shift(s) is the product by the monomial v^s (s zeros
 prepended) and window(k) the product by [k] = 1 + v + ... + v^(k-1) (a
 sliding-window sum), v being the ring's variable.  The schoolbook
-convolution _mul is the reference they are tested against.
+convolution _mul is the reference they are tested against.  A third,
+unwindow(k), is the exact division by [k] that the q-Wick reorder in
+boson.py steps with; it is tested as the inverse of window, whose own
+reference is the convolution, and it raises on a nonzero remainder
+rather than truncate.  The convolution skips zero coefficients of both
+operands, so a product by a sparse operand costs its nonzero terms.
 
 Validation stays at the boundary: the constructors, const, monomial and
 from_json check every coefficient.  Ring operations build their results
@@ -64,8 +69,8 @@ class _Dense:
     A subclass sets _C0 (the coefficient zero), _check (returns a checked
     coefficient or raises TypeError) and, after its body, _ZERO and _ONE.
     It binds the arithmetic dunders by name in its own body (QPoly also
-    the shift and window kernels it takes), because bench/tracer.py wraps
-    only what it finds in a class's own namespace.
+    the shift, window and unwindow kernels it takes), because
+    bench/tracer.py wraps only what it finds in a class's own namespace.
     """
 
     __slots__ = ("coeffs",)
@@ -155,10 +160,14 @@ class _Dense:
         if not a or not b:
             return self._ZERO
         out = [self._C0] * (len(a) + len(b) - 1)
+        # zeros are skipped on both sides, so a product by a sparse operand
+        # such as a monomial costs its nonzero terms on either side; the
+        # all() test keeps the many tiny dense products off the filter
+        nz = list(enumerate(b)) if all(b) else [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
+            for j, bj in nz:
                 out[i + j] += ai * bj
         return self._make(out)
 
@@ -190,6 +199,31 @@ class _Dense:
             if i >= k:
                 acc = acc - a[i - k]
             out.append(acc)
+        return self._make(out)
+
+    def unwindow(self, k: int):
+        """self divided by [k] exactly, in O(deg + k): the inverse of window.
+
+        [k] = (1 - v^k) / (1 - v), so the quotient is d = self·(1 - v)
+        divided by 1 - v^k: its coefficient i is d[i] plus its coefficient
+        i - k, one running sum in steps of k.  The same sum must vanish at
+        the top k coefficients of d; a nonzero remainder raises ValueError.
+        """
+        if k < 1:
+            raise ValueError("divisor [k] needs k >= 1")
+        a = self.coeffs
+        n = len(a) - k + 1  # length of the quotient
+        out = []
+        prev = self._C0
+        for i, ai in enumerate(a + (self._C0,)):
+            t = ai - prev
+            prev = ai
+            if i >= k:
+                t = t + out[i - k]
+            if i < n:
+                out.append(t)
+            elif t:
+                raise ValueError(f"not divisible by [{k}]")
         return self._make(out)
 
     def _pow(self, e: int):
@@ -232,6 +266,7 @@ class QPoly(_Dense):
     __pow__ = _Dense._pow
     shift = _Dense.shift
     window = _Dense.window
+    unwindow = _Dense.unwindow
 
     def eval_int(self, v: int) -> int:
         """Evaluate at an integer point by Horner's rule."""

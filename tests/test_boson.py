@@ -210,14 +210,14 @@ def test_vector_amplitudes_must_be_a_sequence():
 
 
 def test_reorder_matches_the_rewrite_with_plain_products(monkeypatch):
-    """_reorder takes shift and window products, and the Fock simulator
-    checks it through the same kernels; the rewrite a^l ad^k =
-    q^k (a^(l-1) ad^k) a + [k] (a^(l-1) ad^(k-1)) written here with the
-    schoolbook * pins it independently of them."""
+    """_reorder sums the q-Wick closed form with the shift, window and
+    unwindow kernels; the one-factor rewrite a^l ad^k =
+    q^k (a^(l-1) ad^k) a + [k] (a^(l-1) ad^(k-1)), filled bottom-up here
+    with the schoolbook *, pins it independently of them."""
     monkeypatch.setattr(boson, "_REORDERED", {})
     want = {}
-    for l in range(8):
-        for k in range(8):
+    for l in range(16):
+        for k in range(16):
             if l == 0 or k == 0:
                 want[l, k] = {(k, l): QPoly.one()}
                 continue

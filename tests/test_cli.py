@@ -339,7 +339,9 @@ def test_help_exits_zero():
 # run and of the big-coefficient triangles, XQPoly rows and NormalForm
 # subtraction, so a byte drift in the defaults, the literal shapes, the
 # sweep or the polynomial rings fails here; the sweep digest is the one in
-# bench/golden.json
+# bench/golden.json.  a^60*ad^60 pins the q-Wick reorder against the bytes
+# of the one-factor rewrite, and the triangle-oracle range pins the power
+# chain, also split across two workers.
 PINNED_STDOUT = [
     ("sweep --jobs 1", 0,
      "a85682796e27f4efd64f0a8de0f4875dd9667151d4e6577259b9c4be55d5154c", 983881),
@@ -389,6 +391,13 @@ PINNED_STDOUT = [
      "b963a327f939189aafd439f1c3a5b576ec4e477039233c8d984f587a48c59ca6", 5319),
     ("normal-order --expr (2*N+1)^10-ad^3*a^2+7", 0,
      "3353116852b155285d5ea0ac17e64b58f39d9197c9180743bf94f707394d9bf3", 2124),
+    ("normal-order --expr a^60*ad^60", 0,
+     "a4b87e82f25abc0d2062dd030b90ad24f89081a9369fc0474f971a80d0c1f854", 6451420),
+    ("verify --identity triangle-oracle --kind qr-whitney --n 0..32 --m 3 --r 2", 0,
+     "71e7819ca53cbcc3a75a7fae59fdfddb81df305c5fe588fa55625faf2da86b72", 2682347),
+    ("verify --identity triangle-oracle --kind qr-whitney --n 0..32 --m 3 --r 2"
+     " --jobs 2", 0,
+     "71e7819ca53cbcc3a75a7fae59fdfddb81df305c5fe588fa55625faf2da86b72", 2682347),
 ]
 
 

@@ -6,11 +6,14 @@ payloads; those failures are pinned here as hard expectations, not
 tolerated flakiness.
 """
 
+import random
+
 import pytest
 
 from qspivey import (
     NormalForm,
     QPoly,
+    VerificationReport,
     XQPoly,
     identities,
     triangles,
@@ -235,6 +238,53 @@ def test_triangle_oracle_sweep_and_witness():
         identities.verify_triangle_vs_oracle("pascal", 3)
     with pytest.raises(ValueError):
         identities.verify_triangle_vs_oracle("qr-whitney", 3, 0, 0)
+
+
+def _fresh_oracle_report(kind, n, m, r):
+    """The triangle-oracle report with (m·N + r)^n built by __pow__."""
+    op = (NormalForm.number() * m + NormalForm.identity() * r) ** n
+    row = triangles.qr_whitney(n, m, r)[n]
+    lhs = [(c * m**k).to_json() for k, c in enumerate(row)]
+    rhs = [op.coefficient(k, k).to_json() for k in range(n + 1)]
+    params = {"kind": kind, "n": n}
+    if kind == "qr-whitney":
+        params.update(m=m, r=r)
+    return VerificationReport("triangle-oracle", "n/a", params, lhs, rhs, lhs == rhs)
+
+
+def test_triangle_oracle_power_chain_matches_fresh_powers(monkeypatch):
+    """Any order of n, with (m, r) pairs interleaved, reads the kept power
+    chain up, down and across pairs; every report equals the one built
+    from a fresh op ** n."""
+    monkeypatch.setattr(identities, "_POWERS", {})
+    cases = [
+        ("qr-whitney", n, m, r) for m, r in ((2, 1), (3, 2), (1, 2)) for n in range(10)
+    ]
+    cases += [("q-stirling", n, 1, 0) for n in range(10)]
+    random.Random(71).shuffle(cases)
+    for kind, n, m, r in cases:
+        args = (kind, n) if kind == "q-stirling" else (kind, n, m, r)
+        got = identities.verify_triangle_vs_oracle(*args)
+        assert got == _fresh_oracle_report(kind, n, m, r), (kind, n, m, r)
+        assert got.passed
+
+
+def test_triangle_oracle_range_takes_one_product_per_n(monkeypatch):
+    """n = 0..32 for one (m, r) extends one chain: 32 NormalForm products,
+    where rebuilding each power from the identity takes 528."""
+    monkeypatch.setattr(identities, "_POWERS", {})
+    products = 0
+    mul = NormalForm.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += isinstance(other, NormalForm)
+        return mul(self, other)
+
+    monkeypatch.setattr(NormalForm, "__mul__", counting_mul)
+    for n in range(33):
+        assert identities.verify_triangle_vs_oracle("qr-whitney", n, 3, 2).passed
+    assert products <= 33
 
 
 def test_run_case_dispatch():

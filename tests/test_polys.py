@@ -321,6 +321,19 @@ def test_differential_against_plain_lists():
         s = rng.randint(0, 4)
         _q(pxa.eval_x(s), _ref_horner(xa, [s], _ref_add, _ref_mul, []))
 
+        # sparse operands on either side: a monomial of degree up to 200
+        # and an operand with leading zeros, so that both operands' zeros
+        # are skipped
+        mono = [0] * rng.randint(0, 200) + [rng.choice((1, -3, 10**40))]
+        for sp in (mono, [0] * rng.randint(1, 4) + b):
+            want = _ref_mul(a, sp)
+            _q(pa * QPoly(sp), want)
+            _q(QPoly(sp) * pa, want)
+        xsp = [[]] * rng.randint(1, 4) + xb
+        pxsp = XQPoly(QPoly(c) for c in xsp)
+        _x(pxa * pxsp, _x_mul(xa, xsp))
+        _x(pxsp * pxa, _x_mul(xa, xsp))
+
         # the O(deg) kernels: shift by s = 0..4 and window [w] for w = 0, 1,
         # 2 and past the operand's length
         w = rng.choice((0, 1, 2, len(a) + rng.randint(1, 3)))
@@ -332,6 +345,12 @@ def test_differential_against_plain_lists():
         assert pa.window(w) == pa * q_int(w)
         assert pxa.shift(s) == pxa * XQPoly.monomial(s)
         assert pxa.window(w) == pxa * XQPoly([1] * w)
+        # unwindow, the exact division by [k], inverts window
+        k = rng.randint(1, 9)
+        for p in (pa, pxa):
+            got = p.window(k).unwindow(k)
+            _check_normal(got)
+            assert got == p
 
 
 def test_kernels_reject_negative_lengths():
@@ -339,6 +358,28 @@ def test_kernels_reject_negative_lengths():
         QPoly([1]).shift(-1)
     with pytest.raises(ValueError):
         XQPoly([1]).window(-1)
+
+
+def test_unwindow_raises_on_a_remainder():
+    """Exact division never truncates: a nonzero remainder and k < 1 raise."""
+    with pytest.raises(ValueError):
+        QPoly([1, 0, 1]).unwindow(2)  # 1 + q^2 = (1 + q)·(q - 1) + 2
+    with pytest.raises(ValueError):
+        QPoly([1, 1]).unwindow(3)  # degree below that of [3]
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            QPoly([1]).unwindow(k)
+    assert QPoly.zero().unwindow(4) == QPoly.zero()
+    rng = random.Random(3)
+    for _ in range(100):
+        p, k = _rand_qpoly(rng), rng.randint(2, 9)
+        # p·[k] plus a nonzero constant: [k] has positive degree, so no
+        # quotient exists
+        with pytest.raises(ValueError):
+            (p.window(k) + rng.choice((1, -2, 10**40))).unwindow(k)
+        x = XQPoly([p, QPoly(_rand_coeffs(rng))])
+        with pytest.raises(ValueError):
+            (x.window(k) + XQPoly.monomial(k - 2)).unwindow(k)
 
 
 _COEFF = st.one_of(
@@ -355,14 +396,18 @@ _COEFFS = st.tuples(st.lists(_COEFF, max_size=8), st.integers(0, 3)).map(
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(a=_COEFFS, b=_COEFFS, s=st.integers(0, 12), w=st.integers(0, 12))
 def test_kernels_match_schoolbook_product(a, b, s, w):
-    """shift and window against the convolution, in both rings."""
+    """shift and window against the convolution, in both rings, and
+    unwindow, the exact division by [k], as the convolution's inverse."""
     p = QPoly(a)
     x = XQPoly([p, QPoly(b)])
+    k = w + 1
     for got, want in (
         (p.shift(s), p * QPoly.monomial(s)),
         (p.window(w), p * q_int(w)),
         (x.shift(s), x * XQPoly.monomial(s)),
         (x.window(w), x * XQPoly([1] * w)),
+        ((p * q_int(k)).unwindow(k), p),
+        ((x * XQPoly([1] * k)).unwindow(k), x),
     ):
         _check_normal(got)
         assert type(got) is type(want) and got == want
