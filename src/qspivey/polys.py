@@ -161,9 +161,8 @@ class _Dense:
             return self._ZERO
         out = [self._C0] * (len(a) + len(b) - 1)
         # zeros are skipped on both sides, so a product by a sparse operand
-        # such as a monomial costs its nonzero terms on either side; the
-        # all() test keeps the many tiny dense products off the filter
-        nz = list(enumerate(b)) if all(b) else [(j, bj) for j, bj in enumerate(b) if bj]
+        # such as a monomial costs its nonzero terms on either side
+        nz = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if not ai:
                 continue

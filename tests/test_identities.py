@@ -284,7 +284,7 @@ def test_triangle_oracle_range_takes_one_product_per_n(monkeypatch):
     monkeypatch.setattr(NormalForm, "__mul__", counting_mul)
     for n in range(33):
         assert identities.verify_triangle_vs_oracle("qr-whitney", n, 3, 2).passed
-    assert products <= 33
+    assert products == 32
 
 
 def test_run_case_dispatch():
