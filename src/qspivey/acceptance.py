@@ -2,12 +2,13 @@
 
 Each criterion function returns a task list: a functools.partial over a
 verifier per checked instance, plus the cheap pinned witnesses as reports
-built with the list.  run_tasks is the one runner, for the sweep and for
-the CLI's verify: it calls the partials, passes reports through and keeps
-task order for any job count.  A criterion holds iff all its reports
-passed.  Expected failures of the literal variants are pinned by wrapper
-reports whose lhs is the observed (passed, lhs, rhs) triple and whose rhs
-is the frozen expectation, so a literal variant that quietly started
+built with the list.  A pin is VerificationReport.check of an observed
+value against its frozen expectation, both given as raw values.  run_tasks
+is the one runner, for the sweep and for the CLI's verify: it calls the
+partials, passes reports through and keeps task order for any job count.
+A criterion holds iff all its reports passed.  Expected failures of the
+literal variants are pinned by reports whose lhs is the observed
+(passed, lhs, rhs) triple, so a literal variant that quietly started
 passing fails the suite as loudly as a corrected variant that broke.
 
 run_suite runs criteria 1..10 as one task list, so --jobs shards by task,
@@ -51,14 +52,7 @@ def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
 
 
 def _pin(identity: str, params: dict, observed, expected) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        variant="n/a",
-        params=params,
-        lhs=observed,
-        rhs=expected,
-        passed=observed == expected,
-    )
+    return VerificationReport.check(identity, "n/a", params, observed, expected)
 
 
 def count_set_partitions(n: int) -> int:
@@ -91,15 +85,8 @@ def criterion_1() -> list[Task]:
     tasks.append(partial(identities.verify_bell_recurrence, 24))
     bells = triangles.bell(7)
     brute = [count_set_partitions(i) for i in range(8)]
-    tasks.append(
-        _pin(
-            "bell-bruteforce",
-            {"n": 7},
-            [str(b) for b in bells],
-            [str(b) for b in brute],
-        )
-    )
-    tasks.append(_pin("bell-b7-witness", {"n": 7}, str(bells[7]), "877"))
+    tasks.append(_pin("bell-bruteforce", {"n": 7}, bells, brute))
+    tasks.append(_pin("bell-b7-witness", {"n": 7}, bells[7], 877))
     return tasks
 
 
@@ -109,8 +96,8 @@ def criterion_2() -> list[Task]:
         partial(identities.verify_triangle_vs_oracle, "q-stirling", n)
         for n in range(10)
     ]
-    row3 = [c.to_json() for c in triangles.q_stirling2(3)[3]]
-    expected = [[], ["1"], ["0", "2", "1"], ["0", "0", "0", "1"]]
+    row3 = triangles.q_stirling2(3)[3]
+    expected = [[], [1], [0, 2, 1], [0, 0, 0, 1]]
     tasks.append(_pin("q-stirling-row3-witness", {"n": 3}, row3, expected))
     return tasks
 
@@ -124,14 +111,11 @@ def criterion_3() -> list[Task]:
         for r in (0, 1, 2):
             for n in range(8):
                 tasks.append(partial(oracle, "qr-whitney", n, m, r))
-            row2 = [
-                (c * (m**k)).to_json()
-                for k, c in enumerate(triangles.qr_whitney(2, m, r)[2])
-            ]
+            row2 = [c * (m**k) for k, c in enumerate(triangles.qr_whitney(2, m, r)[2])]
             expected = [
-                QPoly.const(r * r).to_json(),
-                QPoly.const(m * m + 2 * m * r).to_json(),
-                QPoly.monomial(1, m * m).to_json(),
+                QPoly.const(r * r),
+                QPoly.const(m * m + 2 * m * r),
+                QPoly.monomial(1, m * m),
             ]
             tasks.append(
                 _pin("qr-whitney-square-witness", {"m": m, "r": r}, row2, expected)
@@ -199,16 +183,13 @@ def criterion_7() -> list[Task]:
         for x in range(6)
     ]
     inner = identities.verify_result2(1, 1, 2, 1, 1, "literal")
-    at_q1 = [
-        str(QPoly.from_json(inner.lhs).eval_int(1)),
-        str(QPoly.from_json(inner.rhs).eval_int(1)),
-    ]
+    at_q1 = [QPoly.from_json(side).eval_int(1) for side in (inner.lhs, inner.rhs)]
     tasks.append(
         _pin(
             "result2-literal-witness",
             {"n": 1, "l": 1, "m": 2, "r": 1, "x": 1},
-            [inner.passed] + at_q1,
-            [False, "6", "10"],
+            [inner.passed, *at_q1],
+            [False, 6, 10],
         )
     )
     return tasks
@@ -226,15 +207,15 @@ def criterion_8() -> list[Task]:
         for r in (0, 1, 2)
     ]
     dowling = triangles.r_dowling(3, 2, 1)
-    tasks.append(_pin("dowling-21-witness", {"n": 2}, str(dowling[2]), "6"))
-    tasks.append(_pin("dowling-21-witness", {"n": 3}, str(dowling[3]), "24"))
+    tasks.append(_pin("dowling-21-witness", {"n": 2}, dowling[2], 6))
+    tasks.append(_pin("dowling-21-witness", {"n": 3}, dowling[3], 24))
     inner = identities.verify_result3(1, 1, 2, 1, "literal")
     tasks.append(
         _pin(
             "result3-literal-witness",
             {"n": 1, "l": 1, "m": 2, "r": 1},
             [inner.passed, inner.lhs, inner.rhs],
-            [False, "6", "10"],
+            [False, 6, 10],
         )
     )
     observed = []
@@ -257,33 +238,14 @@ def criterion_9() -> list[Task]:
     q1 = [
         [c.eval_int(1) for c in row] for row in triangles.q_stirling2(12)
     ]
-    classical = [list(row) for row in triangles.stirling2(12)]
-    tasks.append(
-        _pin(
-            "q-stirling-at-1",
-            {"n": 12},
-            [[str(v) for v in row] for row in q1],
-            [[str(v) for v in row] for row in classical],
-        )
-    )
+    tasks.append(_pin("q-stirling-at-1", {"n": 12}, q1, triangles.stirling2(12)))
     for m in (1, 2, 3):
         for r in (0, 1, 2):
-            got = [list(row) for row in triangles.r_whitney(10, m, r)]
-            want = [list(row) for row in triangles.r_whitney_classic(10, m, r)]
-            tasks.append(
-                _pin(
-                    "r-whitney-at-1",
-                    {"n": 10, "m": m, "r": r},
-                    [[str(v) for v in row] for row in got],
-                    [[str(v) for v in row] for row in want],
-                )
-            )
-    got = [
-        str(triangles.qr_dowling_poly(n, 1, 0).eval_x(1).eval_int(1))
-        for n in range(13)
-    ]
-    want = [str(b) for b in triangles.bell(12)]
-    tasks.append(_pin("dowling-10-is-bell", {"n": 12}, got, want))
+            got = triangles.r_whitney(10, m, r)
+            want = triangles.r_whitney_classic(10, m, r)
+            tasks.append(_pin("r-whitney-at-1", {"n": 10, "m": m, "r": r}, got, want))
+    got = [triangles.qr_dowling_poly(n, 1, 0).eval_x(1).eval_int(1) for n in range(13)]
+    tasks.append(_pin("dowling-10-is-bell", {"n": 12}, got, triangles.bell(12)))
     tasks += [partial(triangles.whitney_special_check, 8, m) for m in (1, 2, 3)]
     return tasks
 
@@ -294,10 +256,7 @@ def _q_expansion(s: int, n: int) -> VerificationReport:
     rhs = QPoly.zero()
     for k in range(n + 1):
         rhs = rhs + row[k] * q_falling(s, k)
-    params = {"s": s, "n": n}
-    return VerificationReport(
-        "q-expansion", "n/a", params, lhs.to_json(), rhs.to_json(), lhs == rhs
-    )
+    return _pin("q-expansion", {"s": s, "n": n}, lhs, rhs)
 
 
 def criterion_10() -> list[Task]:
@@ -340,7 +299,7 @@ def _roundtrip(lines: list[str]) -> VerificationReport:
         rep = VerificationReport.from_json(d["report"])
         ok += _line(d["criterion"], d["slug"], rep) == line
     total = len(lines)
-    return _pin("json-roundtrip", {"lines": total}, str(ok), str(total))
+    return _pin("json-roundtrip", {"lines": total}, ok, total)
 
 
 def run_suite(jobs: int = 1) -> tuple[list[str], int]:

@@ -2,12 +2,13 @@
 
 Subcommands: triangle, poly, numbers, normal-order, verify, sweep.
 Output is deterministic byte for byte: JSON is emitted with sorted keys
-and fixed separators, integers travel as decimal strings, and parallel
-runs (--jobs) merge results in the same order as sequential ones.
+and fixed separators, every computed value is written by report.encode,
+and parallel runs (--jobs) merge results in the same order as sequential
+ones.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions (with no output
-written in that case).
+written in that case) or when stdout or --out cannot be written.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import partial
 from itertools import product
 
 from . import acceptance, identities, opexpr, triangles
-from .report import dumps
+from .report import dumps, encode
 
 
 class UsageError(Exception):
@@ -113,13 +114,14 @@ def cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
     n = _n_max("triangle", args)
     m, r = _m_r("triangle", args, kind in ("r-whitney", "qr-whitney"))
     if kind == "stirling2":
-        cells = [[str(v) for v in row] for row in triangles.stirling2(n)]
+        rows = triangles.stirling2(n)
     elif kind == "q-stirling2":
-        cells = [[c.to_json() for c in row] for row in triangles.q_stirling2(n)]
+        rows = triangles.q_stirling2(n)
     elif kind == "r-whitney":
-        cells = [[str(v) for v in row] for row in triangles.r_whitney(n, m, r)]
+        rows = triangles.r_whitney(n, m, r)
     else:
-        cells = [[c.to_json() for c in row] for row in triangles.qr_whitney(n, m, r)]
+        rows = triangles.qr_whitney(n, m, r)
+    cells = encode(rows)
     if args.format == "json":
         text = dumps({"kind": kind, "m": m, "r": r, "n_max": n, "rows": cells}) + "\n"
         return text, 0
@@ -136,10 +138,10 @@ def cmd_poly(args: argparse.Namespace) -> tuple[str, int]:
     n = _n_max("poly", args)
     m, r = _m_r("poly", args, args.kind == "qr-dowling")
     if args.kind == "q-bell":
-        coeffs = triangles.q_bell_poly(n).to_json()
+        coeffs = encode(triangles.q_bell_poly(n))
         payload = {"kind": "q-bell", "n": n, "coeffs": coeffs}
     else:
-        coeffs = triangles.qr_dowling_poly(n, m, r).to_json()
+        coeffs = encode(triangles.qr_dowling_poly(n, m, r))
         payload = {"kind": "qr-dowling", "n": n, "m": m, "r": r, "coeffs": coeffs}
     return dumps(payload) + "\n", 0
 
@@ -149,21 +151,20 @@ def cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
     m, r = _m_r("numbers", args, args.kind == "r-dowling")
     payload = {"kind": args.kind, "n_max": n}
     if args.kind == "bell":
-        payload["values"] = [str(v) for v in triangles.bell(n)]
+        payload["values"] = encode(triangles.bell(n))
     elif args.kind == "q-bell":
-        payload["values"] = [
-            triangles.q_bell_poly(i).eval_x(1).to_json() for i in range(n + 1)
-        ]
+        payload["values"] = encode(
+            [triangles.q_bell_poly(i).eval_x(1) for i in range(n + 1)]
+        )
     else:
-        values = [str(v) for v in triangles.r_dowling(n, m, r)]
-        payload.update(m=m, r=r, values=values)
+        payload.update(m=m, r=r, values=encode(triangles.r_dowling(n, m, r)))
     return dumps(payload) + "\n", 0
 
 
 def cmd_normal_order(args: argparse.Namespace) -> tuple[str, int]:
     m, r = _m_r("normal-order", args, None)
     nf = opexpr.normal_order(args.expr, m=m, r=r)
-    return dumps(nf.to_json()) + "\n", 0
+    return dumps(encode(nf)) + "\n", 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -285,15 +286,16 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # internal error: report, no partial output
         sys.stderr.write(f"qspivey: internal error: {e}\n")
         return 1
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
-        except OSError as e:
-            sys.stderr.write(f"qspivey: error: {e}\n")
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        sys.stderr.write(f"qspivey: error: {e}\n")
+        return 2
     return code
 
 

@@ -1,8 +1,9 @@
 """Verifiers for the Spivey-type expansion identities and their q-analogues.
 
 Each verifier recomputes both sides of one identity instance from scratch
-and returns a VerificationReport carrying both sides verbatim.  Three of
-the identities exist in two printed shapes, selected by ``variant``:
+and returns VerificationReport.check of the two, which encodes both sides
+and gives the verdict (see report).  Three of the identities exist in two
+printed shapes, selected by ``variant``:
 
   result1 (q-Bell polynomials)
       literal:   the summand carries the q-falling factor [x][x-1]..[x-j+1]
@@ -61,17 +62,6 @@ from .report import VerificationReport
 _VARIANTS = ("literal", "corrected")
 
 
-def _enc_ints(vs) -> list[str]:
-    return [str(v) for v in vs]
-
-
-def _report(identity: str, variant: str, params: dict, lhs, rhs) -> VerificationReport:
-    """A report on two values that encode themselves with to_json()."""
-    return VerificationReport(
-        identity, variant, params, lhs.to_json(), rhs.to_json(), lhs == rhs
-    )
-
-
 def _check_variant(variant: str) -> None:
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -91,9 +81,7 @@ def verify_stirling_def(n: int) -> VerificationReport:
         sum(row[k] * falling_classic(t, k) for k in range(n + 1))
         for t in range(n + 1)
     ]
-    return VerificationReport(
-        "stirling-def", "n/a", {"n": n}, _enc_ints(lhs), _enc_ints(rhs), lhs == rhs
-    )
+    return VerificationReport.check("stirling-def", "n/a", {"n": n}, lhs, rhs)
 
 
 def verify_bell_recurrence(n: int) -> VerificationReport:
@@ -104,13 +92,11 @@ def verify_bell_recurrence(n: int) -> VerificationReport:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sums = list(triangles.bell(n))
+    sums = triangles.bell(n)
     rec = [1]
     for i in range(n):
         rec.append(sum(binom(i, k) * rec[k] for k in range(i + 1)))
-    return VerificationReport(
-        "bell-rec", "n/a", {"n": n}, _enc_ints(sums), _enc_ints(rec), sums == rec
-    )
+    return VerificationReport.check("bell-rec", "n/a", {"n": n}, sums, rec)
 
 
 def verify_spivey(n: int, mshift: int) -> VerificationReport:
@@ -130,14 +116,8 @@ def verify_spivey(n: int, mshift: int) -> VerificationReport:
             continue
         for k in range(n + 1):
             rhs += j ** (n - k) * srow[j] * binom(n, k) * bells[k]
-    return VerificationReport(
-        "spivey",
-        "n/a",
-        {"n": n, "mshift": mshift},
-        str(lhs),
-        str(rhs),
-        lhs == rhs,
-    )
+    params = {"n": n, "mshift": mshift}
+    return VerificationReport.check("spivey", "n/a", params, lhs, rhs)
 
 
 def _xfactor(variant: str, x: int, m: int):
@@ -185,7 +165,7 @@ def verify_katriel(n: int, l: int) -> VerificationReport:
     if n < 0 or l < 0:
         raise ValueError("arguments must be nonnegative")
     lhs, rhs = _dowling_sides(n, l, 1, 0, 1)
-    return _report("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
+    return VerificationReport.check("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
 
 
 def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationReport:
@@ -199,7 +179,8 @@ def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationRep
     if n < 0 or mshift < 0 or x < 0:
         raise ValueError("arguments must be nonnegative")
     lhs, rhs = _dowling_sides(n, mshift, 1, 0, x, variant)
-    return _report("result1", variant, {"n": n, "mshift": mshift, "x": x}, lhs, rhs)
+    params = {"n": n, "mshift": mshift, "x": x}
+    return VerificationReport.check("result1", variant, params, lhs, rhs)
 
 
 def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
@@ -207,7 +188,8 @@ def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
     if n < 0 or mshift < 0:
         raise ValueError("arguments must be nonnegative")
     lhs, rhs = _dowling_sides(n, mshift, 1, 0)
-    return _report("result1-poly", "corrected", {"n": n, "mshift": mshift}, lhs, rhs)
+    params = {"n": n, "mshift": mshift}
+    return VerificationReport.check("result1-poly", "corrected", params, lhs, rhs)
 
 
 def verify_result2(
@@ -226,7 +208,7 @@ def verify_result2(
         raise ValueError("arguments must be nonnegative")
     lhs, rhs = _dowling_sides(n, l, m, r, x, variant)
     params = {"n": n, "l": l, "m": m, "r": r, "x": x}
-    return _report("result2", variant, params, lhs, rhs)
+    return VerificationReport.check("result2", variant, params, lhs, rhs)
 
 
 def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
@@ -237,7 +219,7 @@ def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
         raise ValueError("arguments must be nonnegative")
     lhs, rhs = _dowling_sides(n, l, m, r)
     params = {"n": n, "l": l, "m": m, "r": r}
-    return _report("result2-poly", "corrected", params, lhs, rhs)
+    return VerificationReport.check("result2-poly", "corrected", params, lhs, rhs)
 
 
 def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> VerificationReport:
@@ -257,14 +239,8 @@ def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> Verification
         scale = m**j if variant == "literal" else 1
         for k in range(n + 1):
             rhs += scale * wrow[j] * binom(n, k) * (m * j + r) ** (n - k) * d0[k]
-    return VerificationReport(
-        "result3",
-        variant,
-        {"n": n, "l": l, "m": m, "r": r},
-        str(lhs),
-        str(rhs),
-        lhs == rhs,
-    )
+    params = {"n": n, "l": l, "m": m, "r": r}
+    return VerificationReport.check("result3", variant, params, lhs, rhs)
 
 
 def verify_lemma(
@@ -285,40 +261,35 @@ def verify_lemma(
     if which == "lem1":
         if k < 1:
             raise ValueError("lem1 needs k >= 1")
-        lhs_nf = NormalForm.lowering().q_commutator(ad**k, k)
-        rhs_nf = (ad ** (k - 1)) * q_int(k)
-        return _report("lem1", "n/a", {"k": k}, lhs_nf, rhs_nf)
+        lhs = NormalForm.lowering().q_commutator(ad**k, k)
+        rhs = (ad ** (k - 1)) * q_int(k)
+        return VerificationReport.check("lem1", "n/a", {"k": k}, lhs, rhs)
     if which == "lem2":
         if cap < k:
             raise ValueError("lem2 needs cap >= k")
         lowered = (NormalForm.lowering() ** k).apply(coherent_truncated(cap))
-        lhs_vec = lowered.truncated(cap - k)
-        rhs_vec = coherent_truncated(cap - k).scale(XQPoly.monomial(k))
-        return VerificationReport(
-            "lem2",
-            "n/a",
-            {"k": k, "cap": cap},
-            [a.to_json() for a in lhs_vec.amps],
-            [a.to_json() for a in rhs_vec.amps],
-            lhs_vec == rhs_vec,
-        )
+        lhs = lowered.truncated(cap - k).amps
+        rhs = coherent_truncated(cap - k).scale(XQPoly.monomial(k)).amps
+        params = {"k": k, "cap": cap}
+        return VerificationReport.check("lem2", "n/a", params, lhs, rhs)
     if which == "lem3":
-        lhs_nf = NormalForm.number() * (ad**k)
-        rhs_nf = (ad**k) * (
+        lhs = NormalForm.number() * (ad**k)
+        rhs = (ad**k) * (
             NormalForm.identity() * q_int(k)
             + NormalForm.number() * QPoly.monomial(k)
         )
-        return _report("lem3", "n/a", {"k": k}, lhs_nf, rhs_nf)
+        return VerificationReport.check("lem3", "n/a", {"k": k}, lhs, rhs)
     if which == "lem4":
         if m < 0 or r < 0:
             raise ValueError("m and r must be nonnegative")
         op = NormalForm.number() * m + NormalForm.identity() * r
-        lhs_nf = op * (ad**k)
-        rhs_nf = (ad**k) * (
+        lhs = op * (ad**k)
+        rhs = (ad**k) * (
             NormalForm.identity() * (q_int(k) * m + r)
             + NormalForm.number() * (QPoly.monomial(k) * m)
         )
-        return _report("lem4", "n/a", {"k": k, "m": m, "r": r}, lhs_nf, rhs_nf)
+        params = {"k": k, "m": m, "r": r}
+        return VerificationReport.check("lem4", "n/a", params, lhs, rhs)
     raise ValueError(f"unknown lemma {which!r}")
 
 
@@ -364,11 +335,9 @@ def verify_triangle_vs_oracle(
     # qr_whitney rejects m < 1 and r < 0 before any operator is built
     row = triangles.qr_whitney(n, m, r)[n]
     op = _whitney_power(m, r, n)
-    lhs = [(c * (m**k)).to_json() for k, c in enumerate(row)]
-    rhs = [op.coefficient(k, k).to_json() for k in range(n + 1)]
-    return VerificationReport(
-        "triangle-oracle", "n/a", params, lhs, rhs, lhs == rhs
-    )
+    lhs = [c * (m**k) for k, c in enumerate(row)]
+    rhs = [op.coefficient(k, k) for k in range(n + 1)]
+    return VerificationReport.check("triangle-oracle", "n/a", params, lhs, rhs)
 
 
 class IdentitySpec(NamedTuple):

@@ -55,6 +55,13 @@ def _json_int(c: object) -> int:
     raise TypeError(f"integer or decimal string expected, got {c!r}")
 
 
+def _json_list(data: object) -> list:
+    """A JSON array; a str would otherwise be read one character per item."""
+    if not isinstance(data, list):
+        raise TypeError(f"JSON list expected, got {data!r}")
+    return data
+
+
 def _trim(cs: list) -> tuple:
     n = len(cs)
     while n and not cs[n - 1]:
@@ -278,9 +285,10 @@ class QPoly(_Dense):
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable) -> "QPoly":
-        """Read to_json's decimal strings back; plain ints are accepted too."""
-        return cls(map(_json_int, data))
+    def from_json(cls, data: list) -> "QPoly":
+        """Read to_json's list of decimal strings back; plain ints are
+        accepted as items too, and anything but a list raises TypeError."""
+        return cls(map(_json_int, _json_list(data)))
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
@@ -349,8 +357,8 @@ class XQPoly(_Dense):
         return [c.to_json() for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable) -> "XQPoly":
-        return cls(QPoly.from_json(c) for c in data)
+    def from_json(cls, data: list) -> "XQPoly":
+        return cls(QPoly.from_json(c) for c in _json_list(data))
 
     def __repr__(self) -> str:
         return f"XQPoly({[list(c.coeffs) for c in self.coeffs]!r})"

@@ -155,18 +155,11 @@ def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]
 
 def whitney_special_check(k_max: int, m: int) -> VerificationReport:
     """Certify W_{m,0}[k,i] == m^(k-i) · S[k,i] for all i <= k <= k_max."""
-    tri = qr_whitney(k_max, m, 0)
     qs = q_stirling2(k_max)
-    lhs = [[c.to_json() for c in row] for row in tri]
     rhs = [
-        [(qs[k][i] * (m ** (k - i))).to_json() for i in range(k + 1)]
-        for k in range(k_max + 1)
+        [qs[k][i] * (m ** (k - i)) for i in range(k + 1)] for k in range(k_max + 1)
     ]
-    return VerificationReport(
-        identity="whitney-special",
-        variant="n/a",
-        params={"k": k_max, "m": m},
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
+    params = {"k": k_max, "m": m}
+    return VerificationReport.check(
+        "whitney-special", "n/a", params, qr_whitney(k_max, m, 0), rhs
     )

@@ -86,6 +86,13 @@ def test_from_json_rejects_non_integer_exponents():
                 NormalForm.from_json([rec])
 
 
+def test_from_json_takes_only_a_coefficient_list():
+    # "12" would otherwise read as the coefficient 1 + 2q
+    for bad in ("12", {"0": "1"}, 12):
+        with pytest.raises(TypeError):
+            NormalForm.from_json([{"k": 1, "l": 1, "coeff": bad}])
+
+
 def test_json_round_trip():
     w = A * AD - (AD * A) * 2  # has a negative coefficient entry
     enc = w.to_json()

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -227,6 +228,32 @@ def test_bad_bindings_and_unwritable_out_exit_two(tmp_path, capsys):
         assert out == "" and "qspivey: error:" in err, argv
 
 
+class _FullStdout(io.StringIO):
+    """A stdout that fails as a full disk does, on write or on flush."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+def test_unwritable_stdout_exits_two(capsys, monkeypatch):
+    for failing in ("write", "flush"):
+        monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+        code = cli.main(["triangle", "--kind", "q-stirling2", "--n", "4"])
+        err = capsys.readouterr().err
+        assert code == 2, failing
+        assert "qspivey: error:" in err and "No space left" in err, failing
+
+
 def test_unknown_identity_and_missing_subcommand(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "fermat")
     assert code == 2 and out == ""
@@ -323,6 +350,20 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["values"] == ["1", "1", "2", "5"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_on_stdout_exits_two_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qspivey", "numbers", "--kind", "bell", "--n", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("qspivey: error:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_help_exits_zero():

@@ -47,6 +47,17 @@ def test_rejects_non_integer_coefficients():
             XQPoly.from_json([["1"], [bad]])
 
 
+def test_from_json_takes_only_a_list():
+    # a str is iterable, so "12" would otherwise read as the coefficients 1, 2
+    for bad in ("12", "", {"0": "1"}, 12, None):
+        with pytest.raises(TypeError):
+            QPoly.from_json(bad)
+        with pytest.raises(TypeError):
+            XQPoly.from_json(bad)
+        with pytest.raises(TypeError):
+            XQPoly.from_json([["1"], bad])
+
+
 def test_foreign_operands_raise_and_cross_ring_equality_is_false():
     p, x = QPoly([1, 2]), XQPoly([1])
     for bad in (1.5, "1", None):
