@@ -52,6 +52,7 @@ def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
 
 
 def _pin(identity: str, params: dict, observed, expected) -> VerificationReport:
+    """An observed value against a witness or an independent computation."""
     return VerificationReport.check(identity, "n/a", params, observed, expected)
 
 
@@ -256,7 +257,7 @@ def _q_expansion(s: int, n: int) -> VerificationReport:
     rhs = QPoly.zero()
     for k in range(n + 1):
         rhs = rhs + row[k] * q_falling(s, k)
-    return _pin("q-expansion", {"s": s, "n": n}, lhs, rhs)
+    return VerificationReport.check("q-expansion", "n/a", {"s": s, "n": n}, lhs, rhs)
 
 
 def criterion_10() -> list[Task]:

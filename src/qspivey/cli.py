@@ -14,8 +14,10 @@ written in that case) or when stdout or --out cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import os
 import sys
 from functools import partial
 from itertools import product
@@ -295,6 +297,14 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
     except OSError as e:
         sys.stderr.write(f"qspivey: error: {e}\n")
+        if not args.out:
+            # Bytes stdout still holds would fail again at interpreter exit
+            # and turn exit 2 into 120; as the `signal` docs advise for a
+            # broken pipe, point its descriptor at devnull. The devnull
+            # descriptor stays open for the few steps left before exit.
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                stdout_fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
         return 2
     return code
 

@@ -254,6 +254,19 @@ def test_unwritable_stdout_exits_two(capsys, monkeypatch):
         assert "qspivey: error:" in err and "No space left" in err, failing
 
 
+def test_unwritable_stdout_is_pointed_at_devnull(capsys, monkeypatch, tmp_path):
+    # Bytes a failed stdout still holds are flushed again at interpreter
+    # exit; with its descriptor on devnull that flush cannot fail.
+    with open(tmp_path / "stdout", "w") as target:
+        stdout = _FullStdout("write")
+        stdout.fileno = target.fileno
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["triangle", "--kind", "q-stirling2", "--n", "4"])
+        assert code == 2
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert "No space left" in capsys.readouterr().err
+
+
 def test_unknown_identity_and_missing_subcommand(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "fermat")
     assert code == 2 and out == ""
