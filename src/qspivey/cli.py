@@ -2,13 +2,23 @@
 
 Subcommands: triangle, poly, numbers, normal-order, verify, sweep.
 Output is deterministic byte for byte: JSON is emitted with sorted keys
-and fixed separators, every computed value is written by report.encode,
-and parallel runs (--jobs) merge results in the same order as sequential
+and fixed separators, every computed value is written by report.encode
+(a triangle cell by report.cell_json, which writes the same text), and
+parallel runs (--jobs) merge results in the same order as sequential
 ones.
+
+Each command checks its flags and returns the pieces of its output and
+its exit code; main writes each piece as it comes.  triangle yields its
+header, then one row at a time, then the closing brackets, so it holds
+two rows at once, not the triangle and its text; the other commands
+yield their one text as a single piece.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions (with no output
-written in that case) or when stdout or --out cannot be written.
+written in that case) or when stdout or --out cannot be written.  An
+internal error in mid-stream leaves the pieces written so far on
+stdout; --out is written to a temporary file in the same directory and
+renamed onto the target only when complete, so it is never partial.
 """
 
 from __future__ import annotations
@@ -16,14 +26,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import os
 import sys
+import tempfile
 from functools import partial
-from itertools import product
+from itertools import islice, product
+from typing import Iterable, Iterator
 
 from . import acceptance, identities, opexpr, triangles
-from .report import dumps, encode
+from .report import cell_json, dumps, encode
 
 
 class UsageError(Exception):
@@ -70,11 +81,11 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(lines: list[str], failed: int) -> tuple[str, int]:
+def _emit(lines: list[str], failed: int) -> tuple[list[str], int]:
     """Report lines plus the summary line; exit code 1 if a report failed."""
     total = len(lines)
     summary = dumps({"total": total, "passed": total - failed, "failed": failed})
-    return "\n".join([*lines, summary]) + "\n", 0 if failed == 0 else 1
+    return ["\n".join([*lines, summary]) + "\n"], 0 if failed == 0 else 1
 
 
 def _m_r(cmd: str, args: argparse.Namespace, weighted: bool | None):
@@ -111,32 +122,49 @@ def _jobs(cmd: str, args: argparse.Namespace) -> int:
     return jobs
 
 
-def cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
+class _Lines:
+    """A file for csv.writer whose write hands the text back, so writerow
+    returns the line it formats."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _json_rows(head: dict, rows) -> Iterator[str]:
+    # "rows" sorts after every other key, so the payload ends with it
+    yield dumps(head)[:-1] + ',"rows":['
+    sep = ""
+    for row in rows:
+        yield sep + "[" + ",".join(map(cell_json, row)) + "]"
+        sep = ","
+    yield "]}\n"
+
+
+def _csv_rows(head: dict, rows) -> Iterator[str]:
+    line = csv.writer(_Lines(), lineterminator="\n").writerow
+    yield line(head.keys()) + line(head.values())  # csv writes None as ""
+    for row in rows:
+        yield line([c if isinstance(c, int) else cell_json(c) for c in row])
+
+
+def cmd_triangle(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     kind = args.kind
     n = _n_max("triangle", args)
     m, r = _m_r("triangle", args, kind in ("r-whitney", "qr-whitney"))
     if kind == "stirling2":
-        rows = triangles.stirling2(n)
+        rows = triangles.r_whitney_classic_rows(1, 0)
     elif kind == "q-stirling2":
-        rows = triangles.q_stirling2(n)
+        rows = triangles.qr_whitney_rows(1, 0)
     elif kind == "r-whitney":
-        rows = triangles.r_whitney(n, m, r)
+        rows = map(triangles.at_q_one, triangles.qr_whitney_rows(m, r))
     else:
-        rows = triangles.qr_whitney(n, m, r)
-    cells = encode(rows)
-    if args.format == "json":
-        text = dumps({"kind": kind, "m": m, "r": r, "n_max": n, "rows": cells}) + "\n"
-        return text, 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "m", "r", "n_max"])
-    writer.writerow([kind, "" if m is None else m, "" if r is None else r, n])
-    for row in cells:
-        writer.writerow([c if isinstance(c, str) else dumps(c) for c in row])
-    return buf.getvalue(), 0
+        rows = triangles.qr_whitney_rows(m, r)
+    head = {"kind": kind, "m": m, "r": r, "n_max": n}
+    pieces = _json_rows if args.format == "json" else _csv_rows
+    return pieces(head, islice(rows, n + 1)), 0
 
 
-def cmd_poly(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_poly(args: argparse.Namespace) -> tuple[list[str], int]:
     n = _n_max("poly", args)
     m, r = _m_r("poly", args, args.kind == "qr-dowling")
     if args.kind == "q-bell":
@@ -145,10 +173,10 @@ def cmd_poly(args: argparse.Namespace) -> tuple[str, int]:
     else:
         coeffs = encode(triangles.qr_dowling_poly(n, m, r))
         payload = {"kind": "qr-dowling", "n": n, "m": m, "r": r, "coeffs": coeffs}
-    return dumps(payload) + "\n", 0
+    return [dumps(payload) + "\n"], 0
 
 
-def cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_numbers(args: argparse.Namespace) -> tuple[list[str], int]:
     n = _n_max("numbers", args)
     m, r = _m_r("numbers", args, args.kind == "r-dowling")
     payload = {"kind": args.kind, "n_max": n}
@@ -160,16 +188,16 @@ def cmd_numbers(args: argparse.Namespace) -> tuple[str, int]:
         )
     else:
         payload.update(m=m, r=r, values=encode(triangles.r_dowling(n, m, r)))
-    return dumps(payload) + "\n", 0
+    return [dumps(payload) + "\n"], 0
 
 
-def cmd_normal_order(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_normal_order(args: argparse.Namespace) -> tuple[list[str], int]:
     m, r = _m_r("normal-order", args, None)
     nf = opexpr.normal_order(args.expr, m=m, r=r)
-    return dumps(encode(nf)) + "\n", 0
+    return [dumps(encode(nf)) + "\n"], 0
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     identity = args.identity
     spec = identities.IDENTITIES[identity]
     if args.variant is not None and not spec.variant:
@@ -204,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return _emit([rep.to_json_line() for rep in reports], failed)
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
     return _emit(*acceptance.run_suite(jobs=_jobs("sweep", args)))
 
 
@@ -277,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        text, code = args.func(args)
+        pieces, code = args.func(args)
     except UsageError as e:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"qspivey: error: {e}\n")
@@ -285,15 +313,15 @@ def main(argv: list[str] | None = None) -> int:
     except opexpr.ParseError as e:
         sys.stderr.write(f"qspivey: error: {e}\n")
         return 2
-    except Exception as e:  # internal error: report, no partial output
+    except Exception as e:  # internal error: report, no output
         sys.stderr.write(f"qspivey: internal error: {e}\n")
         return 1
     try:
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
+            _write_file(args.out, pieces)
         else:
-            sys.stdout.write(text)
+            for piece in pieces:
+                sys.stdout.write(piece)
             sys.stdout.flush()
     except OSError as e:
         sys.stderr.write(f"qspivey: error: {e}\n")
@@ -306,7 +334,34 @@ def main(argv: list[str] | None = None) -> int:
                 stdout_fd = sys.stdout.fileno()
                 os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
         return 2
+    except Exception as e:  # internal error in mid-stream: stdout keeps its part
+        sys.stderr.write(f"qspivey: internal error: {e}\n")
+        return 1
     return code
+
+
+def _write_file(path: str, pieces: Iterable[str]) -> None:
+    """Write pieces to a temporary file beside path, then rename it onto
+    path, so path is left as it was unless every piece was written.  A
+    symlink is followed, so the file it names is the one replaced."""
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, "w", newline="") as fh:
+            # mkstemp creates the file 0o600; give it the mode open(path,
+            # "w") would. Reading the umask means setting it; main runs
+            # no other thread here.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ truncated to 64 bits; a str or a bool stays as it is, and True never
 becomes "1"; a list or tuple becomes a list of encoded items; anything
 else (QPoly, XQPoly, NormalForm) becomes its to_json().  Every computed
 value that a command or a report writes goes through this rule; params
-stay JSON numbers.
+stay JSON numbers.  cell_json writes the same JSON text for an int or
+QPoly triangle cell directly, with no list of strings in between, so a
+triangle can be written cell by cell.
 
 Verdict rule (VerificationReport.check): a report encodes both sides and
 passes iff the two encodings are equal.  Each type's encoding is
@@ -41,6 +43,13 @@ def encode(value) -> Any:
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     return value.to_json()
+
+
+def cell_json(cell) -> str:
+    """dumps(encode(cell)) for an int or QPoly cell, written directly."""
+    if isinstance(cell, int):
+        return f'"{cell}"'
+    return '["' + '","'.join(map(str, cell.coeffs)) + '"]' if cell.coeffs else "[]"
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,11 @@ seeded with a single 1 at n = k = 0.  At (m, r) = (1, 0) it is the
 q-Stirling triangle S[n,k] = q^(k-1) · S[n-1,k-1] + [k] · S[n-1,k], and at
 q = 1 it is the classical r-Whitney triangle, whose (1, 0) case is the
 Stirling triangle S(n,k) = S(n-1,k-1) + k·S(n-1,k).  So there are two row
-loops: qr_whitney over q-polynomials and r_whitney_classic over the
-integers; q_stirling2, q_bell_poly and stirling2 are their (1, 0) cases.
-r_whitney_classic never touches the q-triangle, so the q = 1
-specialization of qr_whitney has an independent route to be checked
-against.
+loops, each a row generator: qr_whitney_rows over q-polynomials and
+r_whitney_classic_rows over the integers; q_stirling2, q_bell_poly and
+stirling2 are their (1, 0) cases.  r_whitney_classic never touches the
+q-triangle, so the q = 1 specialization of qr_whitney has an independent
+route to be checked against.
 
 The k = 0 column comes out as r^n, so 0 for n >= 1 in the Stirling case,
 which matches the operator picture: m^k·W[n,k] is the coefficient of
@@ -23,13 +23,18 @@ against the normal-ordering engine by identities.verify_triangle_vs_oracle.
 Row sums at x = 1 give the q-Bell numbers and (q,r)-Dowling numbers; with
 x kept symbolic they give the q-Bell and (q,r)-Dowling polynomials.
 
-All builders return nested tuples and keep one triangle per parameter
-set, the longest built so far: a request for fewer rows is a prefix of
-it, and a request for more rows extends it bottom-up, so the work and the
-stack depth stay flat in n.
+A row generator holds only the last row.  The builders return nested
+tuples and keep one triangle per parameter set, the longest built so
+far: a request for fewer rows is a prefix of it, and a request for more
+rows drives the generator on from its last row, so the work and the
+stack depth stay flat in n.  The CLI drives the generators directly,
+with no cache, so its memory stays flat in n as well.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from typing import Iterator
 
 from .polys import QPoly, XQPoly
 from .report import VerificationReport
@@ -40,19 +45,15 @@ from .report import VerificationReport
 _BUILT: dict[tuple, tuple] = {}
 
 
-def _prefix(key: tuple, n_max: int) -> tuple | None:
-    """Rows 0..n_max of triangle key if they are built already."""
+def _built(rows_after, m: int, r: int, n_max: int) -> tuple:
+    """Rows 0..n_max of the triangle that the row generator rows_after
+    makes for (m, r): the rows built so far, extended by
+    rows_after(m, r, last row built, or None when there is none)."""
+    key = (rows_after, m, r)
     rows = _BUILT.get(key, ())
-    return rows[: n_max + 1] if len(rows) > n_max else None
-
-
-def _resume(key: tuple, seed: tuple) -> list:
-    return list(_BUILT.get(key, (seed,)))
-
-
-def _keep(key: tuple, rows: list, n_max: int) -> tuple:
-    rows = tuple(rows)
-    if len(rows) > len(_BUILT.get(key, ())):
+    if len(rows) <= n_max:
+        more = rows_after(m, r, rows[-1] if rows else None)
+        rows += tuple(islice(more, n_max + 1 - len(rows)))
         _BUILT[key] = rows
     return rows[: n_max + 1]
 
@@ -86,12 +87,24 @@ def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
         raise ValueError("shift r must be nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    done = _prefix(("qr_whitney", m, r), n_max)
-    if done is not None:
-        return done
-    rows = _resume(("qr_whitney", m, r), (QPoly.one(),))
-    for n in range(len(rows), n_max + 1):
-        last = rows[-1]
+    return _built(qr_whitney_rows, m, r, n_max)
+
+
+def qr_whitney_rows(
+    m: int, r: int, last: tuple[QPoly, ...] | None = None
+) -> Iterator[tuple[QPoly, ...]]:
+    """The (q,r)-Whitney rows after row last, or from row 0 when last is
+    None, without end.
+
+    Only the last row is kept, so a caller that drops each row holds two
+    rows at a time.  m >= 1 and r >= 0 are the caller's to check, as
+    qr_whitney does.
+    """
+    if last is None:
+        last = (QPoly.one(),)
+        yield last
+    while True:
+        n = len(last)
         row = []
         for k in range(n + 1):
             v = last[k - 1].shift(k - 1) if k >= 1 else QPoly.zero()
@@ -106,8 +119,8 @@ def qr_whitney(n_max: int, m: int, r: int) -> tuple[tuple[QPoly, ...], ...]:
                     w = w + last[k] * r
                 v = v + w
             row.append(v)
-        rows.append(tuple(row))
-    return _keep(("qr_whitney", m, r), rows, n_max)
+        last = tuple(row)
+        yield last
 
 
 def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
@@ -117,9 +130,12 @@ def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
 
 def r_whitney(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Classical r-Whitney rows, obtained by evaluating the q-rows at q = 1."""
-    return tuple(
-        tuple(c.eval_int(1) for c in row) for row in qr_whitney(n_max, m, r)
-    )
+    return tuple(map(at_q_one, qr_whitney(n_max, m, r)))
+
+
+def at_q_one(row: tuple[QPoly, ...]) -> tuple[int, ...]:
+    """A q-row evaluated at q = 1."""
+    return tuple(c.eval_int(1) for c in row)
 
 
 def r_dowling(n_max: int, m: int, r: int) -> tuple[int, ...]:
@@ -137,20 +153,27 @@ def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]
         raise ValueError("weight m must be >= 1")
     if r < 0 or n_max < 0:
         raise ValueError("arguments must be nonnegative")
-    done = _prefix(("r_whitney_classic", m, r), n_max)
-    if done is not None:
-        return done
-    rows = _resume(("r_whitney_classic", m, r), (1,))
-    for n in range(len(rows), n_max + 1):
-        last = rows[-1]
+    return _built(r_whitney_classic_rows, m, r, n_max)
+
+
+def r_whitney_classic_rows(
+    m: int, r: int, last: tuple[int, ...] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The classical r-Whitney rows after row last, or from row 0 when last
+    is None, without end; as qr_whitney_rows, over the integers."""
+    if last is None:
+        last = (1,)
+        yield last
+    while True:
+        n = len(last)
         row = []
         for k in range(n + 1):
             v = last[k - 1] if k >= 1 else 0
             if k <= n - 1:
                 v += (m * k + r) * last[k]
             row.append(v)
-        rows.append(tuple(row))
-    return _keep(("r_whitney_classic", m, r), rows, n_max)
+        last = tuple(row)
+        yield last
 
 
 def whitney_special_check(k_max: int, m: int) -> VerificationReport:

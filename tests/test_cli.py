@@ -9,13 +9,15 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+from itertools import islice, product
 
 import pytest
 
 from qspivey import QPoly, acceptance, cli, opexpr, triangles
-from qspivey.report import VerificationReport
+from qspivey.report import VerificationReport, dumps, encode
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +267,171 @@ def test_unwritable_stdout_is_pointed_at_devnull(capsys, monkeypatch, tmp_path):
         assert code == 2
         assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
     assert "No space left" in capsys.readouterr().err
+
+
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps every piece written to it, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def _reference_triangle(kind, n, m, r, fmt):
+    """A triangle's output rendered whole, from the cached builders, encode
+    and dumps of the full payload: what the command wrote before it
+    streamed."""
+    if kind == "stirling2":
+        rows = triangles.stirling2(n)
+    elif kind == "q-stirling2":
+        rows = triangles.q_stirling2(n)
+    elif kind == "r-whitney":
+        rows = triangles.r_whitney(n, m, r)
+    else:
+        rows = triangles.qr_whitney(n, m, r)
+    cells = encode(rows)
+    if fmt == "json":
+        return dumps({"kind": kind, "m": m, "r": r, "n_max": n, "rows": cells}) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "m", "r", "n_max"])
+    writer.writerow([kind, "" if m is None else m, "" if r is None else r, n])
+    for row in cells:
+        writer.writerow([c if isinstance(c, str) else dumps(c) for c in row])
+    return buf.getvalue()
+
+
+def test_streamed_triangle_matches_the_whole_payload(capsys):
+    weights = list(product(range(1, 4), range(3)))
+    for kind, pairs in (
+        ("stirling2", [(None, None)]),
+        ("q-stirling2", [(None, None)]),
+        ("r-whitney", weights),
+        ("qr-whitney", weights),
+    ):
+        for (m, r), n, fmt in product(pairs, range(13), ("json", "csv")):
+            argv = ["triangle", "--kind", kind, "--n", str(n), "--format", fmt]
+            if m is not None:
+                argv += ["--m", str(m), "--r", str(r)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == _reference_triangle(kind, n, m, r, fmt), argv
+
+
+def test_triangle_usage_errors_write_nothing(monkeypatch, tmp_path, capsys):
+    # every exit-2 check runs before the first piece is written
+    missing_dir = str(tmp_path / "missing" / "rows.json")
+    cases = [
+        ("triangle", "--kind", "qr-whitney", "--n", "2"),
+        ("triangle", "--kind", "r-whitney", "--n", "2", "--m", "0"),
+        ("triangle", "--kind", "qr-whitney", "--n", "2", "--m", "2", "--r", "-1"),
+        ("triangle", "--kind", "qr-whitney", "--n", "2", "--m", "٢"),
+        ("triangle", "--kind", "stirling2", "--n", "2", "--m", "2"),
+        ("triangle", "--kind", "q-stirling2", "--n", "2", "--r", "1"),
+        ("triangle", "--kind", "stirling2"),
+        ("triangle", "--kind", "stirling2", "--n", "-1"),
+        ("triangle", "--kind", "q-stirling2", "--n", "x"),
+        ("triangle", "--kind", "q-stirling2", "--n", "2", "--format", "xml"),
+        ("triangle", "--kind", "fermat", "--n", "2"),
+        ("triangle", "--kind", "q-stirling2", "--n", "2", "--out", missing_dir),
+    ]
+    for argv in cases:
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(list(argv)) == 2, argv
+        assert stdout.pieces == [], argv
+        assert "error" in capsys.readouterr().err, argv
+    assert os.listdir(tmp_path) == []
+
+
+def test_triangle_writes_one_piece_per_row_and_caches_nothing(monkeypatch):
+    monkeypatch.setattr(triangles, "_BUILT", {})
+    n = 12
+    for kind, weight in (
+        ("stirling2", []),
+        ("q-stirling2", []),
+        ("r-whitney", ["--m", "2", "--r", "1"]),
+        ("qr-whitney", ["--m", "3", "--r", "2"]),
+    ):
+        for fmt in ("json", "csv"):
+            stdout = _RecordingStdout()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            argv = ["triangle", "--kind", kind, "--n", str(n), "--format", fmt]
+            assert cli.main(argv + weight) == 0
+            if fmt == "json":
+                head, *rows, tail = stdout.pieces
+                assert head.startswith('{"kind":') and head.endswith(',"rows":[')
+                assert tail == "]}\n"
+                want = json.loads(stdout.getvalue())["rows"]
+                assert [json.loads(row.lstrip(",")) for row in rows] == want
+            else:
+                head, *rows = stdout.pieces
+                assert head.startswith("kind,m,r,n_max\n") and head.count("\n") == 2
+                assert all(row.count("\n") == 1 for row in rows)
+            assert len(rows) == n + 1, (kind, fmt)
+    assert triangles._BUILT == {}
+
+
+def test_out_replaces_the_target_whole_with_the_mode_open_gives(tmp_path, capsys):
+    target = tmp_path / "rows.json"
+    target.write_text("previous\n")
+    for mask in (0o022, 0o077, 0o027):
+        old = os.umask(mask)
+        try:
+            code = cli.main(
+                ["triangle", "--kind", "q-stirling2", "--n", "6", "--out", str(target)]
+            )
+            with open(tmp_path / "by-open", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert code == 0
+        mode = stat.S_IMODE(target.stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "by-open").stat().st_mode)
+        assert mode == 0o666 & ~mask
+        os.unlink(tmp_path / "by-open")
+    assert os.listdir(tmp_path) == ["rows.json"]
+    _, out, _ = run_cli(capsys, "triangle", "--kind", "q-stirling2", "--n", "6")
+    assert target.read_text() == out
+    # a symlink stays a symlink: the file it names is the one replaced
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    target.write_text("previous\n")
+    code = cli.main(["triangle", "--kind", "q-stirling2", "--n", "6", "--out", str(link)])
+    assert code == 0 and link.is_symlink() and target.read_text() == out
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "rows.json"]
+
+
+def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
+    argv = ["triangle", "--kind", "q-stirling2", "--n", "6"]
+    _, whole, _ = run_cli(capsys, *argv)
+    real = triangles.qr_whitney_rows
+
+    def two_rows_then_fault(m, r, last=None):
+        yield from islice(real(m, r, last), 2)
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(triangles, "qr_whitney_rows", two_rows_then_fault)
+
+    # --out: the file already there is left byte for byte, with no temp file
+    target = tmp_path / "rows.json"
+    target.write_bytes(b"previous\x00bytes\n")
+    assert cli.main([*argv, "--out", str(target)]) == 1
+    assert "internal error: injected fault" in capsys.readouterr().err
+    assert target.read_bytes() == b"previous\x00bytes\n"
+    assert os.listdir(tmp_path) == ["rows.json"]
+
+    # stdout: the header and the two rows stay
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(argv) == 1
+    assert "internal error: injected fault" in capsys.readouterr().err
+    assert len(stdout.pieces) == 3
+    assert whole.startswith(stdout.getvalue())
 
 
 def test_unknown_identity_and_missing_subcommand(capsys):

@@ -9,7 +9,7 @@ or a sound one fail.  The pairs are seeded, so a failure reproduces.
 import random
 
 from qspivey import FockVector, NormalForm, QPoly, XQPoly
-from qspivey.report import VerificationReport, encode
+from qspivey.report import VerificationReport, cell_json, dumps, encode
 
 
 def _coeffs(rng, size=4):
@@ -104,3 +104,20 @@ def test_bools_and_strings_pass_through_unchanged():
     assert not VerificationReport.check("t", "n/a", {}, [False], [0]).passed
     # an int and its decimal string encode alike, which pins rely on
     assert VerificationReport.check("t", "n/a", {}, 877, "877").passed
+
+
+def test_cell_json_is_dumps_of_encode():
+    """The direct cell encoder writes exactly the text of the one rule."""
+    rng = random.Random(9)
+    cells = [QPoly.zero(), QPoly([0]), 0, -1, 2**64, -(2**64) - 1]
+    for _ in range(400):
+        bits = (1, 8, 63, 64, 65, 200)
+        coeffs = [
+            rng.choice((-1, 1)) * rng.getrandbits(rng.choice(bits))
+            for _ in range(rng.randint(0, 8))
+        ]
+        cells += [QPoly(coeffs), rng.choice((-1, 1)) * rng.getrandbits(rng.choice(bits))]
+    for cell in cells:
+        assert cell_json(cell) == dumps(encode(cell)), cell
+    assert cell_json(QPoly.zero()) == "[]"
+    assert cell_json(QPoly([-(2**64), 0, 3])) == '["-18446744073709551616","0","3"]'
