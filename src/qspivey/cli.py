@@ -17,8 +17,9 @@ Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions (with no output
 written in that case) or when stdout or --out cannot be written.  An
 internal error in mid-stream leaves the pieces written so far on
-stdout; --out is written to a temporary file in the same directory and
-renamed onto the target only when complete, so it is never partial.
+stdout; --out to a new or regular file goes to a temporary file in the
+same directory, renamed onto the target only when complete, so it is
+never partial (see _write_file).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import argparse
 import contextlib
 import csv
 import os
+import stat
 import sys
-import tempfile
 from functools import partial
 from itertools import islice, product
 from typing import Iterable, Iterator
@@ -341,27 +342,43 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write_file(path: str, pieces: Iterable[str]) -> None:
-    """Write pieces to a temporary file beside path, then rename it onto
-    path, so path is left as it was unless every piece was written.  A
-    symlink is followed, so the file it names is the one replaced."""
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    """Write pieces to path, as open(path, "w") would.
+
+    A new file, or a regular file with one link, is written to a temporary
+    file beside it (a symlink is followed), which takes the old file's
+    owner and mode and is renamed onto it only when every piece is
+    written, so path is left as it was on any error.  Anything else (a
+    device, a FIFO, /dev/stdout, a file with more links, or a file in a
+    directory that takes no new file) is written in place.
+    """
     try:
-        with open(fd, "w", newline="") as fh:
-            # mkstemp creates the file 0o600; give it the mode open(path,
-            # "w") would. Reading the umask means setting it; main runs
-            # no other thread here.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            for piece in pieces:
-                fh.write(piece)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        directory, name = os.path.split(os.path.realpath(path))
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        try:
+            fh = open(tmp, "x", newline="")
+        except PermissionError:
+            if st is None:
+                raise
+        else:
+            try:
+                with fh:
+                    if st is not None:
+                        with contextlib.suppress(PermissionError):
+                            os.fchown(fh.fileno(), st.st_uid, st.st_gid)
+                        os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+                    fh.writelines(pieces)
+                os.replace(tmp, os.path.join(directory, name))
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+            return
+    with open(path, "w", newline="") as fh:
+        fh.writelines(pieces)
 
 
 if __name__ == "__main__":

@@ -377,33 +377,95 @@ def test_triangle_writes_one_piece_per_row_and_caches_nothing(monkeypatch):
 
 
 def test_out_replaces_the_target_whole_with_the_mode_open_gives(tmp_path, capsys):
+    argv = ["triangle", "--kind", "q-stirling2", "--n", "6", "--out"]
+    _, out, _ = run_cli(capsys, *argv[:-1])
     target = tmp_path / "rows.json"
-    target.write_text("previous\n")
     for mask in (0o022, 0o077, 0o027):
+        # a new file gets the mode open(path, "w") gives a new file
         old = os.umask(mask)
         try:
-            code = cli.main(
-                ["triangle", "--kind", "q-stirling2", "--n", "6", "--out", str(target)]
-            )
+            code = cli.main([*argv, str(target)])
             with open(tmp_path / "by-open", "w"):
                 pass
         finally:
             os.umask(old)
-        assert code == 0
+        assert code == 0 and target.read_text() == out
         mode = stat.S_IMODE(target.stat().st_mode)
         assert mode == stat.S_IMODE((tmp_path / "by-open").stat().st_mode)
         assert mode == 0o666 & ~mask
         os.unlink(tmp_path / "by-open")
+        os.unlink(target)
+    # an existing file keeps its own mode, as open(path, "w") leaves it
+    for mode in (0o600, 0o640, 0o604):
+        target.write_text("previous\n")
+        os.chmod(target, mode)
+        assert cli.main([*argv, str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert target.read_text() == out
     assert os.listdir(tmp_path) == ["rows.json"]
-    _, out, _ = run_cli(capsys, "triangle", "--kind", "q-stirling2", "--n", "6")
-    assert target.read_text() == out
     # a symlink stays a symlink: the file it names is the one replaced
     link = tmp_path / "link.json"
     link.symlink_to(target)
     target.write_text("previous\n")
-    code = cli.main(["triangle", "--kind", "q-stirling2", "--n", "6", "--out", str(link)])
-    assert code == 0 and link.is_symlink() and target.read_text() == out
+    assert cli.main([*argv, str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == out
     assert sorted(os.listdir(tmp_path)) == ["link.json", "rows.json"]
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="giving a file away needs root")
+def test_out_keeps_the_owner_of_an_existing_file(tmp_path):
+    target = tmp_path / "rows.json"
+    target.write_text("previous\n")
+    os.chown(target, 65534, 65534)
+    assert cli.main(["poly", "--kind", "q-bell", "--n", "4", "--out", str(target)]) == 0
+    assert (target.stat().st_uid, target.stat().st_gid) == (65534, 65534)
+
+
+def test_out_writes_in_place_what_is_not_a_lone_regular_file(tmp_path, capsys):
+    argv = ["triangle", "--kind", "q-stirling2", "--n", "6"]
+    _, out, _ = run_cli(capsys, *argv)
+    # a FIFO stays a FIFO, and its reader gets the bytes
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE, text=True)
+    try:
+        assert cli.main([*argv, "--out", str(fifo)]) == 0
+        assert reader.communicate(timeout=30)[0] == out
+    finally:
+        reader.kill()
+        reader.wait()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    # a file with a second link: both names see the new bytes
+    target, twin = tmp_path / "rows.json", tmp_path / "twin.json"
+    target.write_text("previous\n")
+    os.link(target, twin)
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    assert twin.read_text() == out and os.path.samefile(target, twin)
+    # /dev/stdout reaches the pipe stdout is
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspivey", *argv, "--out", "/dev/stdout"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
+    assert sorted(os.listdir(tmp_path)) == ["rows.fifo", "rows.json", "twin.json"]
+
+
+def test_out_in_a_closed_directory_writes_its_file_in_place(monkeypatch, tmp_path):
+    # a directory that takes no new file can still hold a writable file
+    def no_new_files(file, mode="r", *args, **kwargs):
+        if "x" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+    argv = ["poly", "--kind", "q-bell", "--n", "4", "--out"]
+    target = tmp_path / "rows.json"
+    target.write_text("previous\n")
+    assert cli.main([*argv, str(target)]) == 0
+    assert json.loads(target.read_text())["kind"] == "q-bell"
+    assert cli.main([*argv, str(tmp_path / "new.json")]) == 2
+    assert os.listdir(tmp_path) == ["rows.json"]
 
 
 def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
