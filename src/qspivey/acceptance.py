@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Union
 
@@ -34,6 +33,14 @@ Task = Union[VerificationReport, Callable[[], VerificationReport]]
 # work items per worker process; more items balance the load better, fewer
 # cost less inter-process traffic
 _CHUNKS_PER_WORKER = 8
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
+    import pulls in multiprocessing, which a run on one worker never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def _run(task: Task) -> VerificationReport:

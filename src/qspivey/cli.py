@@ -141,11 +141,22 @@ def _json_rows(head: dict, rows) -> Iterator[str]:
     yield "]}\n"
 
 
+def _csv_cell(cell) -> str:
+    """csv.writer's text for an int or QPoly cell, written directly: an int
+    bare, a QPoly's JSON text in quotes with its quotes doubled, and zero
+    ("[]", which holds nothing csv quotes) bare."""
+    if isinstance(cell, int):
+        return str(cell)
+    if not cell:
+        return "[]"
+    return '"' + cell_json(cell).replace('"', '""') + '"'
+
+
 def _csv_rows(head: dict, rows) -> Iterator[str]:
     line = csv.writer(_Lines(), lineterminator="\n").writerow
     yield line(head.keys()) + line(head.values())  # csv writes None as ""
     for row in rows:
-        yield line([c if isinstance(c, int) else cell_json(c) for c in row])
+        yield ",".join(map(_csv_cell, row)) + "\n"
 
 
 def cmd_triangle(args: argparse.Namespace) -> tuple[Iterator[str], int]:

@@ -27,7 +27,10 @@ all one (q,r)-Dowling expansion,
 
 whose two sides the private _dowling_sides computes at an integer x or
 symbolically in x; the wrappers keep their own tags, parameters, variants
-and argument checks.  katriel and result1 are its (m, r) = (1, 0) case:
+and argument checks.  It sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·
+(m[j]+r)^(n-k) is built from powers stepped by the O(deg) kernels window
+and shift, so the only dense products are the n + 1 products
+D_{m,0}(k)·S_k.  katriel and result1 are its (m, r) = (1, 0) case:
 there W is the q-Stirling triangle, m[j] + r is [j] and D_{1,0} the q-Bell
 polynomial, which is how the paper's (q,r)-Dowling formula generalises the
 q-Bell form of Spivey's formula.  All five read the one q-triangle
@@ -120,43 +123,53 @@ def verify_spivey(n: int, mshift: int) -> VerificationReport:
     return VerificationReport.check("spivey", "n/a", params, lhs, rhs)
 
 
-def _xfactor(variant: str, x: int, m: int):
-    """X_j at integer x: m^j·[x][x-1]..[x-j+1] when literal, x^j when corrected."""
-    if variant == "literal":
-        return lambda j: q_falling(x, j) * (m**j)
-    return lambda j: QPoly.const(x**j)
-
-
 def _dowling_sides(n: int, l: int, m: int, r: int, x=None, variant="corrected"):
     """Both sides of the (q,r)-Dowling expansion
 
-        D_{m,r}(n+l) == Σ_j Σ_k W[l,j]·C(n,k)·(m[j]+r)^(n-k)·q^(jk)·D_{m,0}(k)·X_j
+        D_{m,r}(n+l) == Σ_k C(n,k)·D_{m,0}(k)·S_k,
+        S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k),
 
     at the integer x, or symbolically in x when x is None; the symbolic
-    form has only the corrected shape, X_j = x^j.  Each (m[j]+r)^(n-k) is
-    built once per j.
+    form has only the corrected shape, X_j = x^j.  For each j with
+    W[l,j]·X_j != 0, t = W[l,j]·(m[j]+r)^(n-k) steps from k = n down to 0
+    by the O(deg) product t·[j]·m + t·r, and t·q^(jk) is slot j of S_k.
+    S_k is the XQPoly of its slots: read at x for the corrected shape,
+    summed against X_j = m^j·[x][x-1]..[x-j+1] for the literal one.  The
+    n + 1 products D_{m,0}(k)·S_k are the only dense products.
     """
     row = triangles.qr_whitney(l, m, r)[l]
     lhs = triangles.qr_dowling_poly(n + l, m, r)
     d = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
     if x is None:
-        xfactor, rhs = XQPoly.monomial, XQPoly.zero()
+        rhs, xf = XQPoly.zero(), None
     else:
-        lhs, d = lhs.eval_x(x), [p.eval_x(x) for p in d]
-        xfactor, rhs = _xfactor(variant, x, m), QPoly.zero()
-    for j, w in enumerate(row):
-        if not w:
+        lhs, d, rhs = lhs.eval_x(x), [p.eval_x(x) for p in d], QPoly.zero()
+        if variant == "literal":
+            xf = [q_falling(x, j) * (m**j) for j in range(l + 1)]
+        else:
+            xf = [x**j for j in range(l + 1)]
+    slots = [[QPoly.zero()] * (l + 1) for _ in range(n + 1)]
+    for j, t in enumerate(row):
+        if not t or xf is not None and not xf[j]:
             continue
-        xj = xfactor(j)
-        if not xj:
-            continue
-        b = q_int(j) * m + r
-        powers = [QPoly.one()]
-        for _ in range(n):
-            powers.append(powers[-1] * b)
-        for k in range(n + 1):
-            c = (w * binom(n, k) * powers[n - k]).shift(j * k)
-            rhs = rhs + d[k] * c * xj
+        for k in range(n, -1, -1):
+            # t is W[l,j]·(m[j]+r)^(n-k)
+            slots[k][j] = t.shift(j * k)
+            if k:
+                # times m[j] + r; the products by m = 1 and r = 0 are
+                # skipped, as in triangles.qr_whitney_rows
+                w = t.window(j)
+                if m != 1:
+                    w = w * m
+                t = w + t * r if r else w
+    for k, slot in enumerate(slots):
+        if x is None:
+            s = XQPoly._make(slot)
+        elif variant == "literal":
+            s = sum((c * f for c, f in zip(slot, xf) if c), QPoly.zero())
+        else:
+            s = XQPoly._make(slot).eval_x(x)
+        rhs = rhs + d[k] * (s * binom(n, k))
     return lhs, rhs
 
 

@@ -23,6 +23,10 @@ boson.py steps with; it is tested as the inverse of window, whose own
 reference is the convolution, and it raises on a nonzero remainder
 rather than truncate.  The convolution skips zero coefficients of both
 operands, so a product by a sparse operand costs its nonzero terms.
+XQPoly.eval_x, the substitution of an integer for x, is a kernel over
+plain ints: it sums c_j·s^j into one list of ints, with no QPoly built
+per term, and is tested against the Horner reference (QPoly.eval_int
+keeps the Horner loop).
 
 Validation stays at the boundary: the constructors, const, monomial and
 from_json check every coefficient.  Ring operations build their results
@@ -350,7 +354,19 @@ class XQPoly(_Dense):
         """Substitute a nonnegative integer for x; the result stays in q."""
         if not isinstance(s, int) or s < 0:
             raise ValueError("x substitution must be a nonnegative integer")
-        return self._horner(s)
+        # acc[i] += c_j[i]·s^j over plain ints: no QPoly is built per term
+        acc: list[int] = []
+        power = 1
+        for c in self.coeffs:
+            if not power:
+                break
+            cs = c.coeffs
+            if len(acc) < len(cs):
+                acc.extend([0] * (len(cs) - len(acc)))
+            for i, ci in enumerate(cs):
+                acc[i] += ci * power
+            power *= s
+        return QPoly._make(acc)
 
     def to_json(self) -> list[list[str]]:
         """List of QPoly encodings, ascending powers of x."""

@@ -125,7 +125,8 @@ def qr_whitney_rows(
 
 def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
     """The (q,r)-Dowling polynomial: Whitney row n read in x."""
-    return XQPoly(qr_whitney(n, m, r)[n])
+    # the row's cells are checked QPolys already
+    return XQPoly._make(list(qr_whitney(n, m, r)[n]))
 
 
 def r_whitney(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:

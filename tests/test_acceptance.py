@@ -75,6 +75,18 @@ def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
     assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool is imported by the run that starts one, not by every command."""
+    code = (
+        "import sys, qspivey.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _run_sweep(jobs):
     return subprocess.run(
         [

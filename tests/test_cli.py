@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -320,6 +321,36 @@ def test_streamed_triangle_matches_the_whole_payload(capsys):
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
             assert out == _reference_triangle(kind, n, m, r, fmt), argv
+
+
+def test_direct_csv_rows_are_what_csv_writer_writes():
+    """Each row line is csv.writer's text for the row, on seeded random int
+    and QPoly rows with zero, negative and > 2**64 coefficients."""
+    rng = random.Random(20261018)
+    bits = (1, 8, 63, 64, 65, 200)
+
+    def rand_int():
+        return rng.choice((-1, 0, 1)) * rng.getrandbits(rng.choice(bits))
+
+    rows = [(0,), (QPoly.zero(),), (QPoly([0]), QPoly([-1]), QPoly([2**64, 0, -5]))]
+    for _ in range(200):
+        if rng.random() < 0.3:
+            rows.append(tuple(rand_int() for _ in range(rng.randint(1, 8))))
+        else:
+            rows.append(
+                tuple(
+                    QPoly([rand_int() for _ in range(rng.randint(0, 6))])
+                    for _ in range(rng.randint(1, 8))
+                )
+            )
+    head = {"kind": "qr-whitney", "m": None, "r": 2, "n_max": len(rows) - 1}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(head.keys())
+    writer.writerow(head.values())
+    for row in rows:
+        writer.writerow([c if isinstance(c, int) else dumps(encode(c)) for c in row])
+    assert "".join(cli._csv_rows(head, rows)) == buf.getvalue()
 
 
 def test_triangle_usage_errors_write_nothing(monkeypatch, tmp_path, capsys):

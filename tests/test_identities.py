@@ -18,6 +18,7 @@ from qspivey import (
     identities,
     triangles,
 )
+from qspivey.qcalc import binom, q_falling, q_int
 
 
 def test_stirling_def_and_bell_recurrence():
@@ -126,6 +127,53 @@ def test_result2_literal_fails_with_pinned_payload():
     assert QPoly.from_json(rep.rhs).eval_int(1) == 10
     assert rep.lhs == ["5", "1"]
     assert rep.rhs == ["8", "2"]
+
+
+def _ref_dowling_sides(n, l, m, r, x=None, variant="corrected"):
+    """The (q,r)-Dowling double sum term by term, with no O(deg) kernel:
+    every power of m[j] + r, every q^(jk) and every X_j is a schoolbook
+    product, and x is substituted by Horner's rule."""
+    row = triangles.qr_whitney(l, m, r)[l]
+    lhs = triangles.qr_dowling_poly(n + l, m, r)
+    d = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
+    if x is None:
+        rhs = XQPoly.zero()
+    else:
+        lhs, d, rhs = lhs._horner(x), [p._horner(x) for p in d], QPoly.zero()
+    for j, w in enumerate(row):
+        if x is None:
+            xj = XQPoly.monomial(j)
+        elif variant == "literal":
+            xj = q_falling(x, j) * (m**j)
+        else:
+            xj = QPoly.const(x**j)
+        b = q_int(j) * m + r
+        for k in range(n + 1):
+            power = QPoly.one()
+            for _ in range(n - k):
+                power = power * b
+            term = w * binom(n, k) * power * QPoly.monomial(j * k)
+            rhs = rhs + d[k] * term * xj
+    return lhs, rhs
+
+
+def test_dowling_sides_match_the_term_by_term_sum():
+    for n in range(5):
+        for l in range(5):
+            for m in (1, 2, 3):
+                for r in (0, 1, 2):
+                    args = (n, l, m, r)
+                    assert identities._dowling_sides(*args) == _ref_dowling_sides(
+                        *args
+                    ), args
+                    for x in range(5):
+                        for variant in ("literal", "corrected"):
+                            got = identities._dowling_sides(*args, x, variant)
+                            want = _ref_dowling_sides(*args, x, variant)
+                            assert got == want, (args, x, variant)
+    # the literal witness of result2 stays what it was
+    lhs, rhs = identities._dowling_sides(1, 1, 2, 1, 1, "literal")
+    assert (lhs.to_json(), rhs.to_json()) == (["5", "1"], ["8", "2"])
 
 
 def test_result2_reduces_to_katriel_at_weight_one():

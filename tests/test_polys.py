@@ -364,6 +364,29 @@ def test_differential_against_plain_lists():
             assert got == p
 
 
+def test_eval_x_against_horner_on_edge_inputs():
+    """The integer eval_x kernel against the Horner reference: zero, s = 0
+    and 1, s >= 10**6, coefficients past 2**64 and negative ones."""
+    rng = random.Random(20261019)
+    big = 2**64
+    cases = [[], [[]], [[], [], [5]], [[-1], [], [0, -big]], [[big + 1, -3], [], [-big]]]
+    for _ in range(60):
+        cases.append(
+            [
+                [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 8, 64, 65, 200)))
+                 for _ in range(rng.randint(0, 6))]
+                for _ in range(rng.randint(0, 6))
+            ]
+        )
+    for xa in cases:
+        p = XQPoly(QPoly(c) for c in xa)
+        for s in (0, 1, 2, 7, 10**6, 10**6 + 3, big):
+            _q(p.eval_x(s), _ref_horner(xa, [s], _ref_add, _ref_mul, []))
+    assert XQPoly.zero().eval_x(0) == XQPoly.zero().eval_x(10**6) == QPoly.zero()
+    with pytest.raises(ValueError):
+        XQPoly([1]).eval_x(-1)
+
+
 def test_kernels_reject_negative_lengths():
     with pytest.raises(ValueError):
         QPoly([1]).shift(-1)
