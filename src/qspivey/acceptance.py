@@ -243,9 +243,7 @@ def criterion_8() -> list[Task]:
 def criterion_9() -> list[Task]:
     """Specialization chain: q = 1 collapses and the m-weighted reduction."""
     tasks: list[Task] = []
-    q1 = [
-        [c.eval_int(1) for c in row] for row in triangles.q_stirling2(12)
-    ]
+    q1 = triangles.r_whitney(12, 1, 0)
     tasks.append(_pin("q-stirling-at-1", {"n": 12}, q1, triangles.stirling2(12)))
     for m in (1, 2, 3):
         for r in (0, 1, 2):

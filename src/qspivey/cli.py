@@ -3,15 +3,18 @@
 Subcommands: triangle, poly, numbers, normal-order, verify, sweep.
 Output is deterministic byte for byte: JSON is emitted with sorted keys
 and fixed separators, every computed value is written by report.encode
-(a triangle cell by report.cell_json, which writes the same text), and
-parallel runs (--jobs) merge results in the same order as sequential
-ones.
+(a triangle cell, row sum or polynomial coefficient by report.cell_json,
+which writes the same text), and parallel runs (--jobs) merge results in
+the same order as sequential ones.
 
 Each command checks its flags and returns the pieces of its output and
-its exit code; main writes each piece as it comes.  triangle yields its
-header, then one row at a time, then the closing brackets, so it holds
-two rows at once, not the triangle and its text; the other commands
-yield their one text as a single piece.
+its exit code; main writes each piece as it comes.  triangle, numbers
+and poly stream: one table, _KINDS, names the row generator of each kind
+(the integer rows or the q-rows), which they drive with no cache.
+triangle writes rows 0..n, numbers one row sum per row and poly the
+cells of row n, all through one list writer, _json_list (or _csv_rows),
+so each holds two rows at once, not the triangle and its text.  The
+other commands yield their one text as a single piece.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions (with no output
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import stat
 import sys
@@ -123,22 +125,40 @@ def _jobs(cmd: str, args: argparse.Namespace) -> int:
     return jobs
 
 
-class _Lines:
-    """A file for csv.writer whose write hands the text back, so writerow
-    returns the line it formats."""
+# kind -> (row generator in triangles: the integer rows or the q-rows,
+# weighted); looked up by name when a command runs, so a patch takes effect
+_KINDS = {
+    "stirling2": ("r_whitney_classic_rows", False),
+    "bell": ("r_whitney_classic_rows", False),
+    "r-whitney": ("r_whitney_classic_rows", True),
+    "r-dowling": ("r_whitney_classic_rows", True),
+    "q-stirling2": ("qr_whitney_rows", False),
+    "q-bell": ("qr_whitney_rows", False),
+    "qr-whitney": ("qr_whitney_rows", True),
+    "qr-dowling": ("qr_whitney_rows", True),
+}
 
-    def write(self, text: str) -> str:
-        return text
+
+def _kind_rows(cmd: str, args: argparse.Namespace):
+    """The validated n and (m, r) of a command, and rows 0..n of its kind's
+    triangle, made by the row generator with no cache."""
+    rows_of, weighted = _KINDS[args.kind]
+    n = _n_max(cmd, args)
+    m, r = _m_r(cmd, args, weighted)
+    rows = getattr(triangles, rows_of)(m or 1, r or 0)
+    return n, m, r, islice(rows, n + 1)
 
 
-def _json_rows(head: dict, rows) -> Iterator[str]:
-    # "rows" sorts after every other key, so the payload ends with it
-    yield dumps(head)[:-1] + ',"rows":['
+def _json_list(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
+    """dumps of head with the list of items (each a JSON text) under key,
+    plus a newline, written item by item wherever sorted keys put key."""
+    before, _, after = dumps({**head, key: None}).partition(f'"{key}":null')
+    yield before + f'"{key}":['
     sep = ""
-    for row in rows:
-        yield sep + "[" + ",".join(map(cell_json, row)) + "]"
+    for item in items:
+        yield sep + item
         sep = ","
-    yield "]}\n"
+    yield "]" + after + "\n"
 
 
 def _csv_cell(cell) -> str:
@@ -153,54 +173,34 @@ def _csv_cell(cell) -> str:
 
 
 def _csv_rows(head: dict, rows) -> Iterator[str]:
-    line = csv.writer(_Lines(), lineterminator="\n").writerow
-    yield line(head.keys()) + line(head.values())  # csv writes None as ""
+    # the head holds a kind name, ints and None (written as ""): nothing to quote
+    values = ("" if v is None else str(v) for v in head.values())
+    yield ",".join(head) + "\n" + ",".join(values) + "\n"
     for row in rows:
         yield ",".join(map(_csv_cell, row)) + "\n"
 
 
 def cmd_triangle(args: argparse.Namespace) -> tuple[Iterator[str], int]:
-    kind = args.kind
-    n = _n_max("triangle", args)
-    m, r = _m_r("triangle", args, kind in ("r-whitney", "qr-whitney"))
-    if kind == "stirling2":
-        rows = triangles.r_whitney_classic_rows(1, 0)
-    elif kind == "q-stirling2":
-        rows = triangles.qr_whitney_rows(1, 0)
-    elif kind == "r-whitney":
-        rows = map(triangles.at_q_one, triangles.qr_whitney_rows(m, r))
-    else:
-        rows = triangles.qr_whitney_rows(m, r)
-    head = {"kind": kind, "m": m, "r": r, "n_max": n}
-    pieces = _json_rows if args.format == "json" else _csv_rows
-    return pieces(head, islice(rows, n + 1)), 0
+    n, m, r, rows = _kind_rows("triangle", args)
+    head = {"kind": args.kind, "m": m, "r": r, "n_max": n}
+    if args.format == "csv":
+        return _csv_rows(head, rows), 0
+    cells = ("[" + ",".join(map(cell_json, row)) + "]" for row in rows)
+    return _json_list(head, "rows", cells), 0
 
 
-def cmd_poly(args: argparse.Namespace) -> tuple[list[str], int]:
-    n = _n_max("poly", args)
-    m, r = _m_r("poly", args, args.kind == "qr-dowling")
-    if args.kind == "q-bell":
-        coeffs = encode(triangles.q_bell_poly(n))
-        payload = {"kind": "q-bell", "n": n, "coeffs": coeffs}
-    else:
-        coeffs = encode(triangles.qr_dowling_poly(n, m, r))
-        payload = {"kind": "qr-dowling", "n": n, "m": m, "r": r, "coeffs": coeffs}
-    return [dumps(payload) + "\n"], 0
+def cmd_poly(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    n, m, r, rows = _kind_rows("poly", args)
+    for row in rows:  # keeps only the last row, row n
+        pass
+    head = {"kind": args.kind, "n": n, **({"m": m, "r": r} if m else {})}
+    return _json_list(head, "coeffs", map(cell_json, row)), 0
 
 
-def cmd_numbers(args: argparse.Namespace) -> tuple[list[str], int]:
-    n = _n_max("numbers", args)
-    m, r = _m_r("numbers", args, args.kind == "r-dowling")
-    payload = {"kind": args.kind, "n_max": n}
-    if args.kind == "bell":
-        payload["values"] = encode(triangles.bell(n))
-    elif args.kind == "q-bell":
-        payload["values"] = encode(
-            [triangles.q_bell_poly(i).eval_x(1) for i in range(n + 1)]
-        )
-    else:
-        payload.update(m=m, r=r, values=encode(triangles.r_dowling(n, m, r)))
-    return [dumps(payload) + "\n"], 0
+def cmd_numbers(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    n, m, r, rows = _kind_rows("numbers", args)
+    head = {"kind": args.kind, "n_max": n, **({"m": m, "r": r} if m else {})}
+    return _json_list(head, "values", (cell_json(sum(row)) for row in rows)), 0
 
 
 def cmd_normal_order(args: argparse.Namespace) -> tuple[list[str], int]:

@@ -36,8 +36,9 @@ polynomial, which is how the paper's (q,r)-Dowling formula generalises the
 q-Bell form of Spivey's formula.  All five read the one q-triangle
 builder, so they check the expansion, not the triangle; the triangle is
 checked against the normal-ordering engine (triangle-oracle) and, at
-q = 1, against the integer triangle.  spivey, stirling-def and bell-rec
-read that integer triangle, and result3 keeps its own integer double sum.
+q = 1, against the integer triangle.  spivey, stirling-def, bell-rec
+and result3 read that integer triangle (result3 its rows and their row
+sums, the r-Dowling numbers), never the q-rows at q = 1.
 
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
@@ -242,7 +243,7 @@ def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> Verification
         raise ValueError("weight m must be >= 1")
     if n < 0 or l < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    wrow = triangles.r_whitney(l, m, r)[l]
+    wrow = triangles.r_whitney_classic(l, m, r)[l]
     d0 = triangles.r_dowling(n, m, 0)
     lhs = triangles.r_dowling(n + l, m, r)[n + l]
     rhs = 0

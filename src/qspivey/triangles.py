@@ -10,9 +10,11 @@ q = 1 it is the classical r-Whitney triangle, whose (1, 0) case is the
 Stirling triangle S(n,k) = S(n-1,k-1) + k·S(n-1,k).  So there are two row
 loops, each a row generator: qr_whitney_rows over q-polynomials and
 r_whitney_classic_rows over the integers; q_stirling2, q_bell_poly and
-stirling2 are their (1, 0) cases.  r_whitney_classic never touches the
-q-triangle, so the q = 1 specialization of qr_whitney has an independent
-route to be checked against.
+stirling2 are their (1, 0) cases.  Every integer answer (stirling2,
+bell, r_whitney_classic, r_dowling) comes from the integer rows, which
+never touch the q-triangle.  r_whitney, the q-rows evaluated at q = 1, is
+that specialization alone: the cross-route checks compare it with
+r_whitney_classic, so the two routes stay independent.
 
 The k = 0 column comes out as r^n, so 0 for n >= 1 in the Stirling case,
 which matches the operator picture: m^k·W[n,k] is the coefficient of
@@ -130,25 +132,23 @@ def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
 
 
 def r_whitney(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Classical r-Whitney rows, obtained by evaluating the q-rows at q = 1."""
-    return tuple(map(at_q_one, qr_whitney(n_max, m, r)))
-
-
-def at_q_one(row: tuple[QPoly, ...]) -> tuple[int, ...]:
-    """A q-row evaluated at q = 1."""
-    return tuple(c.eval_int(1) for c in row)
+    """The q-rows evaluated at q = 1: the q = 1 specialization that the
+    cross-route checks compare with r_whitney_classic."""
+    return tuple(
+        tuple(c.eval_int(1) for c in row) for row in qr_whitney(n_max, m, r)
+    )
 
 
 def r_dowling(n_max: int, m: int, r: int) -> tuple[int, ...]:
     """Classical r-Dowling numbers as r-Whitney row sums."""
-    return tuple(sum(row) for row in r_whitney(n_max, m, r))
+    return tuple(sum(row) for row in r_whitney_classic(n_max, m, r))
 
 
 def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Independent classical recurrence W(n,k) = W(n-1,k-1) + (mk+r)·W(n-1,k).
 
-    Built directly over the integers, never touching the q-triangle; used
-    to cross-check the q = 1 specialization.
+    Built directly over the integers, never touching the q-triangle; it
+    serves every integer answer and cross-checks r_whitney.
     """
     if m < 1:
         raise ValueError("weight m must be >= 1")

@@ -323,6 +323,35 @@ def test_streamed_triangle_matches_the_whole_payload(capsys):
             assert out == _reference_triangle(kind, n, m, r, fmt), argv
 
 
+def test_streamed_numbers_and_poly_match_the_whole_payload(capsys):
+    # the whole payloads as the library builds them: q-Bell numbers as the
+    # q-Bell polynomials at x = 1, polynomials as XQPoly values
+    weights = list(product(range(1, 4), range(3)))
+    for n in range(13):
+        wants = {
+            ("numbers", "bell", None, None): triangles.bell(n),
+            ("numbers", "q-bell", None, None): [
+                triangles.q_bell_poly(i).eval_x(1) for i in range(n + 1)
+            ],
+            ("poly", "q-bell", None, None): triangles.q_bell_poly(n),
+        }
+        for m, r in weights:
+            wants["numbers", "r-dowling", m, r] = triangles.r_dowling(n, m, r)
+            wants["poly", "qr-dowling", m, r] = triangles.qr_dowling_poly(n, m, r)
+        for (cmd, kind, m, r), value in wants.items():
+            argv = [cmd, "--kind", kind, "--n", str(n)]
+            if cmd == "numbers":
+                payload = {"kind": kind, "n_max": n, "values": encode(value)}
+            else:
+                payload = {"kind": kind, "n": n, "coeffs": encode(value)}
+            if m is not None:
+                argv += ["--m", str(m), "--r", str(r)]
+                payload.update(m=m, r=r)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == dumps(payload) + "\n", argv
+
+
 def test_direct_csv_rows_are_what_csv_writer_writes():
     """Each row line is csv.writer's text for the row, on seeded random int
     and QPoly rows with zero, negative and > 2**64 coefficients."""
@@ -500,8 +529,12 @@ def test_out_in_a_closed_directory_writes_its_file_in_place(monkeypatch, tmp_pat
 
 
 def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
-    argv = ["triangle", "--kind", "q-stirling2", "--n", "6"]
-    _, whole, _ = run_cli(capsys, *argv)
+    # triangle streams rows and numbers row sums; both read qr_whitney_rows
+    commands = [
+        ["triangle", "--kind", "q-stirling2", "--n", "6"],
+        ["numbers", "--kind", "q-bell", "--n", "6"],
+    ]
+    wholes = [run_cli(capsys, *argv)[1] for argv in commands]
     real = triangles.qr_whitney_rows
 
     def two_rows_then_fault(m, r, last=None):
@@ -509,22 +542,22 @@ def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(triangles, "qr_whitney_rows", two_rows_then_fault)
+    for argv, whole in zip(commands, wholes):
+        # --out: the file already there is left byte for byte, with no temp file
+        target = tmp_path / "rows.json"
+        target.write_bytes(b"previous\x00bytes\n")
+        assert cli.main([*argv, "--out", str(target)]) == 1, argv
+        assert "internal error: injected fault" in capsys.readouterr().err
+        assert target.read_bytes() == b"previous\x00bytes\n"
+        assert os.listdir(tmp_path) == ["rows.json"]
 
-    # --out: the file already there is left byte for byte, with no temp file
-    target = tmp_path / "rows.json"
-    target.write_bytes(b"previous\x00bytes\n")
-    assert cli.main([*argv, "--out", str(target)]) == 1
-    assert "internal error: injected fault" in capsys.readouterr().err
-    assert target.read_bytes() == b"previous\x00bytes\n"
-    assert os.listdir(tmp_path) == ["rows.json"]
-
-    # stdout: the header and the two rows stay
-    stdout = _RecordingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert cli.main(argv) == 1
-    assert "internal error: injected fault" in capsys.readouterr().err
-    assert len(stdout.pieces) == 3
-    assert whole.startswith(stdout.getvalue())
+        # stdout: the header and the two rows (or row sums) stay
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == 1, argv
+        assert "internal error: injected fault" in capsys.readouterr().err
+        assert len(stdout.pieces) == 3
+        assert whole.startswith(stdout.getvalue())
 
 
 def test_unknown_identity_and_missing_subcommand(capsys):
@@ -703,6 +736,16 @@ PINNED_STDOUT = [
      "3d81d951b876bb2ff4a78e62e4368587d55d5ee18593faeb19aca784f0fdb690", 9239),
     ("numbers --kind q-bell --n 16", 0,
      "b963a327f939189aafd439f1c3a5b576ec4e477039233c8d984f587a48c59ca6", 5319),
+    ("numbers --kind bell --n 300", 0,
+     "6913e8fe1d5513b055e7f309092d88f71e1c6ada2ff0fe58922f2430279064a3", 62109),
+    ("numbers --kind r-dowling --n 40 --m 3 --r 2", 0,
+     "4a3176dee633731022e4018b7e45bc16b850274a0d7f7b2dd105e637a79d073a", 1098),
+    ("poly --kind q-bell --n 12", 0,
+     "a26ccf3aa4812dc5c1afad8a0599e23c9ff3b60930793c023d1a5380ba531723", 2731),
+    ("triangle --kind stirling2 --n 40 --format csv", 0,
+     "e5871e348d3b83e138e458bee64118b803caa0a3cc453ae9db550f445f6c8a21", 12883),
+    ("triangle --kind r-whitney --n 40 --m 3 --r 2", 0,
+     "ba48bf779c533e90fd3fb4b3438de24d3371b49e5661e401ac20d5dccf882566", 20706),
     ("normal-order --expr (2*N+1)^10-ad^3*a^2+7", 0,
      "3353116852b155285d5ea0ac17e64b58f39d9197c9180743bf94f707394d9bf3", 2124),
     ("normal-order --expr a^60*ad^60", 0,
