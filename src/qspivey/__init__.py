@@ -33,8 +33,10 @@ from .identities import (
     verify_lemma,
     verify_result1,
     verify_result1_xpoly,
+    verify_result1_xs,
     verify_result2,
     verify_result2_xpoly,
+    verify_result2_xs,
     verify_result3,
     verify_spivey,
     verify_stirling_def,
@@ -76,8 +78,10 @@ __all__ = [
     "verify_lemma",
     "verify_result1",
     "verify_result1_xpoly",
+    "verify_result1_xs",
     "verify_result2",
     "verify_result2_xpoly",
+    "verify_result2_xs",
     "verify_result3",
     "verify_spivey",
     "verify_stirling_def",

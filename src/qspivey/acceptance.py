@@ -2,12 +2,15 @@
 
 Each criterion function returns a task list: a functools.partial over a
 verifier per checked instance, plus the cheap pinned witnesses as reports
-built with the list.  A pin is VerificationReport.check of an observed
-value against its frozen expectation, both given as raw values.  run_tasks
-is the one runner, for the sweep and for the CLI's verify: it calls the
-partials, passes reports through and keeps task order for any job count.
-A criterion holds iff all its reports passed.  Expected failures of the
-literal variants are pinned by reports whose lhs is the observed
+built with the list.  Criteria 6 and 7 check each (n, l, m, r) at every x
+in one task, whose partial returns that instance's reports in x order, so
+the x-free work is done once per instance.  A pin is
+VerificationReport.check of an observed value against its frozen
+expectation, both given as raw values.  run_tasks is the one runner, for
+the sweep and for the CLI's verify: it calls the partials, passes reports
+through, splices in the lists of reports and keeps task order for any job
+count.  A criterion holds iff all its reports passed.  Expected failures
+of the literal variants are pinned by reports whose lhs is the observed
 (passed, lhs, rhs) triple, so a literal variant that quietly started
 passing fails the suite as loudly as a corrected variant that broke.
 
@@ -28,7 +31,8 @@ from .polys import QPoly
 from .qcalc import q_falling, q_int
 from .report import VerificationReport, dumps
 
-Task = Union[VerificationReport, Callable[[], VerificationReport]]
+Result = Union[VerificationReport, list[VerificationReport]]
+Task = Union[VerificationReport, Callable[[], Result]]
 
 # work items per worker process; more items balance the load better, fewer
 # cost less inter-process traffic
@@ -43,12 +47,16 @@ def ProcessPoolExecutor(*args, **kwargs):
     return pool(*args, **kwargs)
 
 
-def _run(task: Task) -> VerificationReport:
+def _run(task: Task) -> Result:
     return task if isinstance(task, VerificationReport) else task()
 
 
-def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
-    """The reports of tasks in task order, on at most min(jobs, tasks, CPUs)
+def _reports(result: Result) -> list[VerificationReport]:
+    return result if isinstance(result, list) else [result]
+
+
+def _results(tasks: list[Task], jobs: int) -> list[Result]:
+    """One result per task, in task order, on at most min(jobs, tasks, CPUs)
     worker processes; one worker or fewer runs them in this process."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -56,6 +64,12 @@ def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
     chunk = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run, tasks, chunksize=chunk))
+
+
+def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
+    """The reports of tasks in task order, a task's list of reports in its
+    own order; jobs caps the worker processes as in _results."""
+    return [rep for result in _results(tasks, jobs) for rep in _reports(result)]
 
 
 def _pin(identity: str, params: dict, observed, expected) -> VerificationReport:
@@ -159,12 +173,12 @@ def criterion_5() -> list[Task]:
 
 def criterion_6() -> list[Task]:
     """q-Bell polynomial expansion: corrected passes on n + mshift <= 8,
-    x in 0..6; the literal shape fails at (n, mshift, x) = (1, 2, 1)."""
+    x in 0..6 (one task per (n, mshift)); the literal shape fails at
+    (n, mshift, x) = (1, 2, 1)."""
     tasks: list[Task] = [
-        partial(identities.verify_result1, n, total - n, x, "corrected")
+        partial(identities.verify_result1_xs, n, total - n, range(7), "corrected")
         for total in range(9)
         for n in range(total + 1)
-        for x in range(7)
     ]
     inner = identities.verify_result1(1, 2, 1, "literal")
     tasks.append(
@@ -180,15 +194,17 @@ def criterion_6() -> list[Task]:
 
 def criterion_7() -> list[Task]:
     """(q,r)-Dowling polynomial expansion: corrected passes on n + l <= 7,
-    m in 1..3, r in 0..2, x in 0..5; the literal shape fails at
-    (n, l, m, r, x) = (1, 1, 2, 1, 1), where q = 1 gives 10 against 6."""
+    m in 1..3, r in 0..2, x in 0..5 (one task per (n, l, m, r)); the literal
+    shape fails at (n, l, m, r, x) = (1, 1, 2, 1, 1), where q = 1 gives 10
+    against 6."""
     tasks: list[Task] = [
-        partial(identities.verify_result2, n, total - n, m, r, x, "corrected")
+        partial(
+            identities.verify_result2_xs, n, total - n, m, r, range(6), "corrected"
+        )
         for total in range(8)
         for n in range(total + 1)
         for m in (1, 2, 3)
         for r in (0, 1, 2)
-        for x in range(6)
     ]
     inner = identities.verify_result2(1, 1, 2, 1, 1, "literal")
     at_q1 = [QPoly.from_json(side).eval_int(1) for side in (inner.lhs, inner.rhs)]
@@ -317,8 +333,13 @@ def run_suite(jobs: int = 1) -> tuple[list[str], int]:
         batch = fn()
         labels += [(num, slug)] * len(batch)
         tasks += batch
-    reports = run_tasks(tasks, jobs)
-    lines = [_line(num, slug, rep) for (num, slug), rep in zip(labels, reports)]
+    reports: list[VerificationReport] = []
+    lines: list[str] = []
+    # a task's label goes to every report it returns
+    for (num, slug), result in zip(labels, _results(tasks, jobs)):
+        for rep in _reports(result):
+            reports.append(rep)
+            lines.append(_line(num, slug, rep))
     reports.append(_roundtrip(lines))
     lines.append(_line(11, "engineering-determinism", reports[-1]))
     return lines, sum(1 for rep in reports if not rep.passed)

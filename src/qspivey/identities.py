@@ -25,15 +25,18 @@ all one (q,r)-Dowling expansion,
 
     D_{m,r}(n+l) == Σ_j Σ_k W[l,j]·C(n,k)·(m[j]+r)^(n-k)·q^(jk)·D_{m,0}(k)·X_j,
 
-whose two sides the private _dowling_sides computes at an integer x or
-symbolically in x; the wrappers keep their own tags, parameters, variants
-and argument checks.  It sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·
-(m[j]+r)^(n-k) is built from powers stepped by the O(deg) kernels window
-and shift, so the only dense products are the n + 1 products
-D_{m,0}(k)·S_k.  katriel and result1 are its (m, r) = (1, 0) case:
-there W is the q-Stirling triangle, m[j] + r is [j] and D_{1,0} the q-Bell
-polynomial, which is how the paper's (q,r)-Dowling formula generalises the
-q-Bell form of Spivey's formula.  All five read the one q-triangle
+whose two sides the private _dowling_sides computes at each x of a range
+of integers, building its x-free parts once, or symbolically in x; the
+wrappers keep their own tags, parameters, variants and argument checks.
+verify_result1_xs and verify_result2_xs return one report per x of a
+range, and verify_result1 and verify_result2 are their one-x case.  It
+sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k) is built
+from powers stepped by the O(deg) kernels window and shift, so the only
+dense products are the n + 1 products D_{m,0}(k)·S_k per x.  katriel
+and result1 are its (m, r) = (1, 0) case: there W is the q-Stirling
+triangle, m[j] + r is [j] and D_{1,0} the q-Bell polynomial, which is how
+the paper's (q,r)-Dowling formula generalises the q-Bell form of Spivey's
+formula.  All five read the one q-triangle
 builder, so they check the expansion, not the triangle; the triangle is
 checked against the normal-ordering engine (triangle-oracle) and, at
 q = 1, against the integer triangle.  spivey, stirling-def, bell-rec
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import triangles
 from .boson import NormalForm, coherent_truncated
@@ -124,34 +127,37 @@ def verify_spivey(n: int, mshift: int) -> VerificationReport:
     return VerificationReport.check("spivey", "n/a", params, lhs, rhs)
 
 
-def _dowling_sides(n: int, l: int, m: int, r: int, x=None, variant="corrected"):
+def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected"):
     """Both sides of the (q,r)-Dowling expansion
 
         D_{m,r}(n+l) == Σ_k C(n,k)·D_{m,0}(k)·S_k,
         S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k),
 
-    at the integer x, or symbolically in x when x is None; the symbolic
-    form has only the corrected shape, X_j = x^j.  For each j with
-    W[l,j]·X_j != 0, t = W[l,j]·(m[j]+r)^(n-k) steps from k = n down to 0
-    by the O(deg) product t·[j]·m + t·r, and t·q^(jk) is slot j of S_k.
+    as one (lhs, rhs) pair per integer x in xs, or as one pair symbolic in
+    x when xs is None; the symbolic form has only the corrected shape,
+    X_j = x^j.  The Whitney row, lhs, the D_{m,0}(k) and the slots of the
+    S_k do not depend on x, so they are built once and read at each x.
+    For each j with W[l,j] != 0 and X_j != 0 at some x in xs,
+    t = W[l,j]·(m[j]+r)^(n-k) steps from k = n down to 0 by the O(deg)
+    product t·[j]·m + t·r, and t·q^(jk) is slot j of S_k.  A slot may be
+    left out only if X_j is 0 at every x: the literal [x][x-1]..[x-j+1]
+    vanishes for j > x, so one x at which it does not keeps the slot.
     S_k is the XQPoly of its slots: read at x for the corrected shape,
     summed against X_j = m^j·[x][x-1]..[x-j+1] for the literal one.  The
-    n + 1 products D_{m,0}(k)·S_k are the only dense products.
+    n + 1 products D_{m,0}(k)·S_k per x are the only dense products.
     """
     row = triangles.qr_whitney(l, m, r)[l]
     lhs = triangles.qr_dowling_poly(n + l, m, r)
     d = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
-    if x is None:
-        rhs, xf = XQPoly.zero(), None
+    if xs is None:
+        xfs = None
+    elif variant == "literal":
+        xfs = [[q_falling(x, j) * (m**j) for j in range(l + 1)] for x in xs]
     else:
-        lhs, d, rhs = lhs.eval_x(x), [p.eval_x(x) for p in d], QPoly.zero()
-        if variant == "literal":
-            xf = [q_falling(x, j) * (m**j) for j in range(l + 1)]
-        else:
-            xf = [x**j for j in range(l + 1)]
+        xfs = [[x**j for j in range(l + 1)] for x in xs]
     slots = [[QPoly.zero()] * (l + 1) for _ in range(n + 1)]
     for j, t in enumerate(row):
-        if not t or xf is not None and not xf[j]:
+        if not t or xfs is not None and not any(xf[j] for xf in xfs):
             continue
         for k in range(n, -1, -1):
             # t is W[l,j]·(m[j]+r)^(n-k)
@@ -163,22 +169,34 @@ def _dowling_sides(n: int, l: int, m: int, r: int, x=None, variant="corrected"):
                 if m != 1:
                     w = w * m
                 t = w + t * r if r else w
-    for k, slot in enumerate(slots):
-        if x is None:
-            s = XQPoly._make(slot)
-        elif variant == "literal":
-            s = sum((c * f for c, f in zip(slot, xf) if c), QPoly.zero())
-        else:
-            s = XQPoly._make(slot).eval_x(x)
-        rhs = rhs + d[k] * (s * binom(n, k))
-    return lhs, rhs
+    sums = [XQPoly._make(slot) for slot in slots]
+    if xs is None:
+        points = [(lhs, d, sums)]
+    else:
+        points = []
+        for x, xf in zip(xs, xfs):
+            if variant == "literal":
+                s_x = [
+                    sum((c * f for c, f in zip(slot, xf) if c), QPoly.zero())
+                    for slot in slots
+                ]
+            else:
+                s_x = [s.eval_x(x) for s in sums]
+            points.append((lhs.eval_x(x), [p.eval_x(x) for p in d], s_x))
+    pairs = []
+    for lhs_x, d_x, s_x in points:
+        rhs = d_x[0] * s_x[0]  # C(n,0) = 1
+        for k in range(1, n + 1):
+            rhs = rhs + d_x[k] * (s_x[k] * binom(n, k))
+        pairs.append((lhs_x, rhs))
+    return pairs
 
 
 def verify_katriel(n: int, l: int) -> VerificationReport:
     """q-Bell numbers: B_{n+l} == sum_{j,k} S[l,j] C(n,k) [j]^(n-k) q^(jk) B_k."""
     if n < 0 or l < 0:
         raise ValueError("arguments must be nonnegative")
-    lhs, rhs = _dowling_sides(n, l, 1, 0, 1)
+    [(lhs, rhs)] = _dowling_sides(n, l, 1, 0, [1])
     return VerificationReport.check("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
 
 
@@ -189,19 +207,30 @@ def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationRep
     · B_k(x); they differ in the final x-dependent factor (see the module
     docstring).
     """
+    return verify_result1_xs(n, mshift, [x], variant)[0]
+
+
+def verify_result1_xs(
+    n: int, mshift: int, xs: Sequence[int], variant: str
+) -> list[VerificationReport]:
+    """verify_result1 at each x in xs, in order, from one _dowling_sides."""
     _check_variant(variant)
-    if n < 0 or mshift < 0 or x < 0:
+    if n < 0 or mshift < 0 or any(x < 0 for x in xs):
         raise ValueError("arguments must be nonnegative")
-    lhs, rhs = _dowling_sides(n, mshift, 1, 0, x, variant)
-    params = {"n": n, "mshift": mshift, "x": x}
-    return VerificationReport.check("result1", variant, params, lhs, rhs)
+    sides = _dowling_sides(n, mshift, 1, 0, xs, variant)
+    return [
+        VerificationReport.check(
+            "result1", variant, {"n": n, "mshift": mshift, "x": x}, lhs, rhs
+        )
+        for x, (lhs, rhs) in zip(xs, sides)
+    ]
 
 
 def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
     """The corrected q-Bell expansion compared symbolically in x."""
     if n < 0 or mshift < 0:
         raise ValueError("arguments must be nonnegative")
-    lhs, rhs = _dowling_sides(n, mshift, 1, 0)
+    [(lhs, rhs)] = _dowling_sides(n, mshift, 1, 0)
     params = {"n": n, "mshift": mshift}
     return VerificationReport.check("result1-poly", "corrected", params, lhs, rhs)
 
@@ -215,14 +244,25 @@ def verify_result2(
     D_{m,0}(k; x); the literal shape additionally multiplies by m^j and the
     q-falling factor, the corrected shape by x^j only.
     """
+    return verify_result2_xs(n, l, m, r, [x], variant)[0]
+
+
+def verify_result2_xs(
+    n: int, l: int, m: int, r: int, xs: Sequence[int], variant: str
+) -> list[VerificationReport]:
+    """verify_result2 at each x in xs, in order, from one _dowling_sides."""
     _check_variant(variant)
     if m < 1:
         raise ValueError("weight m must be >= 1")
-    if n < 0 or l < 0 or r < 0 or x < 0:
+    if n < 0 or l < 0 or r < 0 or any(x < 0 for x in xs):
         raise ValueError("arguments must be nonnegative")
-    lhs, rhs = _dowling_sides(n, l, m, r, x, variant)
-    params = {"n": n, "l": l, "m": m, "r": r, "x": x}
-    return VerificationReport.check("result2", variant, params, lhs, rhs)
+    sides = _dowling_sides(n, l, m, r, xs, variant)
+    return [
+        VerificationReport.check(
+            "result2", variant, {"n": n, "l": l, "m": m, "r": r, "x": x}, lhs, rhs
+        )
+        for x, (lhs, rhs) in zip(xs, sides)
+    ]
 
 
 def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
@@ -231,7 +271,7 @@ def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
         raise ValueError("weight m must be >= 1")
     if n < 0 or l < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    lhs, rhs = _dowling_sides(n, l, m, r)
+    [(lhs, rhs)] = _dowling_sides(n, l, m, r)
     params = {"n": n, "l": l, "m": m, "r": r}
     return VerificationReport.check("result2-poly", "corrected", params, lhs, rhs)
 

@@ -20,10 +20,10 @@ Unicode minus sign is accepted for "-".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .boson import NormalForm
+from .report import Record
 
 
 class ParseError(ValueError):
@@ -34,30 +34,30 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
+    __slots__ = ("name",)
     name: str  # "a" | "ad" | "N"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
+    __slots__ = ("base", "exponent")
     base: "OpExpr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(Record):
+    __slots__ = ("left", "right")
     left: "OpExpr"
     right: "OpExpr"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
+    __slots__ = ("left", "right", "sign")
     left: "OpExpr"
     right: "OpExpr"
     sign: int  # +1 for addition, -1 for subtraction

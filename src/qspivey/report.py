@@ -20,18 +20,26 @@ canonical, so for two values of one type that is exact equality; across
 types an int equals its decimal string and a tuple the list of its items,
 which lets a pin state its expectation in the simplest form.  No other
 code builds a report or decides passed.
+
+dumps writes all JSON text through one module-level encoder with sorted
+keys and no whitespace, the text json.dumps gives with those options,
+without building an encoder per call.  VerificationReport and the opexpr
+AST nodes are Records: plain __slots__ classes that are immutable, equal
+field by field within one class, and repr and pickle like frozen
+dataclasses, so importing them loads no dataclasses module.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps(obj) -> str:
     """Canonical JSON text: sorted keys and no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def encode(value) -> Any:
@@ -52,8 +60,54 @@ def cell_json(cell) -> str:
     return '["' + '","'.join(map(str, cell.coeffs)) + '"]' if cell.coeffs else "[]"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class Record:
+    """An immutable record whose fields are its __slots__, given in order.
+
+    Two records are equal iff they are of the same class and their fields
+    are equal; the repr is Class(field=value, ...).  Pickling goes through
+    __reduce__ (the constructor and the field values), since the default
+    protocol would restore the fields through the refusing __setattr__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class VerificationReport(Record):
     """One verified instance of an identity.
 
     identity: enum-like tag naming what was checked.
@@ -65,6 +119,7 @@ class VerificationReport:
     passed:   whether the two encodings are equal.
     """
 
+    __slots__ = ("identity", "variant", "params", "lhs", "rhs", "passed")
     identity: str
     variant: str
     params: dict
@@ -96,12 +151,12 @@ class VerificationReport:
         if not isinstance(data["passed"], bool):
             raise TypeError(f"passed must be a JSON bool, got {data['passed']!r}")
         return cls(
-            identity=data["identity"],
-            variant=data["variant"],
-            params=dict(data["params"]),
-            lhs=data["lhs"],
-            rhs=data["rhs"],
-            passed=data["passed"],
+            data["identity"],
+            data["variant"],
+            dict(data["params"]),
+            data["lhs"],
+            data["rhs"],
+            data["passed"],
         )
 
     def to_json_line(self) -> str:

@@ -61,6 +61,25 @@ def test_run_tasks_keeps_task_order_for_any_job_count():
     assert acceptance.run_tasks(tasks, 2) == seq
     assert acceptance.run_tasks([], 4) == []
 
+    # a task may return a list of reports; they are spliced in in order
+    mixed = [
+        partial(identities.verify_result2_xs, 1, 1, 2, 1, range(3), "literal"),
+        VerificationReport("ready", "n/a", {"n": 0}, "1", "1", True),
+        partial(identities.verify_spivey, 2, 2),
+        partial(identities.verify_result1_xs, 1, 2, [], "corrected"),
+        partial(identities.verify_result1_xs, 2, 1, range(2), "corrected"),
+    ]
+    flat = acceptance.run_tasks(mixed, 1)
+    assert flat[3] is mixed[1], "a ready report passes through as it is"
+    assert flat == [
+        *(identities.verify_result2(1, 1, 2, 1, x, "literal") for x in range(3)),
+        mixed[1],
+        identities.verify_spivey(2, 2),
+        *(identities.verify_result1(2, 1, x, "corrected") for x in range(2)),
+    ]
+    assert acceptance.run_tasks(mixed, 2) == flat
+    assert acceptance.run_tasks(mixed[3:4], 2) == []
+
 
 def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
     def no_pool(*args, **kwargs):
@@ -75,16 +94,53 @@ def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
     assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
 
 
+def test_run_tasks_under_a_spawn_pool_matches_in_process(monkeypatch):
+    """Under a non-fork start method every task, list result and report
+    crosses a pickle; criterion 7's task list must come back unchanged."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = []
+
+    def spawn_pool(max_workers):
+        started.append(max_workers)
+        context = multiprocessing.get_context("spawn")
+        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+
+    tasks = acceptance.criterion_7()
+    here = acceptance.run_tasks(tasks, 1)
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 2)
+    assert acceptance.run_tasks(tasks, 2) == here
+    assert started == [2]
+
+
+def test_batched_criteria_keep_their_report_counts():
+    """Criteria 6 and 7 run one task per instance over all x; the reports
+    are still one per (instance, x) plus the literal witness."""
+    assert len(acceptance.criterion_6()) == 46
+    assert len(acceptance.criterion_7()) == 325
+    six = acceptance.run_criterion(6)
+    seven = acceptance.run_criterion(7)
+    assert len(six) == 316 and len(seven) == 1945
+    assert [rep.params["x"] for rep in six[:8]] == [0, 1, 2, 3, 4, 5, 6, 0]
+    assert [rep.params["x"] for rep in seven[:7]] == [0, 1, 2, 3, 4, 5, 0]
+
+
 def test_importing_the_cli_loads_no_process_pool():
-    """The pool is imported by the run that starts one, not by every command."""
+    """The pool is imported by the run that starts one, not by every
+    command, and the plain record classes need no dataclasses, so neither
+    it nor inspect, ast or dis is loaded."""
     code = (
         "import sys, qspivey.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis')\n"
+        "             if m in sys.modules))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
 
 
 def _run_sweep(jobs):

@@ -163,17 +163,52 @@ def test_dowling_sides_match_the_term_by_term_sum():
             for m in (1, 2, 3):
                 for r in (0, 1, 2):
                     args = (n, l, m, r)
-                    assert identities._dowling_sides(*args) == _ref_dowling_sides(
-                        *args
-                    ), args
+                    assert identities._dowling_sides(*args) == [
+                        _ref_dowling_sides(*args)
+                    ], args
                     for x in range(5):
                         for variant in ("literal", "corrected"):
-                            got = identities._dowling_sides(*args, x, variant)
-                            want = _ref_dowling_sides(*args, x, variant)
+                            got = identities._dowling_sides(*args, [x], variant)
+                            want = [_ref_dowling_sides(*args, x, variant)]
                             assert got == want, (args, x, variant)
     # the literal witness of result2 stays what it was
-    lhs, rhs = identities._dowling_sides(1, 1, 2, 1, 1, "literal")
+    [(lhs, rhs)] = identities._dowling_sides(1, 1, 2, 1, [1], "literal")
     assert (lhs.to_json(), rhs.to_json()) == (["5", "1"], ["8", "2"])
+
+
+def test_batched_verifiers_match_one_x_at_a_time():
+    """One call over the x range of criteria 6 and 7 gives the single-x
+    reports in x order, for both shapes and every instance of the two
+    criteria.  In the literal shape [x][x-1]..[x-j+1] vanishes for j > x,
+    so a slot that only some x of the range zero must still be summed."""
+    literal_failures = 0
+    for variant in ("literal", "corrected"):
+        for total in range(9):
+            for n in range(total + 1):
+                args = (n, total - n)
+                got = identities.verify_result1_xs(*args, range(7), variant)
+                want = [identities.verify_result1(*args, x, variant) for x in range(7)]
+                assert got == want, (args, variant)
+                literal_failures += sum(not rep.passed for rep in got)
+        for total in range(8):
+            for n in range(total + 1):
+                for m in (1, 2, 3):
+                    for r in (0, 1, 2):
+                        args = (n, total - n, m, r)
+                        got = identities.verify_result2_xs(*args, range(6), variant)
+                        want = [
+                            identities.verify_result2(*args, x, variant)
+                            for x in range(6)
+                        ]
+                        assert got == want, (args, variant)
+                        literal_failures += sum(not rep.passed for rep in got)
+    # only the literal shape fails, and it does at many instances
+    assert literal_failures > 100
+    assert identities.verify_result1_xs(1, 2, [], "literal") == []
+    with pytest.raises(ValueError):
+        identities.verify_result1_xs(1, 2, [0, -1], "corrected")
+    with pytest.raises(ValueError):
+        identities.verify_result2_xs(1, 1, 2, 1, [3, -1], "corrected")
 
 
 def test_result2_reduces_to_katriel_at_weight_one():

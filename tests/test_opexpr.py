@@ -1,5 +1,7 @@
 """Grammar, errors and evaluation of the operator expression language."""
 
+import pickle
+
 import pytest
 
 from qspivey import NormalForm, ParseError, QPoly, normal_order, parse, to_normal_form
@@ -106,3 +108,25 @@ def test_to_normal_form_walks_deep_trees_without_recursion():
         right = Prod(Atom("a"), right)
     assert to_normal_form(left) == NormalForm.lowering() * 3000
     assert to_normal_form(right) == NormalForm.lowering() ** 3000
+
+
+def test_ast_nodes_are_immutable_records():
+    """Field-wise equality within a node type, never across two types."""
+    node = parse("(2*N+1)^3")
+    with pytest.raises(AttributeError):
+        node.exponent = 4
+    with pytest.raises(AttributeError):
+        node.extra = 4
+    assert Pow(Atom("a"), 2) == Pow(Atom("a"), 2)
+    assert Pow(Atom("a"), 2) != Prod(Atom("a"), 2)
+    assert Sum(Lit(1), Lit(2), 1) != Sum(Lit(1), Lit(2), -1)
+    assert Lit(1) != 1 and Atom("a") != "a"
+    assert hash(Pow(Atom("a"), 2)) == hash(Pow(Atom("a"), 2))
+    assert len({Lit(1), Lit(1), Atom("a")}) == 2
+    assert repr(node) == (
+        "Pow(base=Sum(left=Prod(left=Lit(value=2), right=Atom(name='N')), "
+        "right=Lit(value=1), sign=1), exponent=3)"
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(node, protocol))
+        assert back == node and to_normal_form(back) == to_normal_form(node)

@@ -6,7 +6,11 @@ differs from value equality on any pair would let a broken identity pass
 or a sound one fail.  The pairs are seeded, so a failure reproduces.
 """
 
+import json
+import pickle
 import random
+
+import pytest
 
 from qspivey import FockVector, NormalForm, QPoly, XQPoly
 from qspivey.report import VerificationReport, cell_json, dumps, encode
@@ -121,3 +125,68 @@ def test_cell_json_is_dumps_of_encode():
         assert cell_json(cell) == dumps(encode(cell)), cell
     assert cell_json(QPoly.zero()) == "[]"
     assert cell_json(QPoly([-(2**64), 0, 3])) == '["-18446744073709551616","0","3"]'
+
+
+_CHARS = "aZ0 \"\\/\n\t\u00e9\u00df\u20ac\u2713\U0001d52e\x00"
+
+
+def _text(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _payload(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 63, 64, 65, 200)))
+    if kind == 1:
+        return rng.choice((True, False, None))
+    if kind == 2:
+        return _text(rng)
+    if kind == 3:
+        return 2**64 + rng.getrandbits(80)
+    if kind == 4:
+        return [_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = list({_text(rng) for _ in range(rng.randint(0, 5))})
+    rng.shuffle(keys)
+    return {key: _payload(rng, depth + 1) for key in keys}
+
+
+def test_dumps_is_canonical_json_dumps():
+    """The one module-level encoder writes what json.dumps writes with
+    sorted keys and no whitespace, whatever the key insertion order."""
+    rng = random.Random(12)
+    for _ in range(500):
+        obj = _payload(rng)
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        if isinstance(obj, dict):
+            items = list(obj.items())
+            rng.shuffle(items)
+            assert dumps(dict(items)) == dumps(obj)
+    assert dumps({"b": [2**64, None], "a": "\u00e9"}) == (
+        '{"a":"\\u00e9","b":[18446744073709551616,null]}'
+    )
+
+
+def test_reports_are_immutable_records_that_pickle():
+    rep = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["2"], False)
+    with pytest.raises(AttributeError):
+        rep.passed = True
+    with pytest.raises(AttributeError):
+        del rep.lhs
+    with pytest.raises(AttributeError):
+        rep.note = "extra"
+    with pytest.raises(TypeError):
+        VerificationReport("katriel", "n/a", {}, ["1"], ["2"])
+    assert rep.passed is False
+    same = VerificationReport("katriel", "n/a", {"l": 0, "n": 1}, ["1"], ["2"], False)
+    assert rep == same
+    other = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["1"], False)
+    assert rep != other
+    assert rep != ("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["2"], False)
+    assert repr(rep) == (
+        "VerificationReport(identity='katriel', variant='n/a', "
+        "params={'n': 1, 'l': 0}, lhs=['1'], rhs=['2'], passed=False)"
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps([rep, rep], protocol))
+        assert back == [rep, rep] and type(back[0]) is VerificationReport
