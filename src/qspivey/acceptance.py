@@ -6,17 +6,32 @@ built with the list.  Criteria 6 and 7 check each (n, l, m, r) at every x
 in one task, whose partial returns that instance's reports in x order, so
 the x-free work is done once per instance.  A pin is
 VerificationReport.check of an observed value against its frozen
-expectation, both given as raw values.  run_tasks is the one runner, for
-the sweep and for the CLI's verify: it calls the partials, passes reports
-through, splices in the lists of reports and keeps task order for any job
-count.  A criterion holds iff all its reports passed.  Expected failures
-of the literal variants are pinned by reports whose lhs is the observed
-(passed, lhs, rhs) triple, so a literal variant that quietly started
-passing fails the suite as loudly as a corrected variant that broke.
+expectation, both given as raw values.  run_tasks is the one runner of
+reports: it calls the partials, passes reports through, splices in the
+lists of reports and keeps task order for any job count.  A criterion
+holds iff all its reports passed.  Expected failures of the literal
+variants are pinned by reports whose lhs is the observed (passed, lhs,
+rhs) triple, so a literal variant that quietly started passing fails the
+suite as loudly as a corrected variant that broke.
 
-run_suite runs criteria 1..10 as one task list, so --jobs shards by task,
-renders the sweep lines and adds criterion 11: every line must parse back
-into a report that re-renders to the identical bytes.
+Tasks run in shards (_map): with workers = min(jobs, tasks, CPUs), where
+CPUs counts the CPUs this process may run on, task i goes to shard
+i % workers.  This process runs shard 0 itself; each other shard runs in
+a child forked from it, which sends its results back as one pickled list
+over a pipe.  The results are merged in task order, so the bytes never
+depend on jobs.  The fork start method is asked for by name, so the
+children inherit the task list and whatever this process has built, and
+no task is pickled; fork is safe here because the package starts no
+threads.  Where fork is not a start method, every shard runs in this
+process; one worker is the same code with no child.  A child that fails
+makes the run raise, and every child is reaped before the run returns.
+
+Each task's result is rendered where it is computed, so a child sends
+back text, not reports.  report_lines gives the CLI's verify lines, each
+with its passed flag.  run_suite runs criteria 1..10 as one task list, so
+--jobs shards by task; each sweep line comes with its passed flag and
+with criterion 11's check of that line: it must parse back into a report
+that re-renders to the identical bytes.
 """
 
 from __future__ import annotations
@@ -34,18 +49,6 @@ from .report import VerificationReport, dumps
 Result = Union[VerificationReport, list[VerificationReport]]
 Task = Union[VerificationReport, Callable[[], Result]]
 
-# work items per worker process; more items balance the load better, fewer
-# cost less inter-process traffic
-_CHUNKS_PER_WORKER = 8
-
-
-def ProcessPoolExecutor(*args, **kwargs):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
-    import pulls in multiprocessing, which a run on one worker never needs."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(*args, **kwargs)
-
 
 def _run(task: Task) -> Result:
     return task if isinstance(task, VerificationReport) else task()
@@ -55,21 +58,106 @@ def _reports(result: Result) -> list[VerificationReport]:
     return result if isinstance(result, list) else [result]
 
 
-def _results(tasks: list[Task], jobs: int) -> list[Result]:
-    """One result per task, in task order, on at most min(jobs, tasks, CPUs)
-    worker processes; one worker or fewer runs them in this process."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_run(task) for task in tasks]
-    chunk = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run, tasks, chunksize=chunk))
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one (a container's CPU set shows there), else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shard(fn: Callable, items: list, shard: int, workers: int) -> list:
+    return [fn(item) for item in items[shard::workers]]
+
+
+def _send(conn, fn: Callable, items: list, shard: int, workers: int) -> None:
+    """A forked child's body: send its shard's results, or the error that
+    stopped them, as one message."""
+    try:
+        message = (True, _shard(fn, items, shard, workers))
+    except Exception as exc:
+        message = (False, f"{type(exc).__name__}: {exc}")
+    conn.send(message)
+
+
+class _Child:
+    """One shard run in a forked process; its results come back pickled
+    over a pipe."""
+
+    def __init__(self, fn: Callable, items: list, shard: int, workers: int) -> None:
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._conn, send = context.Pipe(duplex=False)
+        self._proc = context.Process(
+            target=_send, args=(send, fn, items, shard, workers)
+        )
+        try:
+            self._proc.start()
+        finally:
+            send.close()  # the child holds its own end: EOF if it dies
+
+    def results(self) -> list:
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("a worker process exited without results") from None
+        if not ok:
+            raise RuntimeError(f"a worker process failed: {value}")
+        return value
+
+    def stop(self, kill: bool) -> None:
+        """Close the pipe and reap the process, ending it first if kill."""
+        self._conn.close()
+        if kill:
+            self._proc.terminate()
+        self._proc.join()
+
+
+def _map(fn: Callable, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], in item order, run in shards as the
+    module docstring says: shard 0 here, each other shard in a forked
+    child.  A child that fails makes this raise; every child is reaped,
+    and on any error ended first, before this returns or raises."""
+    workers = max(1, min(jobs, len(items), _cpu_count()))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    results: list = [None] * len(items)
+    children: list[_Child] = []
+    done = False
+    try:
+        for shard in range(1, workers):
+            children.append(_Child(fn, items, shard, workers))
+        results[::workers] = _shard(fn, items, 0, workers)
+        for shard, child in enumerate(children, 1):
+            results[shard::workers] = child.results()
+        done = True
+    finally:
+        # a child still running after an error is ended; one that sent its
+        # results is only joined, so its exit handlers (a profiler's, say) run
+        for child in children:
+            child.stop(kill=not done)
+    return results
 
 
 def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
     """The reports of tasks in task order, a task's list of reports in its
-    own order; jobs caps the worker processes as in _results."""
-    return [rep for result in _results(tasks, jobs) for rep in _reports(result)]
+    own order; jobs caps the worker processes as in _map."""
+    return [rep for result in _map(_run, tasks, jobs) for rep in _reports(result)]
+
+
+def _verify_lines(task: Task) -> list[tuple[str, bool]]:
+    return [(rep.to_json_line(), rep.passed) for rep in _reports(_run(task))]
+
+
+def report_lines(tasks: list[Task], jobs: int = 1) -> tuple[list[str], int]:
+    """The JSON line of every report of tasks, in run_tasks order, and the
+    number of failed reports; each line is rendered where its task ran."""
+    rendered = [pair for lines in _map(_verify_lines, tasks, jobs) for pair in lines]
+    return [line for line, _ in rendered], sum(not passed for _, passed in rendered)
 
 
 def _pin(identity: str, params: dict, observed, expected) -> VerificationReport:
@@ -312,34 +400,38 @@ def _line(num: int, slug: str, rep: VerificationReport) -> str:
     return dumps({"criterion": num, "slug": slug, "report": rep.to_json()})
 
 
-def _roundtrip(lines: list[str]) -> VerificationReport:
-    """Criterion 11, in-run half: every line parses back into a report that
+def _round_trips(line: str) -> bool:
+    """Criterion 11 on one line: it parses back into a report that
     re-renders to the identical bytes."""
-    ok = 0
-    for line in lines:
-        d = json.loads(line)
-        rep = VerificationReport.from_json(d["report"])
-        ok += _line(d["criterion"], d["slug"], rep) == line
-    total = len(lines)
-    return _pin("json-roundtrip", {"lines": total}, ok, total)
+    d = json.loads(line)
+    rep = VerificationReport.from_json(d["report"])
+    return _line(d["criterion"], d["slug"], rep) == line
+
+
+def _suite_lines(labelled: tuple[int, str, Task]) -> list[tuple[str, bool, bool]]:
+    """The sweep line of each report of one labelled task, with the
+    report's passed flag and whether the line round-trips."""
+    num, slug, task = labelled
+    out = []
+    for rep in _reports(_run(task)):
+        line = _line(num, slug, rep)
+        out.append((line, rep.passed, _round_trips(line)))
+    return out
 
 
 def run_suite(jobs: int = 1) -> tuple[list[str], int]:
     """The sweep's report lines for criteria 1..11 and the number of failed
-    reports; criteria 1..10 run as one task list, so jobs shards by task."""
-    labels: list[tuple[int, str]] = []
-    tasks: list[Task] = []
-    for num, slug, fn in CRITERIA:
-        batch = fn()
-        labels += [(num, slug)] * len(batch)
-        tasks += batch
-    reports: list[VerificationReport] = []
+    reports; criteria 1..10 run as one task list, so jobs shards by task,
+    and a task's criterion labels every report it returns."""
+    labelled = [(num, slug, task) for num, slug, fn in CRITERIA for task in fn()]
     lines: list[str] = []
-    # a task's label goes to every report it returns
-    for (num, slug), result in zip(labels, _results(tasks, jobs)):
-        for rep in _reports(result):
-            reports.append(rep)
-            lines.append(_line(num, slug, rep))
-    reports.append(_roundtrip(lines))
-    lines.append(_line(11, "engineering-determinism", reports[-1]))
-    return lines, sum(1 for rep in reports if not rep.passed)
+    failed = round_trips = 0
+    for rendered in _map(_suite_lines, labelled, jobs):
+        for line, passed, ok in rendered:
+            lines.append(line)
+            failed += not passed
+            round_trips += ok
+    total = len(lines)
+    roundtrip = _pin("json-roundtrip", {"lines": total}, round_trips, total)
+    lines.append(_line(11, "engineering-determinism", roundtrip))
+    return lines, failed + (not roundtrip.passed)

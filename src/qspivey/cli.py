@@ -239,9 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
     cases = [{**dict(zip(names, combo)), **fixed} for combo in product(*spans)]
     tasks = [partial(identities.run_case, identity, args.variant, p) for p in cases]
-    reports = acceptance.run_tasks(tasks, jobs)
-    failed = sum(1 for rep in reports if not rep.passed)
-    return _emit([rep.to_json_line() for rep in reports], failed)
+    return _emit(*acceptance.report_lines(tasks, jobs))
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:

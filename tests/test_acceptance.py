@@ -12,8 +12,11 @@ parse and re-render round trip.
 """
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 from functools import partial
 
 import pytest
@@ -81,38 +84,95 @@ def test_run_tasks_keeps_task_order_for_any_job_count():
     assert acceptance.run_tasks(mixed[3:4], 2) == []
 
 
-def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("one worker must not start a process pool")
+def _no_child(*args):
+    raise AssertionError("one shard must not start a process")
 
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", no_pool)
+
+def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
+    monkeypatch.setattr(acceptance, "_Child", _no_child)
     tasks = _spivey_tasks()
     assert len(acceptance.run_tasks(tasks[:1], 8)) == 1  # one task
-    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(acceptance, "_cpu_count", lambda: 1)
     assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
+
+
+def test_run_tasks_runs_in_process_without_fork(monkeypatch):
+    """Where fork is not a start method, every shard runs in process."""
+    monkeypatch.setattr(acceptance, "_Child", _no_child)
+    monkeypatch.setattr(acceptance, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    tasks = _spivey_tasks()
+    assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
+
+
+def test_cpu_count_reads_the_affinity_mask(monkeypatch):
+    """A process limited to some CPUs never counts the others; without an
+    affinity call, the machine's count (or 1 if unknown) is used."""
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(
+        acceptance.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False
+    )
+    assert acceptance._cpu_count() == 2
+    monkeypatch.delattr(acceptance.os, "sched_getaffinity")
+    assert acceptance._cpu_count() == 64
     monkeypatch.setattr(acceptance.os, "cpu_count", lambda: None)
-    assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
+    assert acceptance._cpu_count() == 1
 
 
-def test_run_tasks_under_a_spawn_pool_matches_in_process(monkeypatch):
-    """Under a non-fork start method every task, list result and report
-    crosses a pickle; criterion 7's task list must come back unchanged."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    started = []
-
-    def spawn_pool(max_workers):
-        started.append(max_workers)
-        context = multiprocessing.get_context("spawn")
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
-
+def test_results_from_forked_shards_match_in_process(monkeypatch):
+    """A forked shard's results cross a pickle: criterion 7's reports, and
+    verify's rendered lines and flags, must come back unchanged."""
     tasks = acceptance.criterion_7()
     here = acceptance.run_tasks(tasks, 1)
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", spawn_pool)
-    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 2)
-    assert acceptance.run_tasks(tasks, 2) == here
-    assert started == [2]
+    lines = acceptance.report_lines(tasks, 1)
+    assert lines == ([rep.to_json_line() for rep in here], 0)
+
+    started = []
+    real = acceptance._Child
+
+    def counted(fn, items, shard, workers):
+        started.append((shard, workers))
+        return real(fn, items, shard, workers)
+
+    monkeypatch.setattr(acceptance, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(acceptance, "_Child", counted)
+    assert acceptance.run_tasks(tasks, 3) == here
+    assert acceptance.report_lines(tasks, 2) == lines
+    assert started == [(1, 3), (2, 3), (1, 2)]
+    assert multiprocessing.active_children() == []
+
+
+_READY = VerificationReport("ready", "n/a", {}, "1", "1", True)
+
+
+def _raise():
+    raise ZeroDivisionError("division by zero")
+
+
+def _sleep():
+    time.sleep(60)
+    return _READY
+
+
+@pytest.mark.parametrize(
+    "tasks,error,message",
+    [
+        ([_READY, _raise], RuntimeError, "failed: ZeroDivisionError: division by zero"),
+        ([_READY, partial(os._exit, 3)], RuntimeError, "exited without results"),
+        ([_raise, _sleep], ZeroDivisionError, "division by zero"),
+    ],
+    ids=["child-raises", "child-dies", "parent-raises"],
+)
+def test_a_failing_shard_raises_and_leaves_no_process(monkeypatch, tasks, error, message):
+    """Of two shards, task 0 runs in this process and task 1 in a forked
+    child.  A child that raises or dies makes the runner raise; when this
+    process raises first, the child still busy is ended, not waited for."""
+    monkeypatch.setattr(acceptance, "_cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(error, match=message):
+        acceptance.run_tasks(tasks, 2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_batched_criteria_keep_their_report_counts():
@@ -128,9 +188,9 @@ def test_batched_criteria_keep_their_report_counts():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    """The pool is imported by the run that starts one, not by every
-    command, and the plain record classes need no dataclasses, so neither
-    it nor inspect, ast or dis is loaded."""
+    """multiprocessing is imported by the run that forks a shard, not by
+    every command, and the plain record classes need no dataclasses, so
+    neither it nor inspect, ast or dis is loaded."""
     code = (
         "import sys, qspivey.cli\n"
         "print(sorted(m for m in sys.modules\n"

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import random
 import stat
@@ -17,7 +18,7 @@ from itertools import islice, product
 
 import pytest
 
-from qspivey import QPoly, acceptance, cli, opexpr, triangles
+from qspivey import QPoly, acceptance, cli, identities, opexpr, triangles
 from qspivey.report import VerificationReport, dumps, encode
 
 
@@ -771,34 +772,35 @@ def test_pinned_stdout_digest(capsys, command, want_code, want_sha, want_bytes):
 
 
 def test_jobs_never_asks_for_more_workers_than_cpus(capsys, monkeypatch):
-    """--jobs N starts at most min(N, CPUs, tasks) workers, never N.
+    """--jobs N runs min(N, CPUs, tasks) shards, never N.
 
-    A stand-in pool runs the mapped tasks in this process and records what
-    it was asked for, so no process is started here.
+    A stand-in child runs its shard in this process and records what it
+    was asked for, so no process is started here.
     """
     asked = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    class InlineChild:
+        def __init__(self, fn, items, shard, workers):
+            asked.append((shard, workers, len(items)))
+            self._results = [fn(item) for item in items[shard::workers]]
 
-        def __enter__(self):
-            return self
+        def results(self):
+            return self._results
 
-        def __exit__(self, *exc):
-            return False
+        def stop(self, kill):
+            assert not kill
 
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            asked.append((self.max_workers, len(items)))
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(acceptance, "_Child", InlineChild)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(
+        acceptance.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
     code, out, _ = run_cli(capsys, "sweep", "--jobs", "1000000")
     assert code == 0
-    [(workers, items)] = asked
-    assert workers == 4 and items > 10, "the sweep shards by task"
+    assert [shard for shard, _, _ in asked] == [1, 2, 3]
+    assert {(workers, items > 10) for _, workers, items in asked} == {(4, True)}, (
+        "the sweep shards by task"
+    )
     _, _, want_sha, want_bytes = PINNED_STDOUT[0]
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (
         want_sha,
@@ -809,7 +811,52 @@ def test_jobs_never_asks_for_more_workers_than_cpus(capsys, monkeypatch):
     code, _, _ = run_cli(
         capsys, "verify", "--identity", "spivey", "--n", "0..2", "--jobs", "1000000"
     )
-    assert code == 0 and asked == [(4, 15)]
+    assert code == 0 and asked == [(1, 4, 15), (2, 4, 15), (3, 4, 15)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_line_that_does_not_round_trip_fails_criterion_11(capsys, monkeypatch, jobs):
+    """JSON object keys are strings: the int keys 2 and 10 are written in
+    numeric order but read back as "2" and "10", which sort the other way,
+    so that line re-renders to other bytes.  With two shards, the line is
+    rendered and checked in the forked child."""
+    good = VerificationReport("ready", "n/a", {"n": 0}, "1", "1", True)
+    bad = VerificationReport("ready", "n/a", {2: "a", 10: "b"}, "1", "1", True)
+    criteria = ((1, "classical-spivey", lambda: [good, bad, good]),)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    monkeypatch.setattr(acceptance, "_cpu_count", lambda: 2)
+    code, out, _ = run_cli(capsys, "sweep", "--jobs", jobs)
+    lines = out.strip().split("\n")
+    assert code == 1
+    assert '"params":{"2":"a","10":"b"}' in lines[1]
+    roundtrip = json.loads(lines[-2])
+    assert roundtrip["criterion"] == 11
+    assert roundtrip["report"]["passed"] is False
+    assert (roundtrip["report"]["lhs"], roundtrip["report"]["rhs"]) == ("2", "3")
+    assert json.loads(lines[-1]) == {"failed": 1, "passed": 3, "total": 4}
+
+
+def test_a_task_failing_in_a_worker_is_an_internal_error(capsys, monkeypatch):
+    """A verifier that raises in the forked child exits 1 with no output."""
+    real = identities.run_case
+
+    def run_case(identity, variant, params):
+        if params["n"] == 1:
+            raise ZeroDivisionError("division by zero")
+        return real(identity, variant, params)
+
+    monkeypatch.setattr(identities, "run_case", run_case)
+    monkeypatch.setattr(acceptance, "_cpu_count", lambda: 2)
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "spivey", "--n", "0..1", "--mshift", "0",
+        "--jobs", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "qspivey: internal error: a worker process failed: "
+        "ZeroDivisionError: division by zero\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 def test_deep_expressions_give_a_result_or_exit_two(capsys):
