@@ -6,13 +6,13 @@ built with the list.  Criteria 6 and 7 check each (n, l, m, r) at every x
 in one task, whose partial returns that instance's reports in x order, so
 the x-free work is done once per instance.  A pin is
 VerificationReport.check of an observed value against its frozen
-expectation, both given as raw values.  run_tasks is the one runner of
-reports: it calls the partials, passes reports through, splices in the
-lists of reports and keeps task order for any job count.  A criterion
-holds iff all its reports passed.  Expected failures of the literal
-variants are pinned by reports whose lhs is the observed (passed, lhs,
-rhs) triple, so a literal variant that quietly started passing fails the
-suite as loudly as a corrected variant that broke.
+expectation, both given as raw values.  _reports gives one task's
+reports: it passes a ready report through, calls a partial, and splices
+in a partial's list of reports.  A criterion holds iff all its reports
+passed.  Expected failures of the literal variants are pinned by reports
+whose lhs is the observed (passed, lhs, rhs) triple, so a literal variant
+that quietly started passing fails the suite as loudly as a corrected
+variant that broke.
 
 Tasks run in shards (_map): with workers = min(jobs, tasks, CPUs), where
 CPUs counts the CPUs this process may run on, task i goes to shard
@@ -27,11 +27,13 @@ process; one worker is the same code with no child.  A child that fails
 makes the run raise, and every child is reaped before the run returns.
 
 Each task's result is rendered where it is computed, so a child sends
-back text, not reports.  report_lines gives the CLI's verify lines, each
-with its passed flag.  run_suite runs criteria 1..10 as one task list, so
---jobs shards by task; each sweep line comes with its passed flag and
-with criterion 11's check of that line: it must parse back into a report
-that re-renders to the identical bytes.
+back text, not reports; report_lines and run_suite are the only two
+runs.  report_lines gives the CLI's verify lines, each with its passed
+flag, and the tests run each criterion through it.  run_suite runs
+criteria 1..10 as one task list, so --jobs shards by task; each sweep
+line comes with its passed flag and with criterion 11's check of that
+line: it must parse back into a report that re-renders to the identical
+bytes.
 """
 
 from __future__ import annotations
@@ -46,15 +48,14 @@ from .polys import QPoly
 from .qcalc import q_falling, q_int
 from .report import VerificationReport, dumps
 
-Result = Union[VerificationReport, list[VerificationReport]]
-Task = Union[VerificationReport, Callable[[], Result]]
+Task = Union[
+    VerificationReport,
+    Callable[[], Union[VerificationReport, list[VerificationReport]]],
+]
 
 
-def _run(task: Task) -> Result:
-    return task if isinstance(task, VerificationReport) else task()
-
-
-def _reports(result: Result) -> list[VerificationReport]:
+def _reports(task: Task) -> list[VerificationReport]:
+    result = task if isinstance(task, VerificationReport) else task()
     return result if isinstance(result, list) else [result]
 
 
@@ -143,19 +144,15 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
     return results
 
 
-def run_tasks(tasks: list[Task], jobs: int = 1) -> list[VerificationReport]:
-    """The reports of tasks in task order, a task's list of reports in its
-    own order; jobs caps the worker processes as in _map."""
-    return [rep for result in _map(_run, tasks, jobs) for rep in _reports(result)]
-
-
 def _verify_lines(task: Task) -> list[tuple[str, bool]]:
-    return [(rep.to_json_line(), rep.passed) for rep in _reports(_run(task))]
+    return [(rep.to_json_line(), rep.passed) for rep in _reports(task)]
 
 
 def report_lines(tasks: list[Task], jobs: int = 1) -> tuple[list[str], int]:
-    """The JSON line of every report of tasks, in run_tasks order, and the
-    number of failed reports; each line is rendered where its task ran."""
+    """The JSON line of every report of tasks, in task order and a task's
+    list of reports in its own order, and the number of failed reports;
+    jobs caps the worker processes as in _map, and each line is rendered
+    where its task ran."""
     rendered = [pair for lines in _map(_verify_lines, tasks, jobs) for pair in lines]
     return [line for line, _ in rendered], sum(not passed for _, passed in rendered)
 
@@ -389,13 +386,6 @@ CRITERIA: tuple[tuple[int, str, Callable[[], list[Task]]], ...] = (
 )
 
 
-def run_criterion(num: int) -> list[VerificationReport]:
-    for n, _slug, fn in CRITERIA:
-        if n == num:
-            return run_tasks(fn())
-    raise ValueError(f"no criterion {num}")
-
-
 def _line(num: int, slug: str, rep: VerificationReport) -> str:
     return dumps({"criterion": num, "slug": slug, "report": rep.to_json()})
 
@@ -413,7 +403,7 @@ def _suite_lines(labelled: tuple[int, str, Task]) -> list[tuple[str, bool, bool]
     report's passed flag and whether the line round-trips."""
     num, slug, task = labelled
     out = []
-    for rep in _reports(_run(task)):
+    for rep in _reports(task):
         line = _line(num, slug, rep)
         out.append((line, rep.passed, _round_trips(line)))
     return out

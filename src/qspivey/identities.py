@@ -26,22 +26,25 @@ all one (q,r)-Dowling expansion,
     D_{m,r}(n+l) == Σ_j Σ_k W[l,j]·C(n,k)·(m[j]+r)^(n-k)·q^(jk)·D_{m,0}(k)·X_j,
 
 whose two sides the private _dowling_sides computes at each x of a range
-of integers, building its x-free parts once, or symbolically in x; the
-wrappers keep their own tags, parameters, variants and argument checks.
-verify_result1_xs and verify_result2_xs return one report per x of a
-range, and verify_result1 and verify_result2 are their one-x case.  It
-sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k) is built
-from powers stepped by the O(deg) kernels window and shift, so the only
-dense products are the n + 1 products D_{m,0}(k)·S_k per x.  katriel
-and result1 are its (m, r) = (1, 0) case: there W is the q-Stirling
-triangle, m[j] + r is [j] and D_{1,0} the q-Bell polynomial, which is how
-the paper's (q,r)-Dowling formula generalises the q-Bell form of Spivey's
-formula.  All five read the one q-triangle
-builder, so they check the expansion, not the triangle; the triangle is
-checked against the normal-ordering engine (triangle-oracle) and, at
-q = 1, against the integer triangle.  spivey, stirling-def, bell-rec
-and result3 read that integer triangle (result3 its rows and their row
-sums, the r-Dowling numbers), never the q-rows at q = 1.
+of integers, building its x-free parts once, or symbolically in x.  The
+private _dowling_reports owns the argument checks of result1 and result2
+and turns those sides into reports: verify_result1_xs and
+verify_result2_xs give one report per x of any iterable of x,
+verify_result1_xpoly and verify_result2_xpoly the one symbolic report,
+and verify_result1 and verify_result2 are the one-x case.
+_dowling_sides sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k)
+is built from powers stepped by triangles._weight_step, the O(deg) step
+of the Whitney recurrence, and by shift, so the only dense products are
+the n + 1 products D_{m,0}(k)·S_k per x.  katriel and result1 are its
+(m, r) = (1, 0) case: there W is the q-Stirling triangle, m[j] + r is [j]
+and D_{1,0} the q-Bell polynomial, which is how the paper's (q,r)-Dowling
+formula generalises the q-Bell form of Spivey's formula.  All five read
+the one q-triangle builder, so they check the expansion, not the
+triangle; the triangle is checked against the normal-ordering engine
+(triangle-oracle) and, at q = 1, against the integer triangle.  spivey,
+stirling-def, bell-rec and result3 read that integer triangle (result3
+its rows and their row sums, the r-Dowling numbers), never the q-rows at
+q = 1.
 
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
@@ -58,7 +61,7 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import triangles
 from .boson import NormalForm, coherent_truncated
@@ -138,8 +141,8 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
     X_j = x^j.  The Whitney row, lhs, the D_{m,0}(k) and the slots of the
     S_k do not depend on x, so they are built once and read at each x.
     For each j with W[l,j] != 0 and X_j != 0 at some x in xs,
-    t = W[l,j]·(m[j]+r)^(n-k) steps from k = n down to 0 by the O(deg)
-    product t·[j]·m + t·r, and t·q^(jk) is slot j of S_k.  A slot may be
+    t = W[l,j]·(m[j]+r)^(n-k) steps from k = n down to 0 by
+    triangles._weight_step, and t·q^(jk) is slot j of S_k.  A slot may be
     left out only if X_j is 0 at every x: the literal [x][x-1]..[x-j+1]
     vanishes for j > x, so one x at which it does not keeps the slot.
     S_k is the XQPoly of its slots: read at x for the corrected shape,
@@ -163,12 +166,7 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
             # t is W[l,j]·(m[j]+r)^(n-k)
             slots[k][j] = t.shift(j * k)
             if k:
-                # times m[j] + r; the products by m = 1 and r = 0 are
-                # skipped, as in triangles.qr_whitney_rows
-                w = t.window(j)
-                if m != 1:
-                    w = w * m
-                t = w + t * r if r else w
+                t = triangles._weight_step(t, j, m, r)
     sums = [XQPoly._make(slot) for slot in slots]
     if xs is None:
         points = [(lhs, d, sums)]
@@ -200,6 +198,32 @@ def verify_katriel(n: int, l: int) -> VerificationReport:
     return VerificationReport.check("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
 
 
+def _dowling_reports(
+    identity: str, params: dict, n: int, l: int, m: int, r: int, xs, variant: str
+) -> list[VerificationReport]:
+    """The reports of one (q,r)-Dowling instance, from one _dowling_sides:
+    one per x in xs, in order, with x added to params, or for xs None the
+    one symbolic report, tagged identity + "-poly".  xs is read once, so a
+    one-shot iterator gives the same reports as a list.
+    """
+    _check_variant(variant)
+    if m < 1:
+        raise ValueError("weight m must be >= 1")
+    if xs is not None:
+        xs = tuple(xs)
+    if n < 0 or l < 0 or r < 0 or any(x < 0 for x in xs or ()):
+        raise ValueError("arguments must be nonnegative")
+    sides = _dowling_sides(n, l, m, r, xs, variant)
+    if xs is None:
+        [(lhs, rhs)] = sides
+        tag = f"{identity}-poly"
+        return [VerificationReport.check(tag, variant, params, lhs, rhs)]
+    return [
+        VerificationReport.check(identity, variant, {**params, "x": x}, lhs, rhs)
+        for x, (lhs, rhs) in zip(xs, sides)
+    ]
+
+
 def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationReport:
     """q-Bell polynomials at integer x, in the literal or corrected shape.
 
@@ -211,28 +235,17 @@ def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationRep
 
 
 def verify_result1_xs(
-    n: int, mshift: int, xs: Sequence[int], variant: str
+    n: int, mshift: int, xs: Iterable[int], variant: str
 ) -> list[VerificationReport]:
     """verify_result1 at each x in xs, in order, from one _dowling_sides."""
-    _check_variant(variant)
-    if n < 0 or mshift < 0 or any(x < 0 for x in xs):
-        raise ValueError("arguments must be nonnegative")
-    sides = _dowling_sides(n, mshift, 1, 0, xs, variant)
-    return [
-        VerificationReport.check(
-            "result1", variant, {"n": n, "mshift": mshift, "x": x}, lhs, rhs
-        )
-        for x, (lhs, rhs) in zip(xs, sides)
-    ]
+    params = {"n": n, "mshift": mshift}
+    return _dowling_reports("result1", params, n, mshift, 1, 0, xs, variant)
 
 
 def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
     """The corrected q-Bell expansion compared symbolically in x."""
-    if n < 0 or mshift < 0:
-        raise ValueError("arguments must be nonnegative")
-    [(lhs, rhs)] = _dowling_sides(n, mshift, 1, 0)
     params = {"n": n, "mshift": mshift}
-    return VerificationReport.check("result1-poly", "corrected", params, lhs, rhs)
+    return _dowling_reports("result1", params, n, mshift, 1, 0, None, "corrected")[0]
 
 
 def verify_result2(
@@ -248,32 +261,17 @@ def verify_result2(
 
 
 def verify_result2_xs(
-    n: int, l: int, m: int, r: int, xs: Sequence[int], variant: str
+    n: int, l: int, m: int, r: int, xs: Iterable[int], variant: str
 ) -> list[VerificationReport]:
     """verify_result2 at each x in xs, in order, from one _dowling_sides."""
-    _check_variant(variant)
-    if m < 1:
-        raise ValueError("weight m must be >= 1")
-    if n < 0 or l < 0 or r < 0 or any(x < 0 for x in xs):
-        raise ValueError("arguments must be nonnegative")
-    sides = _dowling_sides(n, l, m, r, xs, variant)
-    return [
-        VerificationReport.check(
-            "result2", variant, {"n": n, "l": l, "m": m, "r": r, "x": x}, lhs, rhs
-        )
-        for x, (lhs, rhs) in zip(xs, sides)
-    ]
+    params = {"n": n, "l": l, "m": m, "r": r}
+    return _dowling_reports("result2", params, n, l, m, r, xs, variant)
 
 
 def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
     """The corrected (q,r)-Dowling expansion compared symbolically in x."""
-    if m < 1:
-        raise ValueError("weight m must be >= 1")
-    if n < 0 or l < 0 or r < 0:
-        raise ValueError("arguments must be nonnegative")
-    [(lhs, rhs)] = _dowling_sides(n, l, m, r)
     params = {"n": n, "l": l, "m": m, "r": r}
-    return VerificationReport.check("result2-poly", "corrected", params, lhs, rhs)
+    return _dowling_reports("result2", params, n, l, m, r, None, "corrected")[0]
 
 
 def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> VerificationReport:

@@ -10,11 +10,12 @@ q = 1 it is the classical r-Whitney triangle, whose (1, 0) case is the
 Stirling triangle S(n,k) = S(n-1,k-1) + k·S(n-1,k).  So there are two row
 loops, each a row generator: qr_whitney_rows over q-polynomials and
 r_whitney_classic_rows over the integers; q_stirling2, q_bell_poly and
-stirling2 are their (1, 0) cases.  Every integer answer (stirling2,
-bell, r_whitney_classic, r_dowling) comes from the integer rows, which
-never touch the q-triangle.  r_whitney, the q-rows evaluated at q = 1, is
-that specialization alone: the cross-route checks compare it with
-r_whitney_classic, so the two routes stay independent.
+stirling2 are their (1, 0) cases; _weight_step is the (m[k] + r)·p step
+of the q-rows, which identities._dowling_sides takes too.  Every integer
+answer (stirling2, bell, r_whitney_classic, r_dowling) comes from the
+integer rows, which never touch the q-triangle.  r_whitney, the q-rows
+evaluated at q = 1, is that specialization alone: the cross-route checks
+compare it with r_whitney_classic, so the two routes stay independent.
 
 The k = 0 column comes out as r^n, so 0 for n >= 1 in the Stirling case,
 which matches the operator picture: m^k·W[n,k] is the coefficient of
@@ -111,18 +112,22 @@ def qr_whitney_rows(
         for k in range(n + 1):
             v = last[k - 1].shift(k - 1) if k >= 1 else QPoly.zero()
             if k <= n - 1:
-                # (m[k] + r)·p; the products by m = 1 and r = 0 are skipped,
-                # since a full product per cell would more than double the
-                # cost of the q-Stirling case
-                w = last[k].window(k)
-                if m != 1:
-                    w = w * m
-                if r:
-                    w = w + last[k] * r
-                v = v + w
+                v = v + _weight_step(last[k], k, m, r)
             row.append(v)
         last = tuple(row)
         yield last
+
+
+def _weight_step(p: QPoly, k: int, m: int, r: int) -> QPoly:
+    """p·(m[k] + r), the step of the Whitney recurrence in column k.
+
+    The products by m = 1 and r = 0 are skipped, since a full product per
+    cell would more than double the cost of the q-Stirling case.
+    """
+    w = p.window(k)
+    if m != 1:
+        w = w * m
+    return w + p * r if r else w
 
 
 def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:

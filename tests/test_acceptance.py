@@ -25,12 +25,10 @@ from qspivey import acceptance, identities
 from qspivey.report import VerificationReport
 
 
-def _verdict(num, slug, reports):
-    passed = sum(1 for r in reports if r.passed)
-    ok = passed == len(reports)
-    tag = "PASS" if ok else "FAIL"
-    print(f"[{tag}] criterion {num} ({slug}): {passed}/{len(reports)} checks")
-    return ok, passed
+def _verdict(num, slug, total, failed):
+    passed = total - failed
+    tag = "FAIL" if failed else "PASS"
+    print(f"[{tag}] criterion {num} ({slug}): {passed}/{total} checks")
 
 
 @pytest.mark.parametrize(
@@ -39,12 +37,12 @@ def _verdict(num, slug, reports):
     ids=[f"{num:02d}-{slug}" for num, slug, _fn in acceptance.CRITERIA],
 )
 def test_criterion(num, slug, fn):
-    reports = acceptance.run_criterion(num)
-    assert reports, "criterion produced no reports"
-    ok, _ = _verdict(num, slug, reports)
-    if not ok:
-        bad = [r for r in reports if not r.passed][:3]
-        detail = "\n".join(r.to_json_line() for r in bad)
+    lines, failed = acceptance.report_lines(fn())
+    assert lines, "criterion produced no reports"
+    _verdict(num, slug, len(lines), failed)
+    if failed:
+        bad = [line for line in lines if json.loads(line)["passed"] is not True][:3]
+        detail = "\n".join(bad)
         pytest.fail(f"criterion {num} ({slug}) has failing checks:\n{detail}")
 
 
@@ -54,15 +52,21 @@ def _spivey_tasks():
     return tasks
 
 
-def test_run_tasks_keeps_task_order_for_any_job_count():
+def _lines_of(reports):
+    return [rep.to_json_line() for rep in reports], sum(not r.passed for r in reports)
+
+
+def test_report_lines_keep_task_order_for_any_job_count():
     tasks = _spivey_tasks()
-    seq = acceptance.run_tasks(tasks, 1)
-    assert seq[3] is tasks[3], "a ready report passes through as it is"
-    assert [rep.params for rep in seq[:3] + seq[4:]] == [
+    seq = acceptance.report_lines(tasks, 1)
+    lines, failed = seq
+    assert failed == 0
+    assert lines[3] == tasks[3].to_json_line(), "a ready report renders as it is"
+    assert [json.loads(line)["params"] for line in lines[:3] + lines[4:]] == [
         {"n": n, "mshift": 2} for n in range(6)
     ]
-    assert acceptance.run_tasks(tasks, 2) == seq
-    assert acceptance.run_tasks([], 4) == []
+    assert acceptance.report_lines(tasks, 2) == seq
+    assert acceptance.report_lines([], 4) == ([], 0)
 
     # a task may return a list of reports; they are spliced in in order
     mixed = [
@@ -72,37 +76,36 @@ def test_run_tasks_keeps_task_order_for_any_job_count():
         partial(identities.verify_result1_xs, 1, 2, [], "corrected"),
         partial(identities.verify_result1_xs, 2, 1, range(2), "corrected"),
     ]
-    flat = acceptance.run_tasks(mixed, 1)
-    assert flat[3] is mixed[1], "a ready report passes through as it is"
-    assert flat == [
+    flat = acceptance.report_lines(mixed, 1)
+    assert flat == _lines_of([
         *(identities.verify_result2(1, 1, 2, 1, x, "literal") for x in range(3)),
         mixed[1],
         identities.verify_spivey(2, 2),
         *(identities.verify_result1(2, 1, x, "corrected") for x in range(2)),
-    ]
-    assert acceptance.run_tasks(mixed, 2) == flat
-    assert acceptance.run_tasks(mixed[3:4], 2) == []
+    ])
+    assert acceptance.report_lines(mixed, 2) == flat
+    assert acceptance.report_lines(mixed[3:4], 2) == ([], 0)
 
 
 def _no_child(*args):
     raise AssertionError("one shard must not start a process")
 
 
-def test_run_tasks_runs_in_process_with_one_worker(monkeypatch):
+def test_tasks_run_in_process_with_one_worker(monkeypatch):
     monkeypatch.setattr(acceptance, "_Child", _no_child)
     tasks = _spivey_tasks()
-    assert len(acceptance.run_tasks(tasks[:1], 8)) == 1  # one task
+    assert len(acceptance.report_lines(tasks[:1], 8)[0]) == 1  # one task
     monkeypatch.setattr(acceptance, "_cpu_count", lambda: 1)
-    assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
+    assert acceptance.report_lines(tasks, 8) == acceptance.report_lines(tasks, 1)
 
 
-def test_run_tasks_runs_in_process_without_fork(monkeypatch):
+def test_tasks_run_in_process_without_fork(monkeypatch):
     """Where fork is not a start method, every shard runs in process."""
     monkeypatch.setattr(acceptance, "_Child", _no_child)
     monkeypatch.setattr(acceptance, "_cpu_count", lambda: 4)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     tasks = _spivey_tasks()
-    assert acceptance.run_tasks(tasks, 8) == acceptance.run_tasks(tasks, 1)
+    assert acceptance.report_lines(tasks, 8) == acceptance.report_lines(tasks, 1)
 
 
 def test_cpu_count_reads_the_affinity_mask(monkeypatch):
@@ -120,12 +123,12 @@ def test_cpu_count_reads_the_affinity_mask(monkeypatch):
 
 
 def test_results_from_forked_shards_match_in_process(monkeypatch):
-    """A forked shard's results cross a pickle: criterion 7's reports, and
-    verify's rendered lines and flags, must come back unchanged."""
+    """A forked shard's results cross a pickle: the rendered lines and
+    flags of criterion 7's reports must come back unchanged."""
     tasks = acceptance.criterion_7()
-    here = acceptance.run_tasks(tasks, 1)
+    here = [rep for task in tasks for rep in acceptance._reports(task)]
     lines = acceptance.report_lines(tasks, 1)
-    assert lines == ([rep.to_json_line() for rep in here], 0)
+    assert lines == _lines_of(here)
 
     started = []
     real = acceptance._Child
@@ -136,7 +139,7 @@ def test_results_from_forked_shards_match_in_process(monkeypatch):
 
     monkeypatch.setattr(acceptance, "_cpu_count", lambda: 3)
     monkeypatch.setattr(acceptance, "_Child", counted)
-    assert acceptance.run_tasks(tasks, 3) == here
+    assert acceptance.report_lines(tasks, 3) == lines
     assert acceptance.report_lines(tasks, 2) == lines
     assert started == [(1, 3), (2, 3), (1, 2)]
     assert multiprocessing.active_children() == []
@@ -170,7 +173,7 @@ def test_a_failing_shard_raises_and_leaves_no_process(monkeypatch, tasks, error,
     monkeypatch.setattr(acceptance, "_cpu_count", lambda: 2)
     start = time.monotonic()
     with pytest.raises(error, match=message):
-        acceptance.run_tasks(tasks, 2)
+        acceptance.report_lines(tasks, 2)
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
 
@@ -180,11 +183,15 @@ def test_batched_criteria_keep_their_report_counts():
     are still one per (instance, x) plus the literal witness."""
     assert len(acceptance.criterion_6()) == 46
     assert len(acceptance.criterion_7()) == 325
-    six = acceptance.run_criterion(6)
-    seven = acceptance.run_criterion(7)
+    six, _ = acceptance.report_lines(acceptance.criterion_6())
+    seven, _ = acceptance.report_lines(acceptance.criterion_7())
     assert len(six) == 316 and len(seven) == 1945
-    assert [rep.params["x"] for rep in six[:8]] == [0, 1, 2, 3, 4, 5, 6, 0]
-    assert [rep.params["x"] for rep in seven[:7]] == [0, 1, 2, 3, 4, 5, 0]
+
+    def xs(lines):
+        return [json.loads(line)["params"]["x"] for line in lines]
+
+    assert xs(six[:8]) == [0, 1, 2, 3, 4, 5, 6, 0]
+    assert xs(seven[:7]) == [0, 1, 2, 3, 4, 5, 0]
 
 
 def test_importing_the_cli_loads_no_process_pool():

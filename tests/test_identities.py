@@ -211,6 +211,19 @@ def test_batched_verifiers_match_one_x_at_a_time():
         identities.verify_result2_xs(1, 1, 2, 1, [3, -1], "corrected")
 
 
+def test_batched_verifiers_read_a_one_shot_iterator_once():
+    """A generator of x gives the same reports as the list of those x; an
+    argument check that used it up first would leave no x to report."""
+    assert identities.verify_result1_xs(1, 2, iter([0, 1]), "corrected") == (
+        identities.verify_result1_xs(1, 2, [0, 1], "corrected")
+    )
+    got = identities.verify_result2_xs(1, 1, 2, 1, (x for x in range(3)), "literal")
+    assert got == identities.verify_result2_xs(1, 1, 2, 1, range(3), "literal")
+    assert len(got) == 3
+    with pytest.raises(ValueError, match="nonnegative"):
+        identities.verify_result1_xs(1, 2, iter([0, -1]), "corrected")
+
+
 def test_result2_reduces_to_katriel_at_weight_one():
     for n in range(5):
         for l in range(5):

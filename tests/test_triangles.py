@@ -200,6 +200,10 @@ def test_builders_match_the_recurrence_with_plain_products(monkeypatch):
                 for k in range(n + 1)
             ))
         assert rows == tuple(want)
+    p = QPoly([3, 0, -2, 5])
+    for k in range(5):
+        for m, r in ((1, 0), (1, 2), (3, 0), (3, 2)):
+            assert triangles._weight_step(p, k, m, r) == p * (q_int(k) * m + r)
     for s in range(n_max + 1):
         want = QPoly.one()
         for k in range(n_max + 1):
