@@ -6,10 +6,13 @@ on the left, and products reorder each middle word a^l · ad^k by the
 closed q-Wick form (Katriel & Kibler 1992, J. Phys. A 25)
 
     a^l · ad^k  =  Σ_j T_j · q^((l-j)(k-j)) · ad^(k-j) · a^(l-j),
-    T_0 = 1,  T_j = T_(j-1) · [l-j+1] · [k-j+1] / [j],
+    T_0 = 1,  T_j = T_(j-1) · [l-j+1] · [k-j+1] / [j].
 
-stepped with two windows and one exact division per j, memoized per
-(l, k) pair.  The one-factor rewrite a · ad^k = q^k · ad^k · a +
+No T_j is built on its own.  The product of two terms steps its own
+coefficient u = c1·c2 through the chain, u ← u·[l-j+1]·[k-j+1]/[j], with
+two windows and one exact division per j, each O(deg); c·T_j is a
+polynomial, so the division by [j] leaves no remainder.  Nothing is
+memoized.  The one-factor rewrite a · ad^k = q^k · ad^k · a +
 [k] · ad^(k-1) it sums is kept as the reference in the tests, written
 there with schoolbook products.  Coefficients are QPoly values, so
 results are exact.
@@ -31,7 +34,7 @@ triangles.py.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .polys import QPoly, XQPoly, _json_int, _to_qpoly
 from .qcalc import q_falling
@@ -129,11 +132,9 @@ class NormalForm:
         acc: dict[TermKey, QPoly] = {}
         for (k1, l1), c1 in self.terms:
             for (k2, l2), c2 in other.terms:
-                c12 = c1 * c2
                 # (ad^k1 a^l1)(ad^k2 a^l2): reorder the middle a^l1 ad^k2
-                for (km, lm), cm in _reorder(l1, k2).terms:
-                    key = (k1 + km, lm + l2)
-                    val = c12 * cm
+                for j, val in _wick(c1 * c2, l1, k2):
+                    key = (k1 + k2 - j, l1 - j + l2)
                     prev = acc.get(key)
                     acc[key] = val if prev is None else prev + val
         return NormalForm(acc)
@@ -228,28 +229,24 @@ class NormalForm:
         return " + ".join(parts)
 
 
-# normal orderings of a^l ad^k computed so far, keyed by (l, k)
-_REORDERED: dict[TermKey, NormalForm] = {}
+def _wick(c: QPoly, l: int, k: int) -> Iterator[tuple[int, QPoly]]:
+    """c · a^l · ad^k in normal order, by the q-Wick closed form.
+
+    Yields (j, c·T_j·q^((l-j)(k-j))), the coefficient of ad^(k-j) a^(l-j),
+    for j = 0..min(l, k).  c·T_j = [l choose j]·[k choose j]·[j]!·c is
+    stepped from c·T_(j-1) in O(deg): the product by [l-j+1]·[k-j+1] comes
+    before the division by [j], so the division is exact.
+    """
+    u = c
+    for j in range(min(l, k) + 1):
+        if j:
+            u = u.window(l - j + 1).window(k - j + 1).unwindow(j)
+        yield j, u.shift((l - j) * (k - j))
 
 
 def _reorder(l: int, k: int) -> NormalForm:
-    """Normal ordering of the word a^l · ad^k, by the q-Wick closed form.
-
-    T_j = [l choose j]·[k choose j]·[j]! is stepped from T_(j-1); the
-    product by [l-j+1]·[k-j+1] comes before the division by [j], so the
-    division is exact.
-    """
-    done = _REORDERED.get((l, k))
-    if done is not None:
-        return done
-    terms = []
-    t = QPoly.one()
-    for j in range(min(l, k) + 1):
-        if j:
-            t = t.window(l - j + 1).window(k - j + 1).unwindow(j)
-        terms.append(((k - j, l - j), t.shift((l - j) * (k - j))))
-    done = _REORDERED[(l, k)] = NormalForm(terms)
-    return done
+    """Normal ordering of the word a^l · ad^k: the c = 1 case of _wick."""
+    return NormalForm(((k - j, l - j), t) for j, t in _wick(QPoly.one(), l, k))
 
 
 class FockVector:

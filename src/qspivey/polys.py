@@ -6,12 +6,13 @@ x whose coefficients are QPoly values.  These two types carry every
 triangle entry, polynomial family and operator coefficient in the package;
 there are no floats and no tolerances anywhere.
 
-Both rings are one dense body, _Dense, with one addition loop, one
+Both rings are one dense body, _Dense, with one addition, one
 convolution and one Horner loop; a class adds only its coefficient zero
 and one, its coefficient check and its JSON and printed forms.  Each ring
 takes its coefficient ring (int, and QPoly for XQPoly) as the other
-operand of + - * on either side; such a scalar is a one-term operand, so
-the convolution multiplies by it in O(deg).
+operand of + - * on either side.  Such a scalar, or a value with a single
+coefficient, is a one-term operand: _mul multiplies the other operand by
+it in one pass over its coefficients, skipping zero ones, in O(deg).
 
 Two O(deg) kernels serve the products that every recurrence in the
 package takes: shift(s) is the product by the monomial v^s (s zeros
@@ -19,9 +20,10 @@ prepended) and window(k) the product by [k] = 1 + v + ... + v^(k-1) (a
 sliding-window sum), v being the ring's variable.  The schoolbook
 convolution _mul is the reference they are tested against.  A third,
 unwindow(k), is the exact division by [k] that the q-Wick reorder in
-boson.py steps with; it is tested as the inverse of window, whose own
-reference is the convolution, and it raises on a nonzero remainder
-rather than truncate.  The convolution skips zero coefficients of both
+boson.py steps each product's coefficient with; it is tested as the
+inverse of window, whose own reference is the convolution, and it raises
+on a nonzero remainder rather than truncate.  window(1) and unwindow(1)
+return the value itself.  The convolution skips zero coefficients of both
 operands, so a product by a sparse operand costs its nonzero terms.
 XQPoly.eval_x, the substitution of an integer for x, is a kernel over
 plain ints: it sums c_j·s^j into one list of ints, with no QPoly built
@@ -42,6 +44,7 @@ rely on the empty-product reading of their j = 0 terms.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator
 
 
@@ -143,10 +146,7 @@ class _Dense:
     def _sum(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return self._make(out)
+        return self._make([*map(add, a, b), *a[len(b) :]])
 
     def _add(self, other):
         b = self._operand(other)
@@ -170,6 +170,12 @@ class _Dense:
         a = self.coeffs
         if not a or not b:
             return self._ZERO
+        # a one-term operand scales the other: one pass, zeros kept as zeros
+        if len(b) == 1 or len(a) == 1:
+            if len(b) != 1:
+                a, b = b, a
+            c, zero = b[0], self._C0
+            return self._make([ai * c if ai else zero for ai in a])
         out = [self._C0] * (len(a) + len(b) - 1)
         # zeros are skipped on both sides, so a product by a sparse operand
         # such as a monomial costs its nonzero terms on either side
@@ -197,6 +203,8 @@ class _Dense:
         """
         if k < 0:
             raise ValueError("window length must be nonnegative")
+        if k == 1:
+            return self
         a = self.coeffs
         if not a or not k:
             return self._ZERO
@@ -221,6 +229,8 @@ class _Dense:
         """
         if k < 1:
             raise ValueError("divisor [k] needs k >= 1")
+        if k == 1:
+            return self
         a = self.coeffs
         n = len(a) - k + 1  # length of the quotient
         out = []
@@ -286,7 +296,7 @@ class QPoly(_Dense):
 
     def to_json(self) -> list[str]:
         """List of decimal strings, ascending powers of q; [] is zero."""
-        return [str(c) for c in self.coeffs]
+        return list(map(str, self.coeffs))
 
     @classmethod
     def from_json(cls, data: list) -> "QPoly":
@@ -369,8 +379,8 @@ class XQPoly(_Dense):
         return QPoly._make(acc)
 
     def to_json(self) -> list[list[str]]:
-        """List of QPoly encodings, ascending powers of x."""
-        return [c.to_json() for c in self.coeffs]
+        """List of QPoly encodings, ascending powers of x; [] is a zero one."""
+        return [list(map(str, c.coeffs)) if c.coeffs else [] for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: list) -> "XQPoly":

@@ -216,27 +216,61 @@ def test_vector_amplitudes_must_be_a_sequence():
     assert FockVector(1, [QPoly([1]), 2]).amplitude(1) == XQPoly.const(2)
 
 
-def test_reorder_matches_the_rewrite_with_plain_products(monkeypatch):
-    """_reorder sums the q-Wick closed form with the shift, window and
-    unwindow kernels; the one-factor rewrite a^l ad^k =
-    q^k (a^(l-1) ad^k) a + [k] (a^(l-1) ad^(k-1)), filled bottom-up here
-    with the schoolbook *, pins it independently of them."""
-    monkeypatch.setattr(boson, "_REORDERED", {})
-    want = {}
-    for l in range(16):
-        for k in range(16):
+def _rewrite_table(size):
+    """Normal orderings of a^l ad^k for l, k < size, as {(k', l'): coeff},
+    filled bottom-up by the one-factor rewrite a^l ad^k =
+    q^k (a^(l-1) ad^k) a + [k] (a^(l-1) ad^(k-1)) with the schoolbook *."""
+    table = {}
+    for l in range(size):
+        for k in range(size):
             if l == 0 or k == 0:
-                want[l, k] = {(k, l): QPoly.one()}
+                table[l, k] = {(k, l): QPoly.one()}
                 continue
             terms = {
                 (kt, lt + 1): c * QPoly.monomial(k)
-                for (kt, lt), c in want[l - 1, k].items()
+                for (kt, lt), c in table[l - 1, k].items()
             }
-            for key, c in want[l - 1, k - 1].items():
+            for key, c in table[l - 1, k - 1].items():
                 terms[key] = terms.get(key, QPoly.zero()) + c * q_int(k)
-            want[l, k] = terms
-    for (l, k), terms in want.items():
+            table[l, k] = terms
+    return table
+
+
+def test_reorder_matches_the_rewrite_with_plain_products():
+    """_reorder sums the q-Wick closed form with the shift, window and
+    unwindow kernels; the one-factor rewrite, filled with the schoolbook *,
+    pins it independently of them."""
+    for (l, k), terms in _rewrite_table(16).items():
         assert dict(boson._reorder(l, k).terms) == terms, (l, k)
+
+
+def _dense_nf(rng, top):
+    """Up to four terms with exponents <= top and dense signed coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (rng.randint(0, top), rng.randint(0, top))
+        terms[key] = QPoly(
+            [rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 25))
+             for _ in range(rng.randint(1, 6))]
+        )
+    return NormalForm(terms)
+
+
+def test_stepped_product_matches_the_rewrite_with_plain_products():
+    """x * y steps each term pair's coefficient through the q-Wick chain;
+    the reference multiplies c1·c2 by each coefficient of the rewrite
+    table's a^l1 ad^k2 with the schoolbook * and sums by key."""
+    table = _rewrite_table(13)
+    rng = random.Random(151)
+    for _ in range(60):
+        x, y = _dense_nf(rng, 12), _dense_nf(rng, 12)
+        want = {}
+        for (k1, l1), c1 in x.terms:
+            for (k2, l2), c2 in y.terms:
+                for (km, lm), cm in table[l1, k2].items():
+                    key = (k1 + km, lm + l2)
+                    want[key] = want.get(key, QPoly.zero()) + c1 * c2 * cm
+        assert x * y == NormalForm(want)
 
 
 def test_q_commutator_matches_the_product_by_the_monomial():

@@ -756,6 +756,14 @@ PINNED_STDOUT = [
     ("verify --identity triangle-oracle --kind qr-whitney --n 0..32 --m 3 --r 2"
      " --jobs 2", 0,
      "71e7819ca53cbcc3a75a7fae59fdfddb81df305c5fe588fa55625faf2da86b72", 2682347),
+    # dense operator products: every term pair steps a coefficient with
+    # several nonzero terms through the q-Wick chain
+    ("normal-order --expr (a+ad)^24", 0,
+     "4ba5cf53c6029d320104c18a5298fdb5b7ae79a1dd001dda9added5a8cb6ad1e", 178555),
+    ("normal-order --expr (a^2*ad^3+ad*a)^8", 0,
+     "2de693e1ab99250016b4e7ff380efe5a024868c5c36a05b2ad900b3e6ce36836", 89203),
+    ("verify --identity lem2 --k 0..12 --cap 120", 0,
+     "aa140bf096e4e89a2a287fe694f0fa1393e5b9548db79b28cd7fdcbc71537e63", 589732),
 ]
 
 

@@ -364,6 +364,44 @@ def test_differential_against_plain_lists():
             assert got == p
 
 
+def test_one_term_operand_matches_plain_convolution():
+    """A one-term operand on either side scales the other in one pass;
+    the list convolution is the reference.  Operands include zero,
+    negative, interior-zero and 10**40-sized coefficients."""
+    rng = random.Random(20261020)
+    ints = (0, 1, -1, 3, -(10**40))
+    for _ in range(150):
+        a = _rand_coeffs(rng)
+        if len(a) > 2 and rng.random() < 0.5:
+            a[rng.randrange(1, len(a) - 1)] = 0  # interior zero
+        xa = _rand_xcoeffs(rng) + [[], _rand_coeffs(rng)]  # interior zero row
+        pa, pxa = QPoly(a), XQPoly(QPoly(c) for c in xa)
+        k = rng.choice(ints)
+        one = QPoly.const(rng.choice(ints))
+        for s, sc in ((k, [k]), (one, list(one.coeffs))):
+            want = _ref_mul(a, sc)
+            _q(pa * s, want)
+            _q(s * pa, want)
+            _x(pxa * s, [_ref_mul(row, sc) for row in xa])
+            _x(s * pxa, [_ref_mul(row, sc) for row in xa])
+        # XQPoly by a QPoly: a one-term operand in x with a dense q-coefficient
+        _x(pxa * pa, [_ref_mul(row, a) for row in xa])
+        _x(pa * pxa, [_ref_mul(row, a) for row in xa])
+        # one-term values of the same ring, on the left and on the right
+        cx = XQPoly([pa])
+        _x(cx * pxa, _x_mul([a], xa))
+        _x(pxa * cx, _x_mul(xa, [a]))
+        _q(one * pa, _ref_mul(list(one.coeffs), a))
+        _q(pa * one, _ref_mul(a, list(one.coeffs)))
+
+
+def test_unit_window_and_unwindow_return_the_value():
+    rng = random.Random(20261021)
+    for _ in range(50):
+        for p in (_rand_qpoly(rng), XQPoly(QPoly(c) for c in _rand_xcoeffs(rng))):
+            assert p.window(1) == p.unwindow(1) == p
+
+
 def test_eval_x_against_horner_on_edge_inputs():
     """The integer eval_x kernel against the Horner reference: zero, s = 0
     and 1, s >= 10**6, coefficients past 2**64 and negative ones."""

@@ -127,6 +127,26 @@ def test_cell_json_is_dumps_of_encode():
     assert cell_json(QPoly([-(2**64), 0, 3])) == '["-18446744073709551616","0","3"]'
 
 
+def test_direct_encodings_match_the_per_coefficient_rule():
+    """QPoly.to_json and XQPoly.to_json, which write their lists directly,
+    give what encoding one coefficient at a time gives, read back to the
+    same value, and agree with cell_json, also with zero coefficients."""
+    rng = random.Random(10)
+    pool = (0, 0, 0, 1, -1, 7, -(2**64), 10**40)
+    for _ in range(400):
+        q = QPoly([rng.choice(pool) for _ in range(rng.randint(0, 8))])
+        x = XQPoly(
+            QPoly([rng.choice(pool) for _ in range(rng.randint(0, 4))])
+            for _ in range(rng.randint(0, 6))
+        )
+        assert q.to_json() == [str(c) for c in q.coeffs]
+        assert x.to_json() == [[str(c) for c in row.coeffs] for row in x.coeffs]
+        assert QPoly.from_json(q.to_json()) == q
+        assert XQPoly.from_json(x.to_json()) == x
+        assert cell_json(q) == dumps(encode(q))
+    assert XQPoly([QPoly([1]), 0, QPoly([0, 2])]).to_json() == [["1"], [], ["0", "2"]]
+
+
 _CHARS = "aZ0 \"\\/\n\t\u00e9\u00df\u20ac\u2713\U0001d52e\x00"
 
 
