@@ -24,13 +24,13 @@ from .triangles import (
     r_whitney,
     r_whitney_classic,
     stirling2,
-    whitney_special_check,
 )
 from .identities import (
     run_case,
     verify_bell_recurrence,
     verify_katriel,
     verify_lemma,
+    verify_q_expansion,
     verify_result1,
     verify_result1_xpoly,
     verify_result1_xs,
@@ -41,6 +41,7 @@ from .identities import (
     verify_spivey,
     verify_stirling_def,
     verify_triangle_vs_oracle,
+    verify_whitney_special,
 )
 
 __version__ = "0.1.0"
@@ -76,6 +77,7 @@ __all__ = [
     "verify_bell_recurrence",
     "verify_katriel",
     "verify_lemma",
+    "verify_q_expansion",
     "verify_result1",
     "verify_result1_xpoly",
     "verify_result1_xs",
@@ -86,5 +88,5 @@ __all__ = [
     "verify_spivey",
     "verify_stirling_def",
     "verify_triangle_vs_oracle",
-    "whitney_special_check",
+    "verify_whitney_special",
 ]

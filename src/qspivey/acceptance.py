@@ -1,10 +1,11 @@
-"""The acceptance suite: every graded criterion, runnable as a library.
+"""The acceptance suite: every graded criterion, runnable as a library,
+with its pins, the brute-force partition count and the task runner.
 
-Each criterion function returns a task list: a functools.partial over a
-verifier per checked instance, plus the cheap pinned witnesses as reports
-built with the list.  Criteria 6 and 7 check each (n, l, m, r) at every x
-in one task, whose partial returns that instance's reports in x order, so
-the x-free work is done once per instance.  A pin is
+Each criterion function returns a task list: a functools.partial over an
+identities verifier per checked instance, plus the cheap pinned witnesses
+as reports built with the list.  Criteria 6 and 7 check each (n, l, m, r)
+at every x in one task, whose partial returns that instance's reports in
+x order, so the x-free work is done once per instance.  A pin is
 VerificationReport.check of an observed value against its frozen
 expectation, both given as raw values.  _reports gives one task's
 reports: it passes a ready report through, calls a partial, and splices
@@ -45,7 +46,6 @@ from typing import Callable, Union
 
 from . import identities, triangles
 from .polys import QPoly
-from .qcalc import q_falling, q_int
 from .report import VerificationReport, dumps
 
 Task = Union[
@@ -353,23 +353,15 @@ def criterion_9() -> list[Task]:
             tasks.append(_pin("r-whitney-at-1", {"n": 10, "m": m, "r": r}, got, want))
     got = [triangles.qr_dowling_poly(n, 1, 0).eval_x(1).eval_int(1) for n in range(13)]
     tasks.append(_pin("dowling-10-is-bell", {"n": 12}, got, triangles.bell(12)))
-    tasks += [partial(triangles.whitney_special_check, 8, m) for m in (1, 2, 3)]
+    tasks += [partial(identities.verify_whitney_special, 8, m) for m in (1, 2, 3)]
     return tasks
-
-
-def _q_expansion(s: int, n: int) -> VerificationReport:
-    lhs = q_int(s) ** n
-    row = triangles.q_stirling2(n)[n]
-    rhs = QPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + row[k] * q_falling(s, k)
-    return VerificationReport.check("q-expansion", "n/a", {"s": s, "n": n}, lhs, rhs)
 
 
 def criterion_10() -> list[Task]:
     """The q-expansion law [s]^n == sum_k S[n,k] · [s][s-1]..[s-k+1]
     as QPoly identities for 0 <= s, n <= 8."""
-    return [partial(_q_expansion, s, n) for s in range(9) for n in range(9)]
+    law = identities.verify_q_expansion
+    return [partial(law, s, n) for s in range(9) for n in range(9)]
 
 
 CRITERIA: tuple[tuple[int, str, Callable[[], list[Task]]], ...] = (

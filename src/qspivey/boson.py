@@ -12,10 +12,11 @@ No T_j is built on its own.  The product of two terms steps its own
 coefficient u = c1·c2 through the chain, u ← u·[l-j+1]·[k-j+1]/[j], with
 two windows and one exact division per j, each O(deg); c·T_j is a
 polynomial, so the division by [j] leaves no remainder.  Nothing is
-memoized.  The one-factor rewrite a · ad^k = q^k · ad^k · a +
-[k] · ad^(k-1) it sums is kept as the reference in the tests, written
-there with schoolbook products.  Coefficients are QPoly values, so
-results are exact.
+memoized; a bare word a^l · ad^k is the product of its two monomials.
+The one-factor rewrite a · ad^k = q^k · ad^k · a + [k] · ad^(k-1) it
+sums is kept as the reference in the tests, written there with
+schoolbook products.  Coefficients are QPoly values, so results are
+exact.
 
 FockVector simulates the same algebra on a truncated occupancy basis.
 Amplitudes are stored in a rescaled basis chosen so that a lowers
@@ -242,11 +243,6 @@ def _wick(c: QPoly, l: int, k: int) -> Iterator[tuple[int, QPoly]]:
         if j:
             u = u.window(l - j + 1).window(k - j + 1).unwindow(j)
         yield j, u.shift((l - j) * (k - j))
-
-
-def _reorder(l: int, k: int) -> NormalForm:
-    """Normal ordering of the word a^l · ad^k: the c = 1 case of _wick."""
-    return NormalForm(((k - j, l - j), t) for j, t in _wick(QPoly.one(), l, k))
 
 
 class FockVector:

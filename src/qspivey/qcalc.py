@@ -4,18 +4,17 @@
 the zero polynomial.  The falling product [s][s-1]...[s-k+1] plays the
 role of the classical falling factorial; it vanishes identically whenever
 k > s because a factor [0] appears.  Everything is built by products, so
-no division is ever performed.
+no division is ever performed.  Nothing is cached: building [s] costs
+O(s), no more than one product by it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .polys import QPoly
 
 
-@lru_cache(maxsize=None)
 def q_int(s: int) -> QPoly:
     """The q-integer [s]; requires s >= 0."""
     if s < 0:

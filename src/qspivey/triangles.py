@@ -1,4 +1,5 @@
-"""Triangle and polynomial families built by recurrence.
+"""Triangle and polynomial families built by recurrence; this module only
+builds, and every check of what it builds lives in identities.
 
 The (q,r)-Whitney triangle with weight m >= 1 and shift r >= 0 is
 
@@ -40,7 +41,6 @@ from itertools import islice
 from typing import Iterator
 
 from .polys import QPoly, XQPoly
-from .report import VerificationReport
 
 
 # longest triangle built so far per builder and parameter set; a call for
@@ -180,15 +180,3 @@ def r_whitney_classic_rows(
             row.append(v)
         last = tuple(row)
         yield last
-
-
-def whitney_special_check(k_max: int, m: int) -> VerificationReport:
-    """Certify W_{m,0}[k,i] == m^(k-i) · S[k,i] for all i <= k <= k_max."""
-    qs = q_stirling2(k_max)
-    rhs = [
-        [qs[k][i] * (m ** (k - i)) for i in range(k + 1)] for k in range(k_max + 1)
-    ]
-    params = {"k": k_max, "m": m}
-    return VerificationReport.check(
-        "whitney-special", "n/a", params, qr_whitney(k_max, m, 0), rhs
-    )

@@ -15,7 +15,6 @@ from qspivey import (
     NormalForm,
     QPoly,
     XQPoly,
-    boson,
     coherent_truncated,
     q_falling,
     q_int,
@@ -48,6 +47,11 @@ def test_reordering_one_lowering_past_two_raisings():
         ((1, 0), QPoly([1, 1])),
         ((2, 1), QPoly([0, 0, 1])),
     )
+
+
+def test_str_forms():
+    assert str(A * (AD**2)) == "(1 + q) ad + (q^2) ad^2 a"
+    assert str(NormalForm.zero()) == "0"
 
 
 def test_identity_is_neutral():
@@ -237,11 +241,13 @@ def _rewrite_table(size):
 
 
 def test_reorder_matches_the_rewrite_with_plain_products():
-    """_reorder sums the q-Wick closed form with the shift, window and
-    unwindow kernels; the one-factor rewrite, filled with the schoolbook *,
-    pins it independently of them."""
+    """The word a^l · ad^k, as the product of its two monomials, sums the
+    q-Wick closed form with the shift, window and unwindow kernels; the
+    one-factor rewrite, filled with the schoolbook *, pins it independently
+    of them."""
     for (l, k), terms in _rewrite_table(16).items():
-        assert dict(boson._reorder(l, k).terms) == terms, (l, k)
+        word = NormalForm.monomial(0, l) * NormalForm.monomial(k, 0)
+        assert dict(word.terms) == terms, (l, k)
 
 
 def _dense_nf(rng, top):

@@ -206,11 +206,14 @@ def test_verify_usage_errors(capsys):
         ("verify", "--identity", "lem2", "--k", "0..5", "--cap", "4"),
         ("verify", "--identity", "spivey", "--jobs", "0"),
         ("verify", "--identity", "spivey", "--kind", "q-stirling"),
+        ("verify", "--identity", "spivey", "--n=-1..3"),
     ]
+    messages = {cases[-1]: "--n: values must be nonnegative"}
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "", argv
+        assert messages.get(argv, "") in err, argv
 
 
 def test_bad_bindings_and_unwritable_out_exit_two(tmp_path, capsys):

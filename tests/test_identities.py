@@ -320,6 +320,40 @@ def test_lemma_validation():
         identities.verify_lemma("lem3", -1)
 
 
+def test_lem3_is_the_printed_lemma():
+    """lem3 runs lem4's body at (m, r) = (1, 0); the lemma as printed,
+    N·ad^k == ad^k·([k] + q^k·N), is built here directly."""
+    N, ad = NormalForm.number(), NormalForm.raising()
+    for k in range(13):
+        rep = identities.verify_lemma("lem3", k)
+        printed = (ad**k) * (NormalForm.identity() * q_int(k) + N * QPoly.monomial(k))
+        assert rep.passed and rep.identity == "lem3" and rep.params == {"k": k}
+        assert rep.lhs == (N * (ad**k)).to_json()
+        assert rep.rhs == printed.to_json()
+
+
+def test_whitney_special_reduction_report():
+    rep = identities.verify_whitney_special(8, 3)
+    assert rep.passed
+    assert rep.identity == "whitney-special"
+    assert rep.params == {"k": 8, "m": 3}
+
+
+def test_q_expansion_of_powers():
+    # [s]^n = sum_k S[n,k] · [s][s-1]..[s-k+1], summed here cell by cell
+    rows = triangles.q_stirling2(7)
+    for s in range(8):
+        for n in range(8):
+            lhs = q_int(s) ** n
+            rhs = QPoly.zero()
+            for k, cell in enumerate(rows[n]):
+                rhs = rhs + cell * q_falling(s, k)
+            assert lhs == rhs
+            rep = identities.verify_q_expansion(s, n)
+            assert rep.passed and rep.params == {"s": s, "n": n}
+            assert (rep.lhs, rep.rhs) == (lhs.to_json(), rhs.to_json())
+
+
 def test_triangle_oracle_sweep_and_witness():
     for n in range(7):
         assert identities.verify_triangle_vs_oracle("q-stirling", n).passed

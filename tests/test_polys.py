@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspivey import QPoly, XQPoly, q_int
+from qspivey import QPoly, XQPoly, q_int, qr_dowling_poly
 
 
 def test_constructor_normalizes_trailing_zeros():
@@ -212,6 +212,8 @@ def test_str_forms():
     assert str(QPoly([1, 2, 1])) == "1 + 2q + q^2"
     assert str(QPoly([0, -1])) == "-q"
     assert str(XQPoly([QPoly([1]), QPoly([1, 1])])) == "(1) + (1 + q)x"
+    assert str(qr_dowling_poly(2, 2, 1)) == "(1) + (4)x + (q)x^2"
+    assert str(XQPoly.monomial(2)) == "x^2"
 
 
 # plain list-of-ints reference for the differential test below; an XQPoly

@@ -53,13 +53,13 @@ def test_builders_extend_bottom_up_under_a_small_stack():
     # a reorder that recursed once per lowering factor, would overflow
     code = (
         "import sys\n"
-        "from qspivey import boson, triangles\n"
+        "from qspivey import NormalForm, triangles\n"
         "sys.setrecursionlimit(50)\n"
         "triangles.stirling2(100)\n"
         "triangles.r_whitney_classic(100, 2, 1)\n"
         "triangles.q_stirling2(30)\n"
         "triangles.qr_whitney(30, 2, 1)\n"
-        "boson._reorder(100, 2)\n"
+        "NormalForm.monomial(0, 100) * NormalForm.monomial(2, 0)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -152,25 +152,6 @@ def test_r_dowling_values():
     assert triangles.r_dowling(3, 2, 1) == (1, 2, 6, 24)
     # weight 1, shift 0 gives plain Bell numbers
     assert triangles.r_dowling(7, 1, 0) == triangles.bell(7)
-
-
-def test_whitney_special_reduction_report():
-    rep = triangles.whitney_special_check(8, 3)
-    assert rep.passed
-    assert rep.identity == "whitney-special"
-    assert rep.params == {"k": 8, "m": 3}
-
-
-def test_q_expansion_of_powers():
-    # [s]^n = sum_k S[n,k] · [s][s-1]..[s-k+1]
-    rows = triangles.q_stirling2(7)
-    for s in range(8):
-        for n in range(8):
-            lhs = q_int(s) ** n
-            rhs = QPoly.zero()
-            for k, cell in enumerate(rows[n]):
-                rhs = rhs + cell * q_falling(s, k)
-            assert lhs == rhs
 
 
 def test_builders_return_fresh_equal_structures():
