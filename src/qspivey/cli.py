@@ -2,10 +2,11 @@
 
 Subcommands: triangle, poly, numbers, normal-order, verify, sweep.
 Output is deterministic byte for byte: JSON is emitted with sorted keys
-and fixed separators, every computed value is written by report.encode
-(a triangle cell, row sum or polynomial coefficient by report.cell_json,
-which writes the same text), and parallel runs (--jobs) merge results in
-the same order as sequential ones.
+and fixed separators, every computed value is written straight to text
+by report's writers, which give exactly dumps(report.encode(value)) (a
+triangle cell, row sum or polynomial coefficient by report.cell_json, a
+normal-form term by report.term_json), and parallel runs (--jobs) merge
+results in the same order as sequential ones.
 
 Each command checks its flags and returns the pieces of its output and
 its exit code; main writes each piece as it comes.  triangle, numbers
@@ -13,8 +14,11 @@ and poly stream: one table, _KINDS, names the row generator of each kind
 (the integer rows or the q-rows), which they drive with no cache.
 triangle writes rows 0..n, numbers one row sum per row and poly the
 cells of row n, all through one list writer, _json_list (or _csv_rows),
-so each holds two rows at once, not the triangle and its text.  The
-other commands yield their one text as a single piece.
+so each holds two rows at once, not the triangle and its text.
+normal-order holds the normal form and writes it one term at a time,
+not its whole text.  verify and sweep compute every report first, so a
+failing task writes nothing, and write their lines as one piece; each
+report holds its two sides as text, written once when it was checked.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions (with no output
@@ -37,7 +41,7 @@ from itertools import islice, product
 from typing import Iterable, Iterator
 
 from . import acceptance, identities, opexpr, triangles
-from .report import cell_json, dumps, encode
+from .report import cell_json, dumps, term_json
 
 
 class UsageError(Exception):
@@ -203,10 +207,19 @@ def cmd_numbers(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     return _json_list(head, "values", (cell_json(sum(row)) for row in rows)), 0
 
 
-def cmd_normal_order(args: argparse.Namespace) -> tuple[list[str], int]:
+def _json_terms(nf) -> Iterator[str]:
+    """json_text(nf) plus a newline, written term by term."""
+    sep = "["
+    for term in nf.terms:
+        yield sep + term_json(term)
+        sep = ","
+    yield "[]\n" if sep == "[" else "]\n"
+
+
+def cmd_normal_order(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     m, r = _m_r("normal-order", args, None)
     nf = opexpr.normal_order(args.expr, m=m, r=r)
-    return [dumps(encode(nf)) + "\n"], 0
+    return _json_terms(nf), 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:

@@ -12,7 +12,9 @@ and one, its coefficient check and its JSON and printed forms.  Each ring
 takes its coefficient ring (int, and QPoly for XQPoly) as the other
 operand of + - * on either side.  Such a scalar, or a value with a single
 coefficient, is a one-term operand: _mul multiplies the other operand by
-it in one pass over its coefficients, skipping zero ones, in O(deg).
+it in one pass over its coefficients, skipping zero ones, in O(deg).  A
+unit monomial v^j, the ring's one at j = 0, takes no such pass: the
+product is the other operand's coefficients shifted by j.
 
 Two O(deg) kernels serve the products that every recurrence in the
 package takes: shift(s) is the product by the monomial v^s (s zeros
@@ -80,8 +82,9 @@ class _Dense:
     """Dense polynomial, coefficients ascending by power.
 
     The last stored coefficient is nonzero; zero stores the empty tuple.
-    A subclass sets _C0 (the coefficient zero), _check (returns a checked
-    coefficient or raises TypeError) and, after its body, _ZERO and _ONE.
+    A subclass sets _C0 and _C1 (the coefficient zero and one), _check
+    (returns a checked coefficient or raises TypeError) and, after its
+    body, _ZERO and _ONE.
     It binds the arithmetic dunders by name in its own body (QPoly also
     the shift, window and unwindow kernels it takes), because
     bench/tracer.py wraps only what it finds in a class's own namespace.
@@ -170,11 +173,18 @@ class _Dense:
         a = self.coeffs
         if not a or not b:
             return self._ZERO
+        # a unit monomial v^j (the ring's one at j = 0) shifts the other
+        # operand: its coefficients are kept, with no pass over them
+        one, zero = self._C1, self._C0
+        if b[-1] == one and b.count(zero) == len(b) - 1:
+            return self._make([zero] * (len(b) - 1) + list(a))
+        if a[-1] == one and a.count(zero) == len(a) - 1:
+            return self._make([zero] * (len(a) - 1) + list(b))
         # a one-term operand scales the other: one pass, zeros kept as zeros
         if len(b) == 1 or len(a) == 1:
             if len(b) != 1:
                 a, b = b, a
-            c, zero = b[0], self._C0
+            c = b[0]
             return self._make([ai * c if ai else zero for ai in a])
         out = [self._C0] * (len(a) + len(b) - 1)
         # zeros are skipped on both sides, so a product by a sparse operand
@@ -270,7 +280,7 @@ class QPoly(_Dense):
     """Polynomial in q: coeffs[i] is the integer coefficient of q**i."""
 
     __slots__ = ()
-    _C0 = 0
+    _C0, _C1 = 0, 1
 
     @staticmethod
     def _check(c: object) -> int:
@@ -347,7 +357,7 @@ class XQPoly(_Dense):
     """Polynomial in x with QPoly coefficients, ascending by power of x."""
 
     __slots__ = ()
-    _C0 = QPoly._ZERO
+    _C0, _C1 = QPoly._ZERO, QPoly._ONE
     _check = staticmethod(_to_qpoly)
 
     __add__ = __radd__ = _Dense._add

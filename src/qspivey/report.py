@@ -1,45 +1,74 @@
-"""Outcome records for identity verification, and the one encoding rule.
+"""Outcome records for identity verification, the one encoding rule and
+its direct writers.
 
-A VerificationReport carries both sides of a checked identity verbatim in
-their canonical JSON encodings, so a failing report is direct evidence:
-the reader can see exactly which polynomials or integers disagreed, not
-just a boolean.
+A VerificationReport carries both sides of a checked identity verbatim as
+the JSON text of their canonical encodings, so a failing report is direct
+evidence: the reader can see exactly which polynomials or integers
+disagreed, not just a boolean.
 
 Encoding rule (encode): an int becomes its decimal string, so no value is
 truncated to 64 bits; a str or a bool stays as it is, and True never
 becomes "1"; a list or tuple becomes a list of encoded items; anything
 else (QPoly, XQPoly, NormalForm) becomes its to_json().  Every computed
-value that a command or a report writes goes through this rule; params
-stay JSON numbers.  cell_json writes the same JSON text for an int or
-QPoly triangle cell directly, with no list of strings in between, so a
-triangle can be written cell by cell.
+value that a command or a report writes follows this rule; params stay
+JSON numbers.
 
-Verdict rule (VerificationReport.check): a report encodes both sides and
-passes iff the two encodings are equal.  Each type's encoding is
-canonical, so for two values of one type that is exact equality; across
-types an int equals its decimal string and a tuple the list of its items,
-which lets a pin state its expectation in the simplest form.  No other
-code builds a report or decides passed.
+Writers (json_text): one direct writer per value kind (int, bool, str,
+QPoly, XQPoly, NormalForm, list and tuple) gives exactly
+dumps(encode(value)), with no list of decimal strings and no encoder pass
+in between; any other type goes through dumps(encode(value)) itself.
+cell_json is the int and QPoly case, with which a triangle is written
+cell by cell, and term_json writes one NormalForm term, with which
+normal-order writes its terms one at a time.
 
-dumps writes all JSON text through one module-level encoder with sorted
-keys and no whitespace, the text json.dumps gives with those options,
-without building an encoder per call.  VerificationReport and the opexpr
-AST nodes are Records: plain __slots__ classes that are immutable, equal
-field by field within one class, and repr and pickle like frozen
-dataclasses, so importing them loads no dataclasses module.
+Verdict rule (VerificationReport.check): a report writes each side once
+with json_text and passes iff the two texts are equal.  Canonical JSON
+text is injective on encodings, so that is the verdict of comparing the
+encodings: for two values of one type it is exact equality, and across
+types an int equals its decimal string and a tuple the list of its
+items, which lets a pin state its expectation in the simplest form.  No
+other code builds a report from values or decides passed.  A report's
+line (to_json_line) splices the two texts into its frame; lhs and rhs
+decode them on demand.  A report made from encodings (the constructor,
+from_json) writes its sides with dumps, so criterion 11, which parses
+every sweep line and re-renders it, checks each written side byte for
+byte against the json module.
+
+dumps writes all other JSON text through one module-level encoder with
+sorted keys and no whitespace, the text json.dumps gives with those
+options, without building an encoder per call; a str, int or bool it
+writes with the function the encoder itself would call.
+VerificationReport and the opexpr AST nodes are Records: plain __slots__
+classes that are immutable, equal field by field within one class, and
+repr and pickle like frozen dataclasses, so importing them loads no
+dataclasses module.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
+from itertools import takewhile
+from operator import is_, not_
 from typing import Any
 
+from .boson import NormalForm
+from .polys import QPoly, XQPoly
+
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_is_zero_qpoly = partial(is_, QPoly.zero())  # the shared zero: no Python call
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+}
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys and no whitespace."""
-    return _ENCODER.encode(obj)
+    """Canonical JSON text: sorted keys and no whitespace.  A str, int or
+    bool is written as the encoder writes it, without starting one."""
+    scalar = _SCALARS.get(type(obj))
+    return _ENCODER.encode(obj) if scalar is None else scalar(obj)
 
 
 def encode(value) -> Any:
@@ -53,11 +82,69 @@ def encode(value) -> Any:
     return value.to_json()
 
 
+def _qpoly_json(p: QPoly) -> str:
+    cs = p.coeffs
+    if len(cs) < 64:
+        return '["' + '","'.join(map(str, cs)) + '"]' if cs else "[]"
+    # a long coefficient list: its run of leading zeros, such as a shift by
+    # q^j leaves, is written at once, and if the rest is a palindrome, as a
+    # product of q-binomials is, only its first half is converted to decimal
+    z = 0 if cs[0] else len(list(takewhile(not_, cs)))
+    rest = cs[z:]
+    n = len(rest)
+    if rest[0] == rest[-1] and rest == rest[::-1]:
+        digits = list(map(str, rest[: (n + 1) // 2]))
+        digits += digits[: n // 2][::-1]
+    else:
+        digits = map(str, rest)
+    return "".join(("[", '"0",' * z, '"', '","'.join(digits), '"]'))
+
+
+def _xqpoly_json(p: XQPoly) -> str:
+    cs = p.coeffs
+    # a run of leading zeros, such as x^s holds, is written at once
+    z = len(list(takewhile(_is_zero_qpoly, cs)))
+    return "".join(("[", "[]," * z, ",".join(map(_qpoly_json, cs[z:])), "]"))
+
+
+def term_json(term: tuple) -> str:
+    """dumps(encode(...)) of one NormalForm term ((k, l), coeff): its record."""
+    (k, l), c = term
+    return "".join(('{"coeff":', _qpoly_json(c), f',"k":{k},"l":{l}}}'))
+
+
+def _normal_form_json(nf: NormalForm) -> str:
+    return "[" + ",".join(map(term_json, nf.terms)) + "]"
+
+
+def _list_json(items) -> str:
+    return "[" + ",".join(map(json_text, items)) + "]"
+
+
+# exact type -> writer; a subclass of these goes through encode
+_WRITERS = {
+    int: lambda v: f'"{v}"',
+    bool: _SCALARS[bool],
+    str: _SCALARS[str],
+    QPoly: _qpoly_json,
+    XQPoly: _xqpoly_json,
+    NormalForm: _normal_form_json,
+    list: _list_json,
+    tuple: _list_json,
+}
+
+
+def json_text(value) -> str:
+    """dumps(encode(value)), written directly; see the module docstring."""
+    writer = _WRITERS.get(type(value))
+    return dumps(encode(value)) if writer is None else writer(value)
+
+
 def cell_json(cell) -> str:
-    """dumps(encode(cell)) for an int or QPoly cell, written directly."""
+    """json_text of an int or QPoly cell: the writer's two cell cases."""
     if isinstance(cell, int):
         return f'"{cell}"'
-    return '["' + '","'.join(map(str, cell.coeffs)) + '"]' if cell.coeffs else "[]"
+    return _qpoly_json(cell)
 
 
 class Record:
@@ -115,25 +202,55 @@ class VerificationReport(Record):
               "n/a" elsewhere.
     params:   the instance parameters (small integers, plus a kind string
               for the triangle-vs-oracle checks).
-    lhs/rhs:  the encodings of both sides.
-    passed:   whether the two encodings are equal.
+    lhs/rhs:  the encodings of both sides, decoded from lhs_text and
+              rhs_text, the JSON texts the report holds.
+    passed:   whether the two texts are equal.
+
+    The constructor takes the encodings of both sides, as the repr and
+    pickling give them; check builds a report from raw values.
     """
 
-    __slots__ = ("identity", "variant", "params", "lhs", "rhs", "passed")
+    __slots__ = ("identity", "variant", "params", "lhs_text", "rhs_text", "passed")
     identity: str
     variant: str
     params: dict
-    lhs: Any
-    rhs: Any
+    lhs_text: str
+    rhs_text: str
     passed: bool
+
+    def __init__(self, identity: str, variant: str, params: dict, lhs, rhs, passed) -> None:
+        super().__init__(identity, variant, params, dumps(lhs), dumps(rhs), passed)
 
     @classmethod
     def check(
         cls, identity: str, variant: str, params: dict, lhs, rhs
     ) -> "VerificationReport":
-        """The report on lhs against rhs: both encoded, passed iff equal."""
-        lhs, rhs = encode(lhs), encode(rhs)
-        return cls(identity, variant, params, lhs, rhs, lhs == rhs)
+        """The report on lhs against rhs: each side written once with
+        json_text, passed iff the two texts are equal."""
+        lhs, rhs = json_text(lhs), json_text(rhs)
+        rep = object.__new__(cls)
+        Record.__init__(rep, identity, variant, params, lhs, rhs, lhs == rhs)
+        return rep
+
+    @property
+    def lhs(self) -> Any:
+        return json.loads(self.lhs_text)
+
+    @property
+    def rhs(self) -> Any:
+        return json.loads(self.rhs_text)
+
+    def _fields(self) -> tuple:
+        """The constructor's arguments: both sides as encodings."""
+        return (self.identity, self.variant, self.params, self.lhs, self.rhs, self.passed)
+
+    def __repr__(self) -> str:
+        names = ("identity", "variant", "params", "lhs", "rhs", "passed")
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def to_json(self) -> dict:
         return {
@@ -160,4 +277,9 @@ class VerificationReport(Record):
         )
 
     def to_json_line(self) -> str:
-        return dumps(self.to_json())
+        """dumps(self.to_json()), with the two side texts spliced in."""
+        return (
+            f'{{"identity":{dumps(self.identity)},"lhs":{self.lhs_text},'
+            f'"params":{dumps(self.params)},"passed":{dumps(self.passed)},'
+            f'"rhs":{self.rhs_text},"variant":{dumps(self.variant)}}}'
+        )

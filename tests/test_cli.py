@@ -18,7 +18,7 @@ from itertools import islice, product
 
 import pytest
 
-from qspivey import QPoly, acceptance, cli, identities, opexpr, triangles
+from qspivey import QPoly, acceptance, cli, identities, opexpr, report, triangles
 from qspivey.report import VerificationReport, dumps, encode
 
 
@@ -533,20 +533,28 @@ def test_out_in_a_closed_directory_writes_its_file_in_place(monkeypatch, tmp_pat
 
 
 def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
-    # triangle streams rows and numbers row sums; both read qr_whitney_rows
+    # triangle streams rows and numbers row sums; both read qr_whitney_rows.
+    # normal-order streams its terms, each written by cli.term_json
     commands = [
-        ["triangle", "--kind", "q-stirling2", "--n", "6"],
-        ["numbers", "--kind", "q-bell", "--n", "6"],
+        (["triangle", "--kind", "q-stirling2", "--n", "6"], 3),
+        (["numbers", "--kind", "q-bell", "--n", "6"], 3),
+        (["normal-order", "--expr", "(a+ad)^4"], 1),
     ]
-    wholes = [run_cli(capsys, *argv)[1] for argv in commands]
-    real = triangles.qr_whitney_rows
+    wholes = [run_cli(capsys, *argv)[1] for argv, _ in commands]
+    real_rows, real_term = triangles.qr_whitney_rows, cli.term_json
 
     def two_rows_then_fault(m, r, last=None):
-        yield from islice(real(m, r, last), 2)
+        yield from islice(real_rows(m, r, last), 2)
         raise RuntimeError("injected fault")
 
+    def one_term_then_fault(term):
+        if term[0] != (0, 0):
+            raise RuntimeError("injected fault")
+        return real_term(term)
+
     monkeypatch.setattr(triangles, "qr_whitney_rows", two_rows_then_fault)
-    for argv, whole in zip(commands, wholes):
+    monkeypatch.setattr(cli, "term_json", one_term_then_fault)
+    for (argv, pieces), whole in zip(commands, wholes):
         # --out: the file already there is left byte for byte, with no temp file
         target = tmp_path / "rows.json"
         target.write_bytes(b"previous\x00bytes\n")
@@ -555,13 +563,30 @@ def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
         assert target.read_bytes() == b"previous\x00bytes\n"
         assert os.listdir(tmp_path) == ["rows.json"]
 
-        # stdout: the header and the two rows (or row sums) stay
+        # stdout: the pieces written before the fault stay: the header and
+        # two rows (or row sums), or the opening bracket and the first term
         stdout = _RecordingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert cli.main(argv) == 1, argv
         assert "internal error: injected fault" in capsys.readouterr().err
-        assert len(stdout.pieces) == 3
+        assert len(stdout.pieces) == pieces, argv
         assert whole.startswith(stdout.getvalue())
+
+
+def test_normal_order_writes_one_piece_per_term(monkeypatch):
+    """normal-order streams: one piece per term, whose text is the term's
+    record in the whole payload."""
+    nf = opexpr.normal_order("(a+ad)^6")
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["normal-order", "--expr", "(a+ad)^6"]) == 0
+    assert len(stdout.pieces) == len(nf.terms) + 1
+    assert stdout.getvalue() == dumps(encode(nf)) + "\n"
+    assert json.loads(stdout.pieces[1][1:]) == encode(nf)[1]
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["normal-order", "--expr", "a*ad-a*ad"]) == 0
+    assert stdout.pieces == ["[]\n"]
 
 
 def test_unknown_identity_and_missing_subcommand(capsys):
@@ -845,6 +870,21 @@ def test_a_line_that_does_not_round_trip_fails_criterion_11(capsys, monkeypatch,
     assert roundtrip["report"]["passed"] is False
     assert (roundtrip["report"]["lhs"], roundtrip["report"]["rhs"]) == ("2", "3")
     assert json.loads(lines[-1]) == {"failed": 1, "passed": 3, "total": 4}
+
+
+def test_a_non_canonical_writer_fails_criterion_11(capsys, monkeypatch):
+    """The QPoly writer made to write JSON with spaces: every sweep line
+    still parses, but a report rebuilt from it writes its sides with the
+    json module, so criterion 11 fails and the sweep exits 1."""
+    monkeypatch.setitem(report._WRITERS, QPoly, lambda p: json.dumps(p.to_json()))
+    code, out, _ = run_cli(capsys, "sweep")
+    lines = [json.loads(line) for line in out.strip().split("\n")]
+    assert code == 1
+    assert any('", "' in line for line in out.split("\n"))
+    roundtrip = lines[-2]
+    assert (roundtrip["criterion"], roundtrip["slug"]) == (11, "engineering-determinism")
+    assert roundtrip["report"]["identity"] == "json-roundtrip"
+    assert roundtrip["report"]["passed"] is False
 
 
 def test_a_task_failing_in_a_worker_is_an_internal_error(capsys, monkeypatch):

@@ -397,6 +397,69 @@ def test_one_term_operand_matches_plain_convolution():
         _q(pa * one, _ref_mul(a, list(one.coeffs)))
 
 
+def test_unit_monomial_operand_matches_plain_convolution():
+    """A unit monomial v^j on either side, the ring's one at j = 0, shifts
+    the other operand's coefficients; near misses (-1, 2·q^j, -q^j, an
+    inner nonzero below the unit) take the scaling or convolution paths.
+    The list convolution is the reference for all of them, on operands
+    with zero inner coefficients and on units whose zeros are equal but
+    not one object."""
+    rng = random.Random(20261022)
+    for _ in range(150):
+        a = _rand_coeffs(rng)
+        if len(a) > 2 and rng.random() < 0.5:
+            a[rng.randrange(1, len(a) - 1)] = 0  # interior zero
+        xa = _rand_xcoeffs(rng) + [[], _rand_coeffs(rng)]  # interior zero row
+        pa, pxa = QPoly(a), XQPoly(QPoly(c) for c in xa)
+        j = rng.randint(0, 6)
+        near = [0] * j + [1]
+        near[rng.randrange(len(near))] = rng.choice((1, 3, -(10**40)))
+        scalars = [
+            ([1], 1), ([-1], -1), ([1], QPoly.one()),
+            ([0] * j + [1], QPoly.monomial(j)),
+            ([0] * j + [2], QPoly.monomial(j, 2)),
+            ([0] * j + [-1], QPoly.monomial(j, -1)),
+            (near, QPoly(near)),
+        ]
+        for sc, s in scalars:
+            _q(pa * s, _ref_mul(a, sc))
+            _q(s * pa, _ref_mul(sc, a))
+            _x(pxa * s, [_ref_mul(row, sc) for row in xa])
+            _x(s * pxa, [_ref_mul(sc, row) for row in xa])
+        units = [
+            ([[1]], XQPoly.one()),
+            ([[]] * j + [[1]], XQPoly.monomial(j)),
+            ([[0]] * j + [[1]], XQPoly([QPoly([0])] * j + [QPoly([1])])),
+            ([[]] * j + [[0, 1]], XQPoly.monomial(j, QPoly.monomial(1))),
+            ([[]] * j + [[2]], XQPoly.monomial(j, 2)),
+            ([[1]] + [[]] * j + [[1]], XQPoly([1] + [0] * j + [1])),
+        ]
+        for sxc, sx in units:
+            _x(pxa * sx, _x_mul(xa, sxc))
+            _x(sx * pxa, _x_mul(sxc, xa))
+            _x(sx * pa, _x_mul(sxc, [a]))
+            _x(pa * sx, _x_mul([a], sxc))
+
+
+def test_a_unit_monomial_product_tests_no_coefficient(monkeypatch):
+    """x^s · x^k and x^s · 1 skip the pass over the zero QPoly coefficients
+    of x^s: only the trim looks at the last one."""
+    calls = []
+    real = QPoly.__bool__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(QPoly, "__bool__", counting)
+    xs = XQPoly.monomial(100)
+    for other in (XQPoly.monomial(7), QPoly.one(), 1, XQPoly.one()):
+        calls.clear()
+        for product in (xs * other, other * xs):
+            assert product.degree == 100 + (7 if other == XQPoly.monomial(7) else 0)
+        assert len(calls) <= 4, (other, len(calls))
+
+
 def test_unit_window_and_unwindow_return_the_value():
     rng = random.Random(20261021)
     for _ in range(50):

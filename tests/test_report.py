@@ -13,7 +13,14 @@ import random
 import pytest
 
 from qspivey import FockVector, NormalForm, QPoly, XQPoly
-from qspivey.report import VerificationReport, cell_json, dumps, encode
+from qspivey.report import (
+    VerificationReport,
+    cell_json,
+    dumps,
+    encode,
+    json_text,
+    term_json,
+)
 
 
 def _coeffs(rng, size=4):
@@ -145,6 +152,86 @@ def test_direct_encodings_match_the_per_coefficient_rule():
         assert XQPoly.from_json(x.to_json()) == x
         assert cell_json(q) == dumps(encode(q))
     assert XQPoly([QPoly([1]), 0, QPoly([0, 2])]).to_json() == [["1"], [], ["0", "2"]]
+
+
+def _long_qpoly(rng):
+    """A QPoly past the writer's short cut-off: leading zeros or none, and a
+    rest that is a palindrome, a near one (equal ends) or neither."""
+    n = rng.randint(64, 200)
+    half = [rng.choice((1, -2, 7, 10**40, -(10**41))) for _ in range(n // 2)]
+    rest = half + [rng.choice((0, 3))] * (n % 2) + half[::-1]
+    shape = rng.randrange(3)
+    if shape == 1:
+        rest[rng.randrange(1, n - 1)] += 1
+    elif shape == 2:
+        rest[-1] += 1
+    return QPoly([0] * rng.choice((0, 0, 1, 5, 300)) + rest)
+
+
+def _value(rng, depth=0):
+    """Any value the writers take: ints, bools, strings that need escapes,
+    QPoly, XQPoly and NormalForm values (zero ones too), and lists and
+    tuples of them, nested and empty."""
+    kind = rng.randrange(10 if depth < 3 else 8)
+    if kind == 0:
+        return rng.choice((0, -1, 1, 10**40, -(10**40) - 7, 2**64))
+    if kind == 1:
+        return rng.choice((True, False))
+    if kind == 2:
+        return _text(rng)
+    if kind == 3:
+        return _qpoly(rng)
+    if kind == 4:
+        return _long_qpoly(rng)
+    if kind == 5:
+        return rng.choice((
+            _xqpoly(rng),
+            XQPoly([0, 0, _long_qpoly(rng)]),  # zeros that are not the shared one
+            XQPoly.monomial(rng.randint(0, 5), _qpoly(rng)),
+            XQPoly.monomial(rng.randint(0, 5)) * _xqpoly(rng),
+        ))
+    if kind in (6, 7):
+        return rng.choice((_normal_form(rng), NormalForm()))
+    items = [_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return items if kind == 8 else tuple(items)
+
+
+def test_every_writer_is_dumps_of_encode():
+    """json_text, cell_json and term_json write exactly the text of the one
+    rule on seeded values of every kind."""
+    rng = random.Random(17)
+    values = [0, -1, 10**40, True, False, "", "\"\\\n\u00e9", QPoly(), XQPoly(),
+              NormalForm(), [], (), [[], ()], ((QPoly(),),)]
+    values += [_value(rng) for _ in range(600)]
+    for value in values:
+        assert json_text(value) == dumps(encode(value)), value
+        if isinstance(value, (int, QPoly)) and not isinstance(value, bool):
+            assert cell_json(value) == json_text(value)
+        if isinstance(value, NormalForm):
+            for term in value.terms:
+                assert term_json(term) == dumps(encode(NormalForm([term]))[0])
+    assert json_text(QPoly([0, 0, 5])) == '["0","0","5"]'
+    long = QPoly([0] * 70 + [1, 2, 1])
+    assert json_text(long) == "[" + '"0",' * 70 + '"1","2","1"]'
+
+
+def test_report_lines_are_dumps_of_to_json():
+    """A report's line splices its side texts into what dumps(to_json())
+    writes; read back, it rebuilds an equal report with the same line, and
+    lhs and rhs decode to the encodings."""
+    rng = random.Random(18)
+    for _ in range(300):
+        a, b = _value(rng), rng.choice((_value(rng), None))
+        b = a if b is None else b
+        params = {_text(rng): rng.randint(-3, 10**20) for _ in range(rng.randint(0, 3))}
+        rep = VerificationReport.check(_text(rng), rng.choice(("n/a", "literal")), params, a, b)
+        assert (rep.lhs_text, rep.rhs_text) == (json_text(a), json_text(b))
+        assert rep.passed == (rep.lhs_text == rep.rhs_text)
+        line = rep.to_json_line()
+        assert line == dumps(rep.to_json())
+        back = VerificationReport.from_json(json.loads(line))
+        assert back == rep and back.to_json_line() == line
+        assert (back.lhs, back.rhs) == (encode(a), encode(b))
 
 
 _CHARS = "aZ0 \"\\/\n\t\u00e9\u00df\u20ac\u2713\U0001d52e\x00"
