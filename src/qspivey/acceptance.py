@@ -46,7 +46,7 @@ from typing import Callable, Union
 
 from . import identities, triangles
 from .polys import QPoly
-from .report import VerificationReport, dumps
+from .report import VerificationReport, json_text
 
 Task = Union[
     VerificationReport,
@@ -380,8 +380,8 @@ CRITERIA: tuple[tuple[int, str, Callable[[], list[Task]]], ...] = (
 
 def _line(num: int, slug: str, rep: VerificationReport) -> str:
     """dumps({"criterion": num, "slug": slug, "report": rep.to_json()}),
-    with the report's line spliced in."""
-    return f'{{"criterion":{dumps(num)},"report":{rep.to_json_line()},"slug":{dumps(slug)}}}'
+    with the report's line spliced in; an int is its own JSON number."""
+    return f'{{"criterion":{num:d},"report":{rep.to_json_line()},"slug":{json_text(slug)}}}'
 
 
 def _round_trips(line: str) -> bool:

@@ -177,9 +177,9 @@ class _Dense:
         # operand: its coefficients are kept, with no pass over them
         one, zero = self._C1, self._C0
         if b[-1] == one and b.count(zero) == len(b) - 1:
-            return self._make([zero] * (len(b) - 1) + list(a))
+            return self.shift(len(b) - 1)
         if a[-1] == one and a.count(zero) == len(a) - 1:
-            return self._make([zero] * (len(a) - 1) + list(b))
+            return self._make(list(b)).shift(len(a) - 1)
         # a one-term operand scales the other: one pass, zeros kept as zeros
         if len(b) == 1 or len(a) == 1:
             if len(b) != 1:

@@ -36,8 +36,7 @@ byte against the json module.
 
 dumps writes all other JSON text through one module-level encoder with
 sorted keys and no whitespace, the text json.dumps gives with those
-options, without building an encoder per call; a str, int or bool it
-writes with the function the encoder itself would call.
+options, without building an encoder per call.
 VerificationReport and the opexpr AST nodes are Records: plain __slots__
 classes that are immutable, equal field by field within one class, and
 repr and pickle like frozen dataclasses, so importing them loads no
@@ -57,18 +56,11 @@ from .polys import QPoly, XQPoly
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _is_zero_qpoly = partial(is_, QPoly.zero())  # the shared zero: no Python call
-_SCALARS = {
-    str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-}
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys and no whitespace.  A str, int or
-    bool is written as the encoder writes it, without starting one."""
-    scalar = _SCALARS.get(type(obj))
-    return _ENCODER.encode(obj) if scalar is None else scalar(obj)
+    """Canonical JSON text: sorted keys and no whitespace."""
+    return _ENCODER.encode(obj)
 
 
 def encode(value) -> Any:
@@ -124,8 +116,8 @@ def _list_json(items) -> str:
 # exact type -> writer; a subclass of these goes through encode
 _WRITERS = {
     int: lambda v: f'"{v}"',
-    bool: _SCALARS[bool],
-    str: _SCALARS[str],
+    bool: lambda b: "true" if b else "false",
+    str: json.encoder.encode_basestring_ascii,  # the encoder's own str writer
     QPoly: _qpoly_json,
     XQPoly: _xqpoly_json,
     NormalForm: _normal_form_json,
@@ -279,7 +271,7 @@ class VerificationReport(Record):
     def to_json_line(self) -> str:
         """dumps(self.to_json()), with the two side texts spliced in."""
         return (
-            f'{{"identity":{dumps(self.identity)},"lhs":{self.lhs_text},'
-            f'"params":{dumps(self.params)},"passed":{dumps(self.passed)},'
-            f'"rhs":{self.rhs_text},"variant":{dumps(self.variant)}}}'
+            f'{{"identity":{json_text(self.identity)},"lhs":{self.lhs_text},'
+            f'"params":{dumps(self.params)},"passed":{json_text(self.passed)},'
+            f'"rhs":{self.rhs_text},"variant":{json_text(self.variant)}}}'
         )
