@@ -34,7 +34,7 @@ flag, and the tests run each criterion through it.  run_suite runs
 criteria 1..10 as one task list, so --jobs shards by task; each sweep
 line comes with its passed flag and with criterion 11's check of that
 line: it must parse back into a report that re-renders to the identical
-bytes.
+bytes, and one that does not fails criterion 11, not the run.
 """
 
 from __future__ import annotations
@@ -259,7 +259,9 @@ def criterion_5() -> list[Task]:
 def criterion_6() -> list[Task]:
     """q-Bell polynomial expansion: corrected passes on n + mshift <= 8,
     x in 0..6 (one task per (n, mshift)); the literal shape fails at
-    (n, mshift, x) = (1, 2, 1)."""
+    (n, mshift, x) = (1, 2, 1).  A side has degree n + mshift in x, so the
+    7 x-points certify the polynomial identity only up to n + mshift <= 6;
+    the tests check verify_result1_xpoly over the whole range."""
     tasks: list[Task] = [
         partial(identities.verify_result1_xs, n, total - n, range(7), "corrected")
         for total in range(9)
@@ -281,7 +283,9 @@ def criterion_7() -> list[Task]:
     """(q,r)-Dowling polynomial expansion: corrected passes on n + l <= 7,
     m in 1..3, r in 0..2, x in 0..5 (one task per (n, l, m, r)); the literal
     shape fails at (n, l, m, r, x) = (1, 1, 2, 1, 1), where q = 1 gives 10
-    against 6."""
+    against 6.  A side has degree n + l in x, so the 6 x-points certify the
+    polynomial identity only up to n + l <= 5; the tests check
+    verify_result2_xpoly over the whole range."""
     tasks: list[Task] = [
         partial(
             identities.verify_result2_xs, n, total - n, m, r, range(6), "corrected"
@@ -387,10 +391,14 @@ def _line(num: int, slug: str, rep: VerificationReport) -> str:
 def _round_trips(line: str) -> bool:
     """Criterion 11 on one line: it parses back into a report that
     re-renders to the identical bytes.  The rebuilt report writes its sides
-    with dumps, so each side's direct text is held to the json module's."""
-    d = json.loads(line)
-    rep = VerificationReport.from_json(d["report"])
-    return _line(d["criterion"], d["slug"], rep) == line
+    with dumps, so each side's direct text is held to the json module's.
+    Bad JSON, a missing key or a wrong or contradicting passed is False."""
+    try:
+        d = json.loads(line)
+        rep = VerificationReport.from_json(d["report"])
+        return _line(d["criterion"], d["slug"], rep) == line
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
 
 
 def _suite_lines(labelled: tuple[int, str, Task]) -> list[tuple[str, bool, bool]]:

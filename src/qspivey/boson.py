@@ -53,6 +53,8 @@ class NormalForm:
 
     terms is a tuple of ((k, l), coefficient) pairs, sorted by (k, l),
     with zero coefficients dropped.  The empty tuple is the zero operator.
+    An exponent must be a nonnegative int: any other type (a float, a
+    bool) raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -61,6 +63,8 @@ class NormalForm:
         acc: dict[TermKey, QPoly] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (k, l), c in items:
+            if (type(k), type(l)) != (int, int):
+                raise TypeError(f"exponents must be ints, got {(k, l)!r}")
             if k < 0 or l < 0:
                 raise ValueError("exponents must be nonnegative")
             c = _to_qpoly(c)

@@ -4,7 +4,7 @@ Subcommands: triangle, poly, numbers, normal-order, verify, sweep.
 Output is deterministic byte for byte: JSON is emitted with sorted keys
 and fixed separators, every computed value is written straight to text
 by report's writers, which give exactly dumps(report.encode(value)) (a
-triangle cell, row sum or polynomial coefficient by report.cell_json, a
+triangle row, row sum or polynomial coefficient by report.json_text, a
 normal-form term by report.term_json), and parallel runs (--jobs) merge
 results in the same order as sequential ones.
 
@@ -18,7 +18,8 @@ so each holds two rows at once, not the triangle and its text.
 normal-order holds the normal form and writes it one term at a time,
 not its whole text.  verify and sweep compute every report first, so a
 failing task writes nothing, and write their lines as one piece; each
-report holds its two sides as text, written once when it was checked.
+report is its two sides as text, written once when it was checked, and
+its verdict is whether the two texts are equal.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions (with no output
@@ -37,11 +38,11 @@ import os
 import stat
 import sys
 from functools import partial
-from itertools import islice, product
+from itertools import count, islice, product
 from typing import Iterable, Iterator
 
 from . import acceptance, identities, opexpr, triangles
-from .report import cell_json, dumps, term_json
+from .report import dumps, json_text, term_json
 
 
 class UsageError(Exception):
@@ -173,7 +174,7 @@ def _csv_cell(cell) -> str:
         return str(cell)
     if not cell:
         return "[]"
-    return '"' + cell_json(cell).replace('"', '""') + '"'
+    return '"' + json_text(cell).replace('"', '""') + '"'
 
 
 def _csv_rows(head: dict, rows) -> Iterator[str]:
@@ -189,8 +190,7 @@ def cmd_triangle(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     head = {"kind": args.kind, "m": m, "r": r, "n_max": n}
     if args.format == "csv":
         return _csv_rows(head, rows), 0
-    cells = ("[" + ",".join(map(cell_json, row)) + "]" for row in rows)
-    return _json_list(head, "rows", cells), 0
+    return _json_list(head, "rows", map(json_text, rows)), 0
 
 
 def cmd_poly(args: argparse.Namespace) -> tuple[Iterator[str], int]:
@@ -198,13 +198,13 @@ def cmd_poly(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     for row in rows:  # keeps only the last row, row n
         pass
     head = {"kind": args.kind, "n": n, **({"m": m, "r": r} if m else {})}
-    return _json_list(head, "coeffs", map(cell_json, row)), 0
+    return _json_list(head, "coeffs", map(json_text, row)), 0
 
 
 def cmd_numbers(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     n, m, r, rows = _kind_rows("numbers", args)
     head = {"kind": args.kind, "n_max": n, **({"m": m, "r": r} if m else {})}
-    return _json_list(head, "values", (cell_json(sum(row)) for row in rows)), 0
+    return _json_list(head, "values", (json_text(sum(row)) for row in rows)), 0
 
 
 def _json_terms(nf) -> Iterator[str]:
@@ -369,7 +369,8 @@ def _write_file(path: str, pieces: Iterable[str]) -> None:
     A new file, or a regular file with one link, is written to a temporary
     file beside it (a symlink is followed), which takes the old file's
     owner and mode and is renamed onto it only when every piece is
-    written, so path is left as it was on any error.  Anything else (a
+    written, so path is left as it was on any error; a temporary name
+    that a killed run left taken is passed over.  Anything else (a
     device, a FIFO, /dev/stdout, a file with more links, or a file in a
     directory that takes no new file) is written in place.
     """
@@ -379,9 +380,13 @@ def _write_file(path: str, pieces: Iterable[str]) -> None:
         st = None
     if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
         directory, name = os.path.split(os.path.realpath(path))
-        tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        stem = os.path.join(directory, f".{name}.{os.getpid()}")
         try:
-            fh = open(tmp, "x", newline="")
+            for k in count():  # the first free name: a killed run's file stays
+                tmp = f"{stem}.{k}.tmp" if k else f"{stem}.tmp"
+                with contextlib.suppress(FileExistsError):
+                    fh = open(tmp, "x", newline="")
+                    break
         except PermissionError:
             if st is None:
                 raise

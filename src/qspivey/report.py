@@ -17,22 +17,21 @@ Writers (json_text): one direct writer per value kind (int, bool, str,
 QPoly, XQPoly, NormalForm, list and tuple) gives exactly
 dumps(encode(value)), with no list of decimal strings and no encoder pass
 in between; any other type goes through dumps(encode(value)) itself.
-cell_json is the int and QPoly case, with which a triangle is written
-cell by cell, and term_json writes one NormalForm term, with which
-normal-order writes its terms one at a time.
+term_json writes one NormalForm term, with which normal-order writes its
+terms one at a time.
 
-Verdict rule (VerificationReport.check): a report writes each side once
-with json_text and passes iff the two texts are equal.  Canonical JSON
-text is injective on encodings, so that is the verdict of comparing the
-encodings: for two values of one type it is exact equality, and across
-types an int equals its decimal string and a tuple the list of its
-items, which lets a pin state its expectation in the simplest form.  No
-other code builds a report from values or decides passed.  A report's
-line (to_json_line) splices the two texts into its frame; lhs and rhs
-decode them on demand.  A report made from encodings (the constructor,
-from_json) writes its sides with dumps, so criterion 11, which parses
-every sweep line and re-renders it, checks each written side byte for
-byte against the json module.
+Verdict rule: a report is its two side texts, and it passes iff they are
+equal; passed is derived from them, never stored.  check writes each
+side once with json_text.  Canonical JSON text is injective on
+encodings, so that is the verdict of comparing the encodings: for two
+values of one type it is exact equality, and across types an int equals
+its decimal string and a tuple the list of its items, which lets a pin
+state its expectation in the simplest form.  A report's line
+(to_json_line) splices the two texts into its frame; lhs and rhs decode
+them on demand.  from_json writes the sides it reads with dumps, so
+criterion 11, which parses every sweep line and re-renders it, checks
+each written side byte for byte against the json module; it refuses a
+line whose passed its sides contradict.
 
 dumps writes all other JSON text through one module-level encoder with
 sorted keys and no whitespace, the text json.dumps gives with those
@@ -132,13 +131,6 @@ def json_text(value) -> str:
     return dumps(encode(value)) if writer is None else writer(value)
 
 
-def cell_json(cell) -> str:
-    """json_text of an int or QPoly cell: the writer's two cell cases."""
-    if isinstance(cell, int):
-        return f'"{cell}"'
-    return _qpoly_json(cell)
-
-
 class Record:
     """An immutable record whose fields are its __slots__, given in order.
 
@@ -194,35 +186,31 @@ class VerificationReport(Record):
               "n/a" elsewhere.
     params:   the instance parameters (small integers, plus a kind string
               for the triangle-vs-oracle checks).
-    lhs/rhs:  the encodings of both sides, decoded from lhs_text and
-              rhs_text, the JSON texts the report holds.
-    passed:   whether the two texts are equal.
+    lhs_text, rhs_text: the JSON texts of the encodings of both sides.
 
-    The constructor takes the encodings of both sides, as the repr and
-    pickling give them; check builds a report from raw values.
+    passed (whether the two texts are equal) and lhs/rhs (the texts
+    decoded) are derived, so no report holds a verdict its sides
+    contradict.  check builds a report from raw values.
     """
 
-    __slots__ = ("identity", "variant", "params", "lhs_text", "rhs_text", "passed")
+    __slots__ = ("identity", "variant", "params", "lhs_text", "rhs_text")
     identity: str
     variant: str
     params: dict
     lhs_text: str
     rhs_text: str
-    passed: bool
-
-    def __init__(self, identity: str, variant: str, params: dict, lhs, rhs, passed) -> None:
-        super().__init__(identity, variant, params, dumps(lhs), dumps(rhs), passed)
 
     @classmethod
     def check(
         cls, identity: str, variant: str, params: dict, lhs, rhs
     ) -> "VerificationReport":
         """The report on lhs against rhs: each side written once with
-        json_text, passed iff the two texts are equal."""
-        lhs, rhs = json_text(lhs), json_text(rhs)
-        rep = object.__new__(cls)
-        Record.__init__(rep, identity, variant, params, lhs, rhs, lhs == rhs)
-        return rep
+        json_text."""
+        return cls(identity, variant, params, json_text(lhs), json_text(rhs))
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs_text == self.rhs_text
 
     @property
     def lhs(self) -> Any:
@@ -231,18 +219,6 @@ class VerificationReport(Record):
     @property
     def rhs(self) -> Any:
         return json.loads(self.rhs_text)
-
-    def _fields(self) -> tuple:
-        """The constructor's arguments: both sides as encodings."""
-        return (self.identity, self.variant, self.params, self.lhs, self.rhs, self.passed)
-
-    def __repr__(self) -> str:
-        names = ("identity", "variant", "params", "lhs", "rhs", "passed")
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
     def to_json(self) -> dict:
         return {
@@ -256,17 +232,21 @@ class VerificationReport(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "VerificationReport":
+        """The report data describes; a non-bool passed raises TypeError."""
+        passed = data["passed"]
         # bool() would read the string "false" as True
-        if not isinstance(data["passed"], bool):
-            raise TypeError(f"passed must be a JSON bool, got {data['passed']!r}")
-        return cls(
+        if not isinstance(passed, bool):
+            raise TypeError(f"passed must be a JSON bool, got {passed!r}")
+        rep = cls(
             data["identity"],
             data["variant"],
             dict(data["params"]),
-            data["lhs"],
-            data["rhs"],
-            data["passed"],
+            dumps(data["lhs"]),
+            dumps(data["rhs"]),
         )
+        if rep.passed is not passed:  # a verdict its sides contradict
+            raise ValueError(f"passed is {passed}, but the sides say {rep.passed}")
+        return rep
 
     def to_json_line(self) -> str:
         """dumps(self.to_json()), with the two side texts spliced in."""

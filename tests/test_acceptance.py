@@ -48,7 +48,7 @@ def test_criterion(num, slug, fn):
 
 def _spivey_tasks():
     tasks = [partial(identities.verify_spivey, n, 2) for n in range(6)]
-    tasks.insert(3, VerificationReport("ready", "n/a", {"n": 0}, "1", "1", True))
+    tasks.insert(3, VerificationReport.check("ready", "n/a", {"n": 0}, "1", "1"))
     return tasks
 
 
@@ -71,7 +71,7 @@ def test_report_lines_keep_task_order_for_any_job_count():
     # a task may return a list of reports; they are spliced in in order
     mixed = [
         partial(identities.verify_result2_xs, 1, 1, 2, 1, range(3), "literal"),
-        VerificationReport("ready", "n/a", {"n": 0}, "1", "1", True),
+        VerificationReport.check("ready", "n/a", {"n": 0}, "1", "1"),
         partial(identities.verify_spivey, 2, 2),
         partial(identities.verify_result1_xs, 1, 2, [], "corrected"),
         partial(identities.verify_result1_xs, 2, 1, range(2), "corrected"),
@@ -145,7 +145,7 @@ def test_results_from_forked_shards_match_in_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_READY = VerificationReport("ready", "n/a", {}, "1", "1", True)
+_READY = VerificationReport.check("ready", "n/a", {}, "1", "1")
 
 
 def _raise():
@@ -261,9 +261,24 @@ def test_criterion_11_engineering_determinism():
 
 
 def test_report_from_json_takes_only_a_json_bool_verdict():
-    rep = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["2"], False)
+    rep = VerificationReport.check("katriel", "n/a", {"n": 1, "l": 0}, [1], [2])
     assert VerificationReport.from_json(rep.to_json()) == rep
     # bool("false") is True, which would flip the verdict
     for bad in ("false", "true", 0, 1, None):
         with pytest.raises(TypeError):
             VerificationReport.from_json(dict(rep.to_json(), passed=bad))
+
+
+def test_a_line_that_parses_into_no_report_does_not_round_trip():
+    """Criterion 11 counts such a line as not round-tripping; it never
+    raises."""
+    line = acceptance._line(1, "s", VerificationReport.check("x", "n/a", {}, 1, 1))
+    assert acceptance._round_trips(line)
+    for bad in (
+        line[:-1],  # bad JSON
+        line.replace('"slug"', '"slag"'),  # a missing key
+        line.replace('"passed":true', '"passed":"true"'),  # a non-bool passed
+        line.replace('"passed":true', '"passed":false'),  # a contradicting one
+        line.replace('"identity":"x"', '"identity":null'),  # no str to write
+    ):
+        assert not acceptance._round_trips(bad), bad

@@ -90,6 +90,18 @@ def test_from_json_rejects_non_integer_exponents():
                 NormalForm.from_json([rec])
 
 
+def test_constructor_rejects_exponents_that_are_not_ints():
+    """A float or bool exponent would be stored as a key and carried into
+    products (1.5 + 1 == 2.5); 2.0 and True equal ints but are not ints."""
+    for bad in (1.5, 2.0, True):
+        for key in ((bad, 0), (0, bad)):
+            with pytest.raises(TypeError):
+                NormalForm({key: 1})
+            with pytest.raises(TypeError):
+                NormalForm.monomial(*key)
+    assert NormalForm({(2, 0): 1}).terms == (((2, 0), QPoly.one()),)
+
+
 def test_from_json_takes_only_a_coefficient_list():
     # "12" would otherwise read as the coefficient 1 + 2q
     for bad in ("12", {"0": "1"}, 12):

@@ -476,6 +476,27 @@ def test_out_replaces_the_target_whole_with_the_mode_open_gives(tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["link.json", "rows.json"]
 
 
+def test_out_passes_over_a_temporary_file_a_killed_run_left(tmp_path, capsys):
+    """A run killed mid-write leaves its temporary file behind, and PIDs
+    repeat: a later run with that PID picks a free name, writes the target
+    whole and leaves the stale files as they were."""
+    argv = ["numbers", "--kind", "bell", "--n", "3", "--out"]
+    _, out, _ = run_cli(capsys, *argv[:-1])
+    stale = [f".rows.json.{os.getpid()}.tmp", f".rows.json.{os.getpid()}.1.tmp"]
+    for name in stale:
+        (tmp_path / name).write_text("partial")
+    target = tmp_path / "rows.json"
+    old = os.umask(0o022)
+    try:
+        assert run_cli(capsys, *argv, str(target)) == (0, "", "")
+    finally:
+        os.umask(old)
+    assert target.read_text() == out
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644  # not mkstemp's 0600
+    assert sorted(os.listdir(tmp_path)) == sorted([*stale, "rows.json"])
+    assert all((tmp_path / name).read_text() == "partial" for name in stale)
+
+
 @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file away needs root")
 def test_out_keeps_the_owner_of_an_existing_file(tmp_path):
     target = tmp_path / "rows.json"
@@ -856,8 +877,8 @@ def test_a_line_that_does_not_round_trip_fails_criterion_11(capsys, monkeypatch,
     numeric order but read back as "2" and "10", which sort the other way,
     so that line re-renders to other bytes.  With two shards, the line is
     rendered and checked in the forked child."""
-    good = VerificationReport("ready", "n/a", {"n": 0}, "1", "1", True)
-    bad = VerificationReport("ready", "n/a", {2: "a", 10: "b"}, "1", "1", True)
+    good = VerificationReport.check("ready", "n/a", {"n": 0}, "1", "1")
+    bad = VerificationReport.check("ready", "n/a", {2: "a", 10: "b"}, "1", "1")
     criteria = ((1, "classical-spivey", lambda: [good, bad, good]),)
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)
     monkeypatch.setattr(acceptance, "_cpu_count", lambda: 2)
@@ -885,6 +906,31 @@ def test_a_non_canonical_writer_fails_criterion_11(capsys, monkeypatch):
     assert (roundtrip["criterion"], roundtrip["slug"]) == (11, "engineering-determinism")
     assert roundtrip["report"]["identity"] == "json-roundtrip"
     assert roundtrip["report"]["passed"] is False
+
+
+def test_a_line_that_parses_into_no_report_fails_criterion_11(capsys, monkeypatch):
+    """Every line written with "passed":false, which the sides of a passing
+    report contradict: no such line parses back into a report, so criterion
+    11 fails with a report of its own, not an internal error, and every
+    line is still written."""
+    want = run_cli(capsys, "sweep")[1].strip().split("\n")
+    real = VerificationReport.to_json_line
+
+    def always_false(rep):
+        return real(rep).replace('"passed":true', '"passed":false')
+
+    monkeypatch.setattr(VerificationReport, "to_json_line", always_false)
+    code, out, err = run_cli(capsys, "sweep")
+    assert code == 1 and err == ""
+    lines = out.strip().split("\n")
+    assert len(lines) == len(want)
+    assert lines[:-2] == [line.replace('"passed":true', '"passed":false') for line in want[:-2]]
+    roundtrip = json.loads(lines[-2])
+    assert (roundtrip["criterion"], roundtrip["slug"]) == (11, "engineering-determinism")
+    assert roundtrip["report"]["passed"] is False
+    total = len(lines) - 2
+    assert (roundtrip["report"]["lhs"], roundtrip["report"]["rhs"]) == ("0", str(total))
+    assert json.loads(lines[-1]) == {"failed": 1, "passed": total, "total": total + 1}
 
 
 def test_a_task_failing_in_a_worker_is_an_internal_error(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from qspivey import (
     triangles,
 )
 from qspivey.qcalc import binom, q_falling, q_int
+from qspivey.report import dumps
 
 
 def test_stirling_def_and_bell_recurrence():
@@ -87,8 +88,12 @@ def test_result1_variant_validation():
 
 
 def test_result1_xpoly_passes_and_matches_pointwise():
-    for n in range(5):
-        for mshift in range(4):
+    """Over criterion 6's whole range, n + mshift <= 8: a side has degree
+    n + mshift in x, so the sweep's 7 x-points alone certify the
+    polynomial identity only up to n + mshift <= 6."""
+    for total in range(9):
+        for n in range(total + 1):
+            mshift = total - n
             rep = identities.verify_result1_xpoly(n, mshift)
             assert rep.passed
             lhs = XQPoly.from_json(rep.lhs)
@@ -242,11 +247,15 @@ def test_result2_validates():
 
 
 def test_result2_xpoly_passes():
-    for n in range(4):
-        for l in range(4):
-            for m in (1, 2):
-                for r in (0, 1):
-                    assert identities.verify_result2_xpoly(n, l, m, r).passed
+    """Over criterion 7's whole range, n + l <= 7, m in 1..3, r in 0..2: a
+    side has degree n + l in x, so the sweep's 6 x-points alone certify
+    the polynomial identity only up to n + l <= 5."""
+    for total in range(8):
+        for n in range(total + 1):
+            for m in (1, 2, 3):
+                for r in (0, 1, 2):
+                    rep = identities.verify_result2_xpoly(n, total - n, m, r)
+                    assert rep.passed, (n, total - n, m, r)
 
 
 def test_result2_lhs_rebuilt_from_the_operator_engine():
@@ -379,7 +388,7 @@ def _fresh_oracle_report(kind, n, m, r):
     params = {"kind": kind, "n": n}
     if kind == "qr-whitney":
         params.update(m=m, r=r)
-    return VerificationReport("triangle-oracle", "n/a", params, lhs, rhs, lhs == rhs)
+    return VerificationReport("triangle-oracle", "n/a", params, dumps(lhs), dumps(rhs))
 
 
 def test_triangle_oracle_power_chain_matches_fresh_powers(monkeypatch):

@@ -13,14 +13,7 @@ import random
 import pytest
 
 from qspivey import FockVector, NormalForm, QPoly, XQPoly
-from qspivey.report import (
-    VerificationReport,
-    cell_json,
-    dumps,
-    encode,
-    json_text,
-    term_json,
-)
+from qspivey.report import VerificationReport, dumps, encode, json_text, term_json
 
 
 def _coeffs(rng, size=4):
@@ -117,8 +110,9 @@ def test_bools_and_strings_pass_through_unchanged():
     assert VerificationReport.check("t", "n/a", {}, 877, "877").passed
 
 
-def test_cell_json_is_dumps_of_encode():
-    """The direct cell encoder writes exactly the text of the one rule."""
+def test_json_text_of_a_cell_is_dumps_of_encode():
+    """The writer of a triangle cell, an int or a QPoly, writes exactly the
+    text of the one rule."""
     rng = random.Random(9)
     cells = [QPoly.zero(), QPoly([0]), 0, -1, 2**64, -(2**64) - 1]
     for _ in range(400):
@@ -129,15 +123,15 @@ def test_cell_json_is_dumps_of_encode():
         ]
         cells += [QPoly(coeffs), rng.choice((-1, 1)) * rng.getrandbits(rng.choice(bits))]
     for cell in cells:
-        assert cell_json(cell) == dumps(encode(cell)), cell
-    assert cell_json(QPoly.zero()) == "[]"
-    assert cell_json(QPoly([-(2**64), 0, 3])) == '["-18446744073709551616","0","3"]'
+        assert json_text(cell) == dumps(encode(cell)), cell
+    assert json_text(QPoly.zero()) == "[]"
+    assert json_text(QPoly([-(2**64), 0, 3])) == '["-18446744073709551616","0","3"]'
 
 
 def test_direct_encodings_match_the_per_coefficient_rule():
     """QPoly.to_json and XQPoly.to_json, which write their lists directly,
     give what encoding one coefficient at a time gives, read back to the
-    same value, and agree with cell_json, also with zero coefficients."""
+    same value, and agree with json_text, also with zero coefficients."""
     rng = random.Random(10)
     pool = (0, 0, 0, 1, -1, 7, -(2**64), 10**40)
     for _ in range(400):
@@ -150,7 +144,7 @@ def test_direct_encodings_match_the_per_coefficient_rule():
         assert x.to_json() == [[str(c) for c in row.coeffs] for row in x.coeffs]
         assert QPoly.from_json(q.to_json()) == q
         assert XQPoly.from_json(x.to_json()) == x
-        assert cell_json(q) == dumps(encode(q))
+        assert json_text(q) == dumps(encode(q))
     assert XQPoly([QPoly([1]), 0, QPoly([0, 2])]).to_json() == [["1"], [], ["0", "2"]]
 
 
@@ -197,16 +191,14 @@ def _value(rng, depth=0):
 
 
 def test_every_writer_is_dumps_of_encode():
-    """json_text, cell_json and term_json write exactly the text of the one
-    rule on seeded values of every kind."""
+    """json_text and term_json write exactly the text of the one rule on
+    seeded values of every kind."""
     rng = random.Random(17)
     values = [0, -1, 10**40, True, False, "", "\"\\\n\u00e9", QPoly(), XQPoly(),
               NormalForm(), [], (), [[], ()], ((QPoly(),),)]
     values += [_value(rng) for _ in range(600)]
     for value in values:
         assert json_text(value) == dumps(encode(value)), value
-        if isinstance(value, (int, QPoly)) and not isinstance(value, bool):
-            assert cell_json(value) == json_text(value)
         if isinstance(value, NormalForm):
             for term in value.terms:
                 assert term_json(term) == dumps(encode(NormalForm([term]))[0])
@@ -275,25 +267,43 @@ def test_dumps_is_canonical_json_dumps():
 
 
 def test_reports_are_immutable_records_that_pickle():
-    rep = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["2"], False)
+    rep = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, '["1"]', '["2"]')
     with pytest.raises(AttributeError):
         rep.passed = True
+    with pytest.raises(AttributeError):
+        rep.lhs_text = '["2"]'
     with pytest.raises(AttributeError):
         del rep.lhs
     with pytest.raises(AttributeError):
         rep.note = "extra"
+    # the verdict is derived from the two texts, never given
     with pytest.raises(TypeError):
-        VerificationReport("katriel", "n/a", {}, ["1"], ["2"])
-    assert rep.passed is False
-    same = VerificationReport("katriel", "n/a", {"l": 0, "n": 1}, ["1"], ["2"], False)
+        VerificationReport("katriel", "n/a", {}, '["1"]', '["2"]', True)
+    with pytest.raises(TypeError):
+        VerificationReport("katriel", "n/a", {}, '["1"]')
+    assert rep.passed is False and (rep.lhs, rep.rhs) == (["1"], ["2"])
+    assert VerificationReport("katriel", "n/a", {}, '["1"]', '["1"]').passed is True
+    same = VerificationReport("katriel", "n/a", {"l": 0, "n": 1}, '["1"]', '["2"]')
     assert rep == same
-    other = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["1"], False)
+    assert rep == VerificationReport.check("katriel", "n/a", {"n": 1, "l": 0}, [1], [2])
+    other = VerificationReport("katriel", "n/a", {"n": 1, "l": 0}, '["1"]', '["1"]')
     assert rep != other
-    assert rep != ("katriel", "n/a", {"n": 1, "l": 0}, ["1"], ["2"], False)
+    assert rep != ("katriel", "n/a", {"n": 1, "l": 0}, '["1"]', '["2"]')
     assert repr(rep) == (
         "VerificationReport(identity='katriel', variant='n/a', "
-        "params={'n': 1, 'l': 0}, lhs=['1'], rhs=['2'], passed=False)"
+        """params={'n': 1, 'l': 0}, lhs_text='["1"]', rhs_text='["2"]')"""
     )
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps([rep, rep], protocol))
         assert back == [rep, rep] and type(back[0]) is VerificationReport
+
+
+def test_from_json_refuses_a_verdict_its_sides_contradict():
+    """A line's passed must be the verdict of its two sides: a report read
+    back can never say passed while its sides differ, or the reverse."""
+    base = {"identity": "x", "variant": "n/a", "params": {}}
+    for lhs, rhs, passed in (("1", "2", True), ("1", "1", False), (["1"], "1", True)):
+        with pytest.raises(ValueError):
+            VerificationReport.from_json({**base, "lhs": lhs, "rhs": rhs, "passed": passed})
+    rep = VerificationReport.from_json({**base, "lhs": "1", "rhs": "2", "passed": False})
+    assert rep == VerificationReport.check("x", "n/a", {}, 1, 2) and not rep.passed
