@@ -16,12 +16,14 @@ it in one pass over its coefficients, skipping zero ones, in O(deg).  A
 unit monomial v^j, the ring's one at j = 0, takes no such pass: the
 product is the other operand's coefficients shifted by j.
 
-Two O(deg) kernels serve the products that every recurrence in the
-package takes: shift(s) is the product by the monomial v^s (s zeros
-prepended) and window(k) the product by [k] = 1 + v + ... + v^(k-1) (a
-sliding-window sum), v being the ring's variable.  The schoolbook
-convolution _mul is the reference they are tested against.  A third,
-unwindow(k), is the exact division by [k] that the q-Wick reorder in
+Two O(deg) kernels serve the products that q_falling, the q-Wick reorder
+in boson.py and the Dowling slots in identities.py take: shift(s) is the
+product by the monomial v^s (s zeros prepended) and window(k) the
+product by [k] = 1 + v + ... + v^(k-1) (a sliding-window sum), v being
+the ring's variable.  The Whitney row builder in triangles.py steps
+spans of coefficients instead, and is tested against these two.  The
+schoolbook convolution _mul is the reference they are tested against.
+A third, unwindow(k), is the exact division by [k] that the q-Wick reorder in
 boson.py steps each product's coefficient with; it is tested as the
 inverse of window, whose own reference is the convolution, and it raises
 on a nonzero remainder rather than truncate.  window(1) and unwindow(1)
@@ -35,7 +37,8 @@ keeps the Horner loop).
 Validation stays at the boundary: the constructors, const, monomial and
 from_json check every coefficient.  Ring operations build their results
 from checked operands through one trusted builder, _Dense._make, which
-only trims trailing zeros.
+only trims trailing zeros; a tuple that ends in a nonzero coefficient is
+stored as it is, with no copy.
 
 Both types are immutable: every operation returns a fresh normalized
 value, so instances can be shared freely.  The zero polynomial is the
@@ -96,7 +99,7 @@ class _Dense:
         self.coeffs: tuple = _trim(list(map(self._check, coeffs)))
 
     @classmethod
-    def _make(cls, cs: list):
+    def _make(cls, cs: list | tuple):
         """Trusted builder: cs comes from checked operands, so only trim."""
         p = object.__new__(cls)
         p.coeffs = _trim(cs)

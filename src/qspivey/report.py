@@ -8,10 +8,10 @@ disagreed, not just a boolean.
 
 Encoding rule (encode): an int becomes its decimal string, so no value is
 truncated to 64 bits; a str or a bool stays as it is, and True never
-becomes "1"; a list or tuple becomes a list of encoded items; anything
-else (QPoly, XQPoly, NormalForm) becomes its to_json().  Every computed
-value that a command or a report writes follows this rule; params stay
-JSON numbers.
+becomes "1"; a list or tuple becomes a list of encoded items; a QPoly,
+XQPoly or NormalForm becomes its to_json(); any other value raises
+TypeError.  Every computed value that a command or a report writes
+follows this rule; params stay JSON numbers.
 
 Writers (json_text): one direct writer per value kind (int, bool, str,
 QPoly, XQPoly, NormalForm, list and tuple) gives exactly
@@ -70,7 +70,9 @@ def encode(value) -> Any:
         return str(value)
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
-    return value.to_json()
+    if isinstance(value, (QPoly, XQPoly, NormalForm)):
+        return value.to_json()
+    raise TypeError(f"cannot encode a value of type {type(value).__name__}")
 
 
 def _qpoly_json(p: QPoly) -> str:

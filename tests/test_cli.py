@@ -780,6 +780,10 @@ PINNED_STDOUT = [
      "6ef1de968117b473530618e9c3790f259d140f96914f9a6175e7cc45d33a91e8", 583072),
     ("triangle --kind qr-whitney --n 24 --m 3 --r 2", 0,
      "c9ea823ea9cbbce32aabe5cbf0f8e8475c94f027ad801181b4e3ad459439503a", 264145),
+    ("triangle --kind qr-whitney --n 24 --m 2 --r 0", 0,
+     "34a9a2bba10a983b190c9865ab058f931bfac8700cb289b5d00513b7977fdf5e", 236280),
+    ("triangle --kind qr-whitney --n 24 --m 1 --r 2", 0,
+     "213dcf2300ed542c66d021affa87bb7699439e8fd69721157cdbbb67c81d00c9", 214742),
     ("triangle --kind r-whitney --n 30 --m 2 --r 1 --format csv", 0,
      "216ac8449f3518f7f97c115321949c3520e1cd6d5baa7b4bd9df08798ed359fe", 6754),
     ("poly --kind qr-dowling --n 16 --m 2 --r 1", 0,
@@ -925,6 +929,32 @@ def test_a_line_that_parses_into_no_report_fails_criterion_11(capsys, monkeypatc
     lines = out.strip().split("\n")
     assert len(lines) == len(want)
     assert lines[:-2] == [line.replace('"passed":true', '"passed":false') for line in want[:-2]]
+    roundtrip = json.loads(lines[-2])
+    assert (roundtrip["criterion"], roundtrip["slug"]) == (11, "engineering-determinism")
+    assert roundtrip["report"]["passed"] is False
+    total = len(lines) - 2
+    assert (roundtrip["report"]["lhs"], roundtrip["report"]["rhs"]) == ("0", str(total))
+    assert json.loads(lines[-1]) == {"failed": 1, "passed": total, "total": total + 1}
+
+
+def test_a_line_with_a_null_identity_fails_criterion_11(capsys, monkeypatch):
+    """Every line written with "identity":null, which no report writes:
+    criterion 11 counts none of them as round-tripping, with a report of
+    its own, and no internal error is raised; the exit code 1 is that of
+    the failing report."""
+    want = run_cli(capsys, "sweep")[1].strip().split("\n")
+    real = VerificationReport.to_json_line
+
+    def null_identity(rep):
+        line = real(rep)
+        return line.replace(f'"identity":{dumps(rep.identity)}', '"identity":null')
+
+    monkeypatch.setattr(VerificationReport, "to_json_line", null_identity)
+    code, out, err = run_cli(capsys, "sweep")
+    assert code == 1 and err == ""
+    lines = out.strip().split("\n")
+    assert len(lines) == len(want)
+    assert all('"identity":null' in line for line in lines[:-2])
     roundtrip = json.loads(lines[-2])
     assert (roundtrip["criterion"], roundtrip["slug"]) == (11, "engineering-determinism")
     assert roundtrip["report"]["passed"] is False

@@ -97,6 +97,17 @@ def test_encode_follows_the_rule():
     assert encode(()) == [] and encode([]) == []
 
 
+def test_an_unsupported_value_is_a_type_error():
+    """A value the rule does not cover raises TypeError naming its type,
+    from encode and from json_text alike."""
+    for value, name in ((None, "NoneType"), (1.5, "float"), ({}, "dict")):
+        for write in (encode, json_text):
+            with pytest.raises(TypeError, match=name):
+                write(value)
+        with pytest.raises(TypeError, match=name):
+            json_text([1, value])
+
+
 def test_bools_and_strings_pass_through_unchanged():
     for value in (True, False, "", "877", "n/a", ["1", "2"]):
         assert encode(value) == value

@@ -1,7 +1,9 @@
 """Triangle builders against enumeration oracles and frozen values."""
 
+import random
 import subprocess
 import sys
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -161,9 +163,10 @@ def test_builders_return_fresh_equal_structures():
 
 
 def test_builders_match_the_recurrence_with_plain_products(monkeypatch):
-    """The builders and q_falling take shift and window products; the same
-    recurrences written here with the schoolbook * must give the same rows,
-    so a bug shared by the kernels cannot hide behind agreeing oracles."""
+    """The q-rows take the span step and q_falling the shift and window
+    products; the same recurrences written here with the schoolbook * must
+    give the same rows, so a bug shared by the kernels cannot hide behind
+    agreeing oracles."""
     monkeypatch.setattr(triangles, "_BUILT", {})
     n_max = 25
     for m, r, rows in (
@@ -214,3 +217,104 @@ def test_integer_builder_matches_the_closed_form(monkeypatch):
                 den = m**k * factorial(k)
                 assert num % den == 0, (m, r, n, k)
                 assert rows[n][k] == num // den, (m, r, n, k)
+
+
+def _random_span(rng, length):
+    """A span of signed coefficients: nonzero at both ends."""
+    span = [rng.choice((-3, -2, -1, 0, 1, 2, 3, 10**30)) for _ in range(length)]
+    span[0] = span[0] or 1
+    span[-1] = span[-1] or -1
+    return tuple(span)
+
+
+def _is_span(cell):
+    v, span = cell
+    return (v, span) == (0, ()) or bool(span and span[0] and span[-1])
+
+
+def test_cell_step_matches_the_dense_kernels():
+    """_cell against left.shift(k-1) + p.window(k)*m + p*r, the dense
+    kernels it replaced, on random signed spans for k = 0..12, m = 1..4 and
+    r = 0..3: left absent, zero, random, or built to cancel the weighted
+    term at its low end, its high end, both, or entirely, so that the sum
+    is trimmed at either end and can vanish."""
+    rng = random.Random(20)
+    modes = ("absent", "zero", "random", "low", "high", "both", "all")
+    checked = set()
+    for _ in range(12):
+        for k in range(13):
+            for m in range(1, 5):
+                for r in range(4):
+                    mode = "absent" if k == 0 else rng.choice(modes)
+                    v = rng.randrange(4) + max(k - 1, 0)
+                    p_span = _random_span(rng, rng.randrange(1, 9))
+                    p = QPoly([0] * v + list(p_span))
+                    weighted = p.window(k) * m + p * r
+                    if mode in ("absent", "zero"):
+                        left, left_cell = QPoly.zero(), None if mode == "absent" else (0, ())
+                    elif mode == "random":
+                        u = rng.randrange(12)
+                        left = QPoly([0] * u + list(_random_span(rng, rng.randrange(1, 9))))
+                        left_cell = triangles._span_of(left)
+                    else:
+                        # q^(k-1)·left is -weighted, kept at the ends that are
+                        # to cancel and changed at the others; weighted has
+                        # p's v >= k - 1 leading zeros, which the shift needs
+                        target = [-c for c in weighted.coeffs]
+                        lo = next(i for i, c in enumerate(target) if c)
+                        if mode in ("high", "both"):
+                            target[lo + 1 : -1] = [
+                                c + rng.choice((0, 5)) for c in target[lo + 1 : -1]
+                            ]
+                        if mode == "high":
+                            target[lo] += 7
+                        if mode == "low":
+                            target[-1] += 7
+                        left = QPoly(target[k - 1 :])
+                        left_cell = triangles._span_of(left)
+                    got = triangles._cell(left_cell, (v, p_span), k, m, r)
+                    want = (left.shift(k - 1) if k else QPoly.zero()) + weighted
+                    assert _is_span(got), (k, m, r, mode, got)
+                    assert triangles._qpoly(*got) == want, (k, m, r, mode)
+                    checked.add((mode, not want))
+    assert ("all", True) in checked
+    assert {mode for mode, _ in checked} == set(modes)
+
+
+def test_span_step_and_weight_step_match_the_dense_kernels():
+    rng = random.Random(21)
+    for _ in range(40):
+        span = _random_span(rng, rng.randrange(1, 12))
+        v = rng.randrange(5)
+        p = QPoly([0] * v + list(span))
+        for k in range(13):
+            for m in range(1, 5):
+                for r in range(4):
+                    want = p.window(k) * m + p * r
+                    got = triangles._span_step(span, k, m, r)
+                    assert _is_span((v if got else 0, got))
+                    assert triangles._qpoly(v, got) == want
+                    assert triangles._weight_step(p, k, m, r) == want
+    assert triangles._weight_step(QPoly.zero(), 3, 2, 1) is QPoly.zero()
+
+
+def test_rows_resumed_from_any_cached_row_equal_the_fresh_run():
+    for m, r in ((1, 0), (2, 0), (1, 2), (3, 2)):
+        fresh = list(islice(triangles.qr_whitney_rows(m, r), 16))
+        for i, row in enumerate(fresh):
+            resumed = islice(triangles.qr_whitney_rows(m, r, row), 15 - i)
+            assert list(resumed) == fresh[i + 1 :], (m, r, i)
+
+
+def test_emitted_cells_are_normalised_and_zero_is_shared():
+    """No cell ends in a zero coefficient, and a zero cell is QPoly.zero()
+    itself, which report's zero-run writer tests by identity."""
+    for m, r in ((1, 0), (2, 0), (1, 2), (3, 2)):
+        zeros = 0
+        for row in islice(triangles.qr_whitney_rows(m, r), 20):
+            for cell in row:
+                assert type(cell) is QPoly
+                assert not cell.coeffs or cell.coeffs[-1], cell
+                assert cell or cell is QPoly.zero()
+                zeros += not cell
+        assert zeros == (19 if r == 0 else 0)
