@@ -1,56 +1,61 @@
 """Exact polynomial arithmetic over the (q, x) coefficient tower.
 
-QPoly is a dense univariate polynomial in q with Python-int coefficients,
-so every value is exact at arbitrary precision.  XQPoly is a polynomial in
+QPoly is a univariate polynomial in q with Python-int coefficients, so
+every value is exact at arbitrary precision.  XQPoly is a polynomial in
 x whose coefficients are QPoly values.  These two types carry every
 triangle entry, polynomial family and operator coefficient in the package;
 there are no floats and no tolerances anywhere.
 
-Both rings are one dense body, _Dense, with one addition, one
-convolution and one Horner loop; a class adds only its coefficient zero
+A value is stored as its valuation and its span: val counts the zeros
+below the first nonzero coefficient, and span runs from that one to the
+last nonzero one, so both ends of a span are nonzero; zero is val 0 with
+the empty span.  Those zeros are never stored: a column-k Whitney cell
+starts at q^C(k,2), so they are about half of all triangle coefficients.
+coeffs, the dense tuple, is built on demand for callers outside the
+kernels (from_json's round trip, repr and str, tests, the bench).
+
+Both rings are one body, _Dense; a class adds only its coefficient zero
 and one, its coefficient check and its JSON and printed forms.  Each ring
 takes its coefficient ring (int, and QPoly for XQPoly) as the other
-operand of + - * on either side.  Such a scalar, or a value with a single
-coefficient, is a one-term operand: _mul multiplies the other operand by
-it in one pass over its coefficients, skipping zero ones, in O(deg).  A
-unit monomial v^j, the ring's one at j = 0, takes no such pass: the
-product is the other operand's coefficients shifted by j.
+operand of + - * on either side.  A sum aligns its operands by val and
+adds the spans over their overlap; it can cancel only where both spans
+start or both end, and only there is it trimmed.  A product adds the vals
+and convolves the spans, skipping zero coefficients of both; Z and Z[q]
+have no zero divisors, so its span needs no trim.  A scalar, or a value
+whose span is one coefficient c (a monomial c·v^j), is a one-term
+operand: _mul scales the other span by c in one pass, and at c = 1 (a
+unit monomial v^j, the ring's one at j = 0) keeps it as it is.
 
-Two O(deg) kernels serve the products that q_falling, the q-Wick reorder
-in boson.py and the Dowling slots in identities.py take: shift(s) is the
-product by the monomial v^s (s zeros prepended) and window(k) the
-product by [k] = 1 + v + ... + v^(k-1) (a sliding-window sum), v being
-the ring's variable.  The Whitney row builder in triangles.py steps
-spans of coefficients instead, and is tested against these two.  The
-schoolbook convolution _mul is the reference they are tested against.
-A third, unwindow(k), is the exact division by [k] that the q-Wick reorder in
-boson.py steps each product's coefficient with; it is tested as the
-inverse of window, whose own reference is the convolution, and it raises
-on a nonzero remainder rather than truncate.  window(1) and unwindow(1)
-return the value itself.  The convolution skips zero coefficients of both
-operands, so a product by a sparse operand costs its nonzero terms.
-XQPoly.eval_x, the substitution of an integer for x, is a kernel over
-plain ints: it sums c_j·s^j into one list of ints, with no QPoly built
-per term, and is tested against the Horner reference (QPoly.eval_int
-keeps the Horner loop).
+With v the ring's variable, shift(s), the product by v^s, is O(1): it
+adds s to val.  window(k), the product by [k] = 1 + v + ... + v^(k-1),
+is a running sum over the span, and unwindow(k) the exact division by
+[k], which raises on a nonzero remainder rather than truncate; both are
+O(len(span) + k) and keep val.  They serve q_falling, the q-Wick reorder
+in boson.py, the Dowling slots in identities.py and the Whitney rows in
+triangles.py.  The schoolbook convolution _mul is the reference shift
+and window are tested against, and unwindow is tested as the inverse of
+window.  XQPoly.eval_x sums c_j·s^j over plain ints, with no QPoly built
+per term, and is tested against the Horner reference; QPoly.eval_int is
+Horner's rule over the span, times v^val.
 
 Validation stays at the boundary: the constructors, const, monomial and
-from_json check every coefficient.  Ring operations build their results
-from checked operands through one trusted builder, _Dense._make, which
-only trims trailing zeros; a tuple that ends in a nonzero coefficient is
-stored as it is, with no copy.
+from_json check every coefficient, and shift and monomial refuse a power
+that is not an int.  Ring operations build their results from checked
+operands through two trusted builders: _Dense._new stores a span whose
+ends are nonzero as it is, and _Dense._make trims the zeros at the ends
+of a coefficient sequence.  A zero result is the ring's shared zero.
 
-Both types are immutable: every operation returns a fresh normalized
-value, so instances can be shared freely.  The zero polynomial is the
-empty coefficient tuple.  The degree of zero is None rather than a
-sentinel integer.  For both types 0**0 == 1; several double-sum identities
-rely on the empty-product reading of their j = 0 terms.
+Both types are immutable: every operation returns a normalized value,
+so instances can be shared freely.  The degree of zero is None rather
+than a sentinel integer.  For both types 0**0 == 1; several double-sum
+identities rely on the empty-product reading of their j = 0 terms.
 """
 
 from __future__ import annotations
 
-from operator import add
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, repeat
+from operator import add, neg, sub
+from typing import Iterable
 
 
 def _json_int(c: object) -> int:
@@ -74,17 +79,28 @@ def _json_list(data: object) -> list:
     return data
 
 
-def _trim(cs: list) -> tuple:
+def _split(cs) -> tuple[int, tuple]:
+    """(val, span) of a coefficient sequence: its number of zeros below the
+    first nonzero coefficient, and its coefficients from that one to the
+    last nonzero one; zero is (0, ()).  A tuple with nonzero ends is kept,
+    with no copy."""
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
-    return tuple(cs[:n])
+    if not n:
+        return 0, ()
+    i = 0
+    while i < n - 1 and not cs[i]:  # cs[n - 1] is known to be nonzero
+        i += 1
+    return i, tuple(cs[i:n])
 
 
 class _Dense:
-    """Dense polynomial, coefficients ascending by power.
+    """Polynomial stored as its valuation and its span, ascending by power.
 
-    The last stored coefficient is nonzero; zero stores the empty tuple.
+    val counts the zero coefficients below the first nonzero one, and span
+    runs from that one to the last nonzero one, so both ends of a span are
+    nonzero; zero is val 0 with the empty span.
     A subclass sets _C0 and _C1 (the coefficient zero and one), _check
     (returns a checked coefficient or raises TypeError) and, after its
     body, _ZERO and _ONE.
@@ -93,17 +109,29 @@ class _Dense:
     bench/tracer.py wraps only what it finds in a class's own namespace.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("val", "span")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
-        self.coeffs: tuple = _trim(list(map(self._check, coeffs)))
+        self.val, self.span = _split(list(map(self._check, coeffs)))
 
     @classmethod
-    def _make(cls, cs: list | tuple):
-        """Trusted builder: cs comes from checked operands, so only trim."""
+    def _new(cls, val: int, span: tuple):
+        """Trusted builder of v^val·span: span comes from checked operands
+        and its ends are nonzero, so it is stored as it is; the empty span
+        is the shared zero."""
+        if not span:
+            return cls._ZERO
         p = object.__new__(cls)
-        p.coeffs = _trim(cs)
+        p.val = val
+        p.span = span
         return p
+
+    @classmethod
+    def _make(cls, cs, val: int = 0):
+        """Trusted builder of v^val·cs, for coefficients cs from checked
+        operands whose ends may be zero: only those are trimmed."""
+        v, span = _split(cs)
+        return cls._new(val + v, span)
 
     @classmethod
     def zero(cls):
@@ -120,131 +148,160 @@ class _Dense:
     @classmethod
     def monomial(cls, power: int, coeff=1):
         """coeff times the variable to the power."""
+        if not isinstance(power, int):
+            raise TypeError(f"integer power expected, got {type(power).__name__}")
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls._make([cls._C0] * power + [cls._check(coeff)])
+        return cls._make((cls._check(coeff),), power)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient tuple, ascending by power, with the zeros
+        below the span written out; () is zero.  Built on each call, for
+        callers outside the kernels."""
+        return (self._C0,) * self.val + self.span
 
     @property
     def degree(self) -> int | None:
         """Degree in the ring's variable, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return self.val + len(self.span) - 1 if self.span else None
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.span)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is type(self):
-            return self.coeffs == other.coeffs
+            return self.val == other.val and self.span == other.span
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coeffs))
+        return hash((type(self).__name__, self.val, self.span))
 
     def _operand(self, other) -> tuple | None:
-        """Coefficients of other read in this ring, or None if it is foreign."""
+        """(val, span) of other read in this ring, or None if it is foreign."""
         if type(other) is type(self):
-            return other.coeffs
+            return other.val, other.span
         try:
-            return (self._check(other),)
+            c = self._check(other)
         except TypeError:
             return None
+        return 0, ((c,) if c else ())
 
-    def _sum(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        return self._make([*map(add, a, b), *a[len(b) :]])
+    def _sum(self, u: int, a: tuple, w: int, b: tuple):
+        """v^u·a + v^w·b for spans a and b, aligned by valuation.
+
+        The spans are added over their overlap; a sum can cancel only where
+        both spans start or both end, so _make trims at most those ends.
+        """
+        if not a:
+            return self._new(w, b)
+        if not b:
+            return self._new(u, a)
+        if w < u:
+            u, a, w, b = w, b, u, a
+        d = w - u  # b starts d places after a
+        na = len(a)
+        if d >= na:  # no overlap, so nothing cancels
+            return self._new(u, (*a, *repeat(self._C0, d - na), *b))
+        end = d + len(b)
+        tail = a[end:] if end < na else b[na - d :]
+        return self._make((*a[:d], *map(add, a[d:end], b), *tail), u)
 
     def _add(self, other):
-        b = self._operand(other)
-        return NotImplemented if b is None else self._sum(self.coeffs, b)
+        o = self._operand(other)
+        return NotImplemented if o is None else self._sum(self.val, self.span, *o)
 
     def _neg(self):
-        return self._make([-c for c in self.coeffs])
+        return self._new(self.val, tuple(map(neg, self.span)))
 
     def _sub(self, other):
-        b = self._operand(other)
-        return NotImplemented if b is None else self._sum(self.coeffs, [-c for c in b])
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        v, b = o
+        return self._sum(self.val, self.span, v, tuple(map(neg, b)))
 
     def _rsub(self, other):
-        b = self._operand(other)
-        return NotImplemented if b is None else self._sum(b, [-c for c in self.coeffs])
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._sum(*o, self.val, tuple(map(neg, self.span)))
 
     def _mul(self, other):
-        b = self._operand(other)
-        if b is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        a = self.coeffs
+        v, b = o
+        a = self.span
         if not a or not b:
             return self._ZERO
-        # a unit monomial v^j (the ring's one at j = 0) shifts the other
-        # operand: its coefficients are kept, with no pass over them
-        one, zero = self._C1, self._C0
-        if b[-1] == one and b.count(zero) == len(b) - 1:
-            return self.shift(len(b) - 1)
-        if a[-1] == one and a.count(zero) == len(a) - 1:
-            return self._make(list(b)).shift(len(a) - 1)
-        # a one-term operand scales the other: one pass, zeros kept as zeros
+        val = self.val + v
+        # a one-term operand c·v^j scales the other span in one pass, zeros
+        # kept as zeros; at c = 1, a unit monomial, the span is kept as it is
         if len(b) == 1 or len(a) == 1:
             if len(b) != 1:
                 a, b = b, a
             c = b[0]
-            return self._make([ai * c if ai else zero for ai in a])
+            if c == self._C1:
+                return self._new(val, a)
+            zero = self._C0
+            return self._new(val, tuple([ai * c if ai else zero for ai in a]))
         out = [self._C0] * (len(a) + len(b) - 1)
-        # zeros are skipped on both sides, so a product by a sparse operand
-        # such as a monomial costs its nonzero terms on either side
+        # zeros are skipped on both sides, so a sparse operand costs its
+        # nonzero terms
         nz = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in nz:
                 out[i + j] += ai * bj
-        return self._make(out)
+        # the coefficient rings have no zero divisors, so the ends, a[0]·b[0]
+        # and a[-1]·b[-1], are nonzero: the product is a span
+        return self._new(val, tuple(out))
 
     def shift(self, s: int):
-        """self times the variable to the power s: s zeros prepended."""
+        """self times the variable to the power s, in O(1): s is added to val."""
+        if not isinstance(s, int):
+            raise TypeError(f"integer shift expected, got {type(s).__name__}")
         if s < 0:
             raise ValueError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
-        return self._make([self._C0] * s + list(self.coeffs))
+        return self._new(self.val + s, self.span)
 
     def window(self, k: int):
-        """self times [k] = 1 + v + ... + v^(k-1), in O(deg + k).
+        """self times [k] = 1 + v + ... + v^(k-1), in O(len(span) + k).
 
         Coefficient i of the product is a[i] + a[i-1] + ... + a[i-k+1]: one
-        running sum gains a[i] and drops a[i-k] at each step.
+        running sum of a[i] - a[i-k] over the span a.  [k] has constant
+        term and leading coefficient 1, so the product keeps val and the
+        ends of the span.
         """
         if k < 0:
             raise ValueError("window length must be nonnegative")
         if k == 1:
             return self
-        a = self.coeffs
+        a = self.span
         if not a or not k:
             return self._ZERO
-        n = len(a)
-        out = []
-        acc = self._C0
-        for i in range(n + k - 1):
-            if i < n:
-                acc = acc + a[i]
-            if i >= k:
-                acc = acc - a[i - k]
-            out.append(acc)
-        return self._make(out)
+        z = self._C0
+        steps = map(sub, chain(a, repeat(z, k - 1)), chain(repeat(z, k), a))
+        return self._new(self.val, tuple(accumulate(steps)))
 
     def unwindow(self, k: int):
-        """self divided by [k] exactly, in O(deg + k): the inverse of window.
+        """self divided by [k] exactly, in O(len(span) + k): the inverse of
+        window.
 
-        [k] = (1 - v^k) / (1 - v), so the quotient is d = self·(1 - v)
-        divided by 1 - v^k: its coefficient i is d[i] plus its coefficient
-        i - k, one running sum in steps of k.  The same sum must vanish at
-        the top k coefficients of d; a nonzero remainder raises ValueError.
+        [k] = (1 - v^k) / (1 - v), so the quotient of the span is d =
+        span·(1 - v) divided by 1 - v^k: its coefficient i is d[i] plus its
+        coefficient i - k, one running sum in steps of k.  The same sum
+        must vanish at the top k coefficients of d; a nonzero remainder
+        raises ValueError.  An exact quotient keeps val and, as in window,
+        the ends of the span.
         """
         if k < 1:
             raise ValueError("divisor [k] needs k >= 1")
         if k == 1:
             return self
-        a = self.coeffs
+        a = self.span
         n = len(a) - k + 1  # length of the quotient
         out = []
         prev = self._C0
@@ -257,7 +314,7 @@ class _Dense:
                 out.append(t)
             elif t:
                 raise ValueError(f"not divisible by [{k}]")
-        return self._make(out)
+        return self._new(self.val, tuple(out))
 
     def _pow(self, e: int):
         """self**e by square-and-multiply."""
@@ -271,12 +328,6 @@ class _Dense:
             if e:
                 base = base * base
         return result
-
-    def _horner(self, v):
-        acc = self._C0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
 
 
 class QPoly(_Dense):
@@ -302,10 +353,14 @@ class QPoly(_Dense):
     unwindow = _Dense.unwindow
 
     def eval_int(self, v: int) -> int:
-        """Evaluate at an integer point by Horner's rule."""
+        """Evaluate at an integer point: Horner's rule over the span, times
+        v^val."""
         if not isinstance(v, int):
             raise TypeError("evaluation point must be an integer")
-        return self._horner(v)
+        acc = 0
+        for c in reversed(self.span):
+            acc = acc * v + c
+        return acc * v**self.val
 
     def to_json(self) -> list[str]:
         """List of decimal strings, ascending powers of q; [] is zero."""
@@ -352,7 +407,7 @@ def _to_qpoly(c: object) -> QPoly:
     if isinstance(c, QPoly):
         return c
     if isinstance(c, int):
-        return QPoly._make([c])
+        return QPoly._make((c,))
     raise TypeError(f"QPoly or int coefficient expected, got {type(c).__name__}")
 
 
@@ -370,30 +425,29 @@ class XQPoly(_Dense):
     __mul__ = __rmul__ = _Dense._mul
     __pow__ = _Dense._pow
 
-    def __iter__(self) -> Iterator[QPoly]:
-        return iter(self.coeffs)
-
     def eval_x(self, s: int) -> QPoly:
         """Substitute a nonnegative integer for x; the result stays in q."""
         if not isinstance(s, int) or s < 0:
             raise ValueError("x substitution must be a nonnegative integer")
-        # acc[i] += c_j[i]·s^j over plain ints: no QPoly is built per term
+        # acc[i] += c_j[i]·s^j over plain ints, with acc[0] the coefficient
+        # of q^lo, the lowest val of a nonzero c_j: no QPoly is built per term
+        lo = min((c.val for c in self.span if c.span), default=0)
         acc: list[int] = []
-        power = 1
-        for c in self.coeffs:
+        power = s**self.val
+        for c in self.span:
             if not power:
                 break
-            cs = c.coeffs
-            if len(acc) < len(cs):
-                acc.extend([0] * (len(cs) - len(acc)))
-            for i, ci in enumerate(cs):
+            off, cs = c.val - lo, c.span
+            if len(acc) < off + len(cs):
+                acc.extend([0] * (off + len(cs) - len(acc)))
+            for i, ci in enumerate(cs, off):
                 acc[i] += ci * power
             power *= s
-        return QPoly._make(acc)
+        return QPoly._make(acc, lo)
 
     def to_json(self) -> list[list[str]]:
         """List of QPoly encodings, ascending powers of x; [] is a zero one."""
-        return [list(map(str, c.coeffs)) if c.coeffs else [] for c in self.coeffs]
+        return [c.to_json() for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: list) -> "XQPoly":

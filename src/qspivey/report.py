@@ -17,6 +17,8 @@ Writers (json_text): one direct writer per value kind (int, bool, str,
 QPoly, XQPoly, NormalForm, list and tuple) gives exactly
 dumps(encode(value)), with no list of decimal strings and no encoder pass
 in between; any other type goes through dumps(encode(value)) itself.
+A QPoly or XQPoly writes the zeros below its span as one repeated
+string, then its span.
 term_json writes one NormalForm term, with which normal-order writes its
 terms one at a time.
 
@@ -45,16 +47,12 @@ dataclasses module.
 from __future__ import annotations
 
 import json
-from functools import partial
-from itertools import takewhile
-from operator import is_, not_
 from typing import Any
 
 from .boson import NormalForm
 from .polys import QPoly, XQPoly
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_is_zero_qpoly = partial(is_, QPoly.zero())  # the shared zero: no Python call
 
 
 def dumps(obj) -> str:
@@ -76,28 +74,24 @@ def encode(value) -> Any:
 
 
 def _qpoly_json(p: QPoly) -> str:
-    cs = p.coeffs
-    if len(cs) < 64:
-        return '["' + '","'.join(map(str, cs)) + '"]' if cs else "[]"
-    # a long coefficient list: its run of leading zeros, such as a shift by
-    # q^j leaves, is written at once, and if the rest is a palindrome, as a
-    # product of q-binomials is, only its first half is converted to decimal
-    z = 0 if cs[0] else len(list(takewhile(not_, cs)))
-    rest = cs[z:]
-    n = len(rest)
-    if rest[0] == rest[-1] and rest == rest[::-1]:
-        digits = list(map(str, rest[: (n + 1) // 2]))
+    span = p.span
+    if not span:
+        return "[]"
+    # the zeros below the span, such as a shift by q^j leaves, are written
+    # at once, and if a long span is a palindrome, as a product of
+    # q-binomials is, only its first half is converted to decimal
+    n = len(span)
+    if n >= 64 and span[0] == span[-1] and span == span[::-1]:
+        digits = list(map(str, span[: (n + 1) // 2]))
         digits += digits[: n // 2][::-1]
     else:
-        digits = map(str, rest)
-    return "".join(("[", '"0",' * z, '"', '","'.join(digits), '"]'))
+        digits = map(str, span)
+    return "".join(("[", '"0",' * p.val, '"', '","'.join(digits), '"]'))
 
 
 def _xqpoly_json(p: XQPoly) -> str:
-    cs = p.coeffs
-    # a run of leading zeros, such as x^s holds, is written at once
-    z = len(list(takewhile(_is_zero_qpoly, cs)))
-    return "".join(("[", "[]," * z, ",".join(map(_qpoly_json, cs[z:])), "]"))
+    # the zero QPolys below the span, such as x^s holds, are written at once
+    return "".join(("[", "[]," * p.val, ",".join(map(_qpoly_json, p.span)), "]"))
 
 
 def term_json(term: tuple) -> str:

@@ -26,18 +26,15 @@ against the normal-ordering engine by identities.verify_triangle_vs_oracle.
 Row sums at x = 1 give the q-Bell numbers and (q,r)-Dowling numbers; with
 x kept symbolic they give the q-Bell and (q,r)-Dowling polynomials.
 
-The q-rows hold each cell as (v, span): its number v of leading zeros
-(a column-k cell starts at q^C(k,2), so about half of all coefficients
-are such zeros) and its span, the coefficients from its first nonzero
-one to its last.  A cell is built from spans alone, in C: q^(k-1)·left
-only moves left's v, p·[k] is itertools.accumulate over a[i] - a[i-k],
-the products by m and r are map(mul, ...) (skipped at m = 1 and r = 0),
-and the two terms are added by one map(add, ...) over their overlap.
-The spans are written out once per row, as QPolys (0,)*v + span.
-_weight_step, the (m[k] + r)·p step on one QPoly, is that same span
-step; identities._dowling_sides takes it too.  The dense shift and
-window kernels of polys are the reference the span step is tested
-against.
+A q-row cell is q^(k-1)·left + _weight_step(p, k, m, r), on plain
+QPolys: polys stores each value as its leading-zero count and its span,
+so the shift only moves left's count, the sum adds the spans over their
+overlap, and the builder holds no span state of its own.  _weight_step,
+the (m[k] + r)·p step, is _span_step on p's span, in C: p·[k] is
+itertools.accumulate over a[i] - a[i-k], and the products by m and r are
+map(mul, ...) (skipped at m = 1 and r = 0); identities._dowling_sides
+takes it too.  The dense window kernel of polys is the reference it is
+tested against.
 
 A row generator holds only the last row.  The builders return nested
 tuples and keep one triangle per parameter set, the longest built so
@@ -49,7 +46,7 @@ with no cache, so its memory stays flat in n as well.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, mul, sub
 from typing import Iterator
 
@@ -112,84 +109,24 @@ def qr_whitney_rows(
     """The (q,r)-Whitney rows after row last, or from row 0 when last is
     None, without end.
 
-    Only the last row is kept, as the (v, span) of each cell, so a caller
-    that drops each row holds two rows at a time.  m >= 1 and r >= 0 are
-    the caller's to check, as qr_whitney does.
+    Only the last row is kept, so a caller that drops each row holds two
+    rows at a time.  m >= 1 and r >= 0 are the caller's to check, as
+    qr_whitney does.
     """
     if last is None:
-        spans = [(0, (1,))]
-        yield (QPoly.one(),)
-    else:
-        spans = list(map(_span_of, last))
+        last = (QPoly.one(),)
+        yield last
     while True:
-        n = len(spans)
+        n = len(last)
         # column 0 has no left neighbour, and column n no cell above it
-        row = [_cell(None, spans[0], 0, m, r)]
-        row += [_cell(spans[k - 1], spans[k], k, m, r) for k in range(1, n)]
-        v, span = spans[n - 1]
-        row.append((v + n - 1, span))
-        spans = row
-        yield tuple(_qpoly(v, span) for v, span in row)
-
-
-def _span_of(p: QPoly) -> tuple[int, tuple]:
-    """(v, span) of p: its number v of leading zeros and its coefficients
-    from the first nonzero one on; zero is (0, ())."""
-    cs = p.coeffs
-    if not cs:
-        return 0, ()
-    v = next(compress(count(), cs))  # the index of the first nonzero one
-    return v, cs[v:]
-
-
-def _qpoly(v: int, span: tuple) -> QPoly:
-    """The QPoly q^v·span; an empty span is the shared zero.  The tuple
-    ends in a nonzero coefficient, so _make keeps it with no copy."""
-    return QPoly._make((0,) * v + span if v else span) if span else QPoly.zero()
-
-
-def _cell(left, p, k: int, m: int, r: int) -> tuple[int, tuple]:
-    """(v, span) of q^(k-1)·left + (m[k] + r)·p, from the (v, span) of
-    left and of p; left None is an absent term.
-
-    The weighted span keeps p's v and never needs trimming (_span_step),
-    and the shift by q^(k-1) only moves left's v.  The two spans are added
-    over their overlap; a sum can cancel only where both spans start or
-    both end, so only those ends are checked and trimmed.
-    """
-    v, b = p
-    b = _span_step(b, k, m, r)
-    if left is None or not left[1]:
-        return (v, b) if b else (0, ())
-    u, a = left[0] + k - 1, left[1]
-    if not b:
-        return u, a
-    if v < u:
-        u, a, v, b = v, b, u, a
-    # a starts d places before b
-    d = v - u
-    na, nb = len(a), len(b)
-    if d >= na:
-        return u, a + (0,) * (d - na) + b
-    end = d + nb
-    s = tuple(map(add, islice(a, d, None), b))
-    if d:
-        s = a[:d] + s
-    if end < na:
-        s += a[end:]
-    elif end > na:
-        s += b[na - d :]
-    if d == 0 and not s[0] or end == na and not s[-1]:
-        return _trimmed(u, s)
-    return u, s
-
-
-def _trimmed(u: int, s: tuple) -> tuple[int, tuple]:
-    """(v, span) of q^u·s for an s that may start or end with zeros."""
-    nz = list(compress(count(), s))
-    if not nz:
-        return 0, ()
-    return u + nz[0], s[nz[0] : nz[-1] + 1]
+        row = [_weight_step(last[0], 0, m, r)]
+        row += [
+            last[k - 1].shift(k - 1) + _weight_step(last[k], k, m, r)
+            for k in range(1, n)
+        ]
+        row.append(last[n - 1].shift(n - 1))
+        last = tuple(row)
+        yield last
 
 
 def _span_step(a: tuple, k: int, m: int, r: int) -> tuple:
@@ -219,15 +156,14 @@ def _span_step(a: tuple, k: int, m: int, r: int) -> tuple:
 
 def _weight_step(p: QPoly, k: int, m: int, r: int) -> QPoly:
     """p·(m[k] + r), the step of the Whitney recurrence in column k: the
-    row builder's span step, on a QPoly."""
-    v, span = _span_of(p)
-    return _qpoly(v, _span_step(span, k, m, r))
+    span step on p's span, at p's val."""
+    return QPoly._new(p.val, _span_step(p.span, k, m, r))
 
 
 def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
     """The (q,r)-Dowling polynomial: Whitney row n read in x."""
     # the row's cells are checked QPolys already
-    return XQPoly._make(list(qr_whitney(n, m, r)[n]))
+    return XQPoly._make(qr_whitney(n, m, r)[n])
 
 
 def r_whitney(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:

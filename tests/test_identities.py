@@ -134,6 +134,14 @@ def test_result2_literal_fails_with_pinned_payload():
     assert rep.rhs == ["8", "2"]
 
 
+def _ref_horner(p, x):
+    """The XQPoly p at the integer x by Horner's rule on its coefficients."""
+    acc = QPoly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _ref_dowling_sides(n, l, m, r, x=None, variant="corrected"):
     """The (q,r)-Dowling double sum term by term, with no O(deg) kernel:
     every power of m[j] + r, every q^(jk) and every X_j is a schoolbook
@@ -144,7 +152,7 @@ def _ref_dowling_sides(n, l, m, r, x=None, variant="corrected"):
     if x is None:
         rhs = XQPoly.zero()
     else:
-        lhs, d, rhs = lhs._horner(x), [p._horner(x) for p in d], QPoly.zero()
+        lhs, d, rhs = _ref_horner(lhs, x), [_ref_horner(p, x) for p in d], QPoly.zero()
     for j, w in enumerate(row):
         if x is None:
             xj = XQPoly.monomial(j)

@@ -1,6 +1,7 @@
 """Exactness and ring behavior of the two polynomial types."""
 
 import operator
+import pickle
 import random
 
 import pytest
@@ -366,6 +367,157 @@ def test_differential_against_plain_lists():
             assert got == p
 
 
+def _val_span(rng, coeff, zero, vals, lengths):
+    """A dense coefficient list: a number of zeros drawn from vals, then a
+    span of a length drawn from lengths whose ends are nonzero and whose
+    inner items may be zero; coeff draws one item, zero allowed."""
+    span = [coeff() for _ in range(rng.choice(lengths))]
+    while not span[0] or not span[-1]:
+        span[0], span[-1] = span[0] or coeff(), span[-1] or coeff()
+    return [zero] * rng.choice(vals) + span
+
+
+def _cancelling(rng, a, neg, add):
+    """An operand that cancels a at its low end, its high end, entirely,
+    or elsewhere: neg(a) with its top, its bottom, nothing or a random
+    item changed."""
+    b = [neg(c) for c in a]
+    lo = next(i for i, c in enumerate(a) if c)
+    where = rng.choice((len(b) - 1, lo, None, rng.randrange(len(b))))
+    if where is not None:
+        b[where] = add(b[where], add(b[lo], b[lo]))
+    return b
+
+
+def _cancelled(p, a, b, seen):
+    """Note in seen where the sum p of the lists a and b cancelled: to
+    zero, at its low end or at its high end."""
+    def top(cs):
+        return len(_ref_trim(cs))
+
+    def low(cs):
+        return next((i for i, c in enumerate(cs) if c), None)
+
+    if not p:
+        seen.add("zero")
+        return
+    if p.val > min(low(a), low(b)):
+        seen.add("low")
+    if p.degree + 1 < max(top(a), top(b)):
+        seen.add("high")
+
+
+def _ring_result(p, want):
+    """A ring operation's result p against the plain list want: its dense
+    coefficients, nonzero span ends, the shared zero, and degree, equality
+    and hash against the value the constructor builds from coeffs."""
+    if type(p) is QPoly:
+        _q(p, want)
+    else:
+        _x(p, want)
+    if p:
+        assert p.span[0] and p.span[-1] and p.val >= 0
+    else:
+        assert p is type(p).zero()
+    assert p.degree == (len(p.coeffs) - 1 if p.coeffs else None)
+    built = type(p)(p.coeffs)
+    assert p == built and hash(p) == hash(built)
+    return p
+
+
+def test_every_kernel_on_random_valuations():
+    """Both rings on operands with up to ~150 zeros below spans shorter
+    and longer than 64, against the schoolbook list reference: + and -
+    across valuations with cancellation at either end and to zero, neg, *,
+    shift, window, unwindow, eval_int and eval_x, ==, hash, degree and
+    coeffs."""
+    rng = random.Random(20261019)
+    vals = (0, 1, 2, 64, 150)
+    seen = {QPoly: set(), XQPoly: set()}
+
+    def q_coeff():
+        return rng.choice((0, 1, -1, 3, -7, 10**40))
+
+    for _ in range(40):
+        a = _val_span(rng, q_coeff, 0, vals, (1, 2, 5, 63, 64, 65, 90))
+        b = rng.choice((
+            _val_span(rng, q_coeff, 0, vals, (1, 3, 70)),
+            _cancelling(rng, a, operator.neg, operator.add),
+        ))
+        pa, pb = QPoly(a), QPoly(b)
+        _cancelled(_ring_result(pa + pb, _ref_add(a, b)), a, b, seen[QPoly])
+        _ring_result(pb + pa, _ref_add(a, b))
+        _ring_result(pa - QPoly([-c for c in b]), _ref_add(a, b))
+        _ring_result(pa - pb, _ref_add(a, [-c for c in b]))
+        _ring_result(-pa, [-c for c in a])
+        _ring_result(pa * pb, _ref_mul(a, b))
+        s, w = rng.choice(vals), rng.choice((0, 1, 2, 5, 64, 100))
+        _ring_result(pa.shift(s), [0] * s + a)
+        _ring_result(pa.window(w), _ref_mul(a, [1] * w))
+        k = rng.choice((2, 3, 70))
+        _ring_result(pa.window(k).unwindow(k), a)
+        for v in (0, 1, -1, 2, -3):
+            assert pa.eval_int(v) == _ref_horner(a, v)
+        assert pa.shift(s) == QPoly([0] * s + a) and pa != pa.shift(s + 1)
+        assert hash(pa.shift(s)) == hash(QPoly([0] * s + a))
+
+    def x_coeff():
+        if rng.random() < 0.2:
+            return []
+        return _ref_trim(_val_span(rng, q_coeff, 0, (0, 1, 9), (1, 2)))
+
+    def x_neg(row):
+        return [-c for c in row]
+
+    for _ in range(24):
+        xa = _val_span(rng, x_coeff, [], vals, (1, 2, 5, 64, 66))
+        xb = rng.choice((
+            _val_span(rng, x_coeff, [], vals, (1, 3)),
+            _cancelling(rng, xa, x_neg, _ref_add),
+        ))
+        xa, xb = [_ref_trim(row) for row in xa], [_ref_trim(row) for row in xb]
+        pxa = XQPoly(QPoly(row) for row in xa)
+        pxb = XQPoly(QPoly(row) for row in xb)
+        _cancelled(_ring_result(pxa + pxb, _x_add(xa, xb)), xa, xb, seen[XQPoly])
+        _ring_result(pxb + pxa, _x_add(xa, xb))
+        _ring_result(pxa - XQPoly(QPoly(row) for row in _x_neg(xb)), _x_add(xa, xb))
+        _ring_result(pxa - pxb, _x_add(xa, _x_neg(xb)))
+        _ring_result(-pxa, _x_neg(xa))
+        _ring_result(pxa * pxb, _x_mul(xa, xb))
+        s, w = rng.choice(vals), rng.choice((0, 1, 2, 5, 64))
+        _ring_result(pxa.shift(s), [[]] * s + xa)
+        _ring_result(pxa.window(w), _x_mul(xa, [[1]] * w))
+        k = rng.choice((2, 3, 65))
+        _ring_result(pxa.window(k).unwindow(k), xa)
+        for t in (0, 1, 2, 5):
+            _ring_result(pxa.eval_x(t), _ref_horner(xa, [t], _ref_add, _ref_mul, []))
+        assert pxa.shift(s) == XQPoly([0] * s + list(pxa.coeffs))
+        assert hash(pxa.shift(s)) == hash(XQPoly([0] * s + list(pxa.coeffs)))
+    assert seen == {QPoly: {"zero", "low", "high"}, XQPoly: {"zero", "low", "high"}}
+
+
+def test_powers_are_ints_and_equal_values_are_one_value():
+    """A non-int power is refused at the call, and x^2 built four ways is
+    one value: equal, with one hash, through a pickle round trip."""
+    for bad in (1.5, 2.0, "2", None):
+        for call in (
+            lambda: QPoly([1, 2]).shift(bad),
+            lambda: QPoly.monomial(bad),
+            lambda: XQPoly([1, 2]).shift(bad),
+            lambda: XQPoly.monomial(bad),
+        ):
+            with pytest.raises(TypeError):
+                call()
+    for cls, x in ((QPoly, QPoly([0, 1])), (XQPoly, XQPoly([0, 1]))):
+        values = [cls([0, 0, 1]), cls.monomial(2), cls.one().shift(2), x**2]
+        for p in values:
+            back = pickle.loads(pickle.dumps(p))
+            for v in (p, back):
+                assert v == values[0] and hash(v) == hash(values[0])
+                assert v.coeffs == values[0].coeffs and v.degree == 2
+                assert repr(v) == repr(values[0])
+
+
 def test_one_term_operand_matches_plain_convolution():
     """A one-term operand on either side scales the other in one pass;
     the list convolution is the reference.  Operands include zero,
@@ -442,8 +594,8 @@ def test_unit_monomial_operand_matches_plain_convolution():
 
 
 def test_a_unit_monomial_product_tests_no_coefficient(monkeypatch):
-    """x^s · x^k and x^s · 1 skip the pass over the zero QPoly coefficients
-    of x^s: only the trim looks at the last one."""
+    """x^s · x^k and x^s · 1 look at no zero QPoly coefficient of x^s: x^s
+    stores none, and its span is the one unit coefficient."""
     calls = []
     real = QPoly.__bool__
 

@@ -160,8 +160,9 @@ def test_direct_encodings_match_the_per_coefficient_rule():
 
 
 def _long_qpoly(rng):
-    """A QPoly past the writer's short cut-off: leading zeros or none, and a
-    rest that is a palindrome, a near one (equal ends) or neither."""
+    """A QPoly whose span is past the writer's palindrome cut-off of 64:
+    leading zeros or none, and a span that is a palindrome, a near one
+    (equal ends) or neither."""
     n = rng.randint(64, 200)
     half = [rng.choice((1, -2, 7, 10**40, -(10**41))) for _ in range(n // 2)]
     rest = half + [rng.choice((0, 3))] * (n % 2) + half[::-1]

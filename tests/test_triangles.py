@@ -3,7 +3,7 @@
 import random
 import subprocess
 import sys
-from itertools import islice
+from itertools import islice, zip_longest
 from math import comb, factorial
 
 import pytest
@@ -232,12 +232,26 @@ def _is_span(cell):
     return (v, span) == (0, ()) or bool(span and span[0] and span[-1])
 
 
+def _list_sum(a, b):
+    """a + b on plain coefficient lists, trimmed of trailing zeros."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _is_normal(p):
+    """p's span has nonzero ends, and a zero p is the shared zero."""
+    return bool(p.span and p.span[0] and p.span[-1]) or p is QPoly.zero()
+
+
 def test_cell_step_matches_the_dense_kernels():
-    """_cell against left.shift(k-1) + p.window(k)*m + p*r, the dense
-    kernels it replaced, on random signed spans for k = 0..12, m = 1..4 and
-    r = 0..3: left absent, zero, random, or built to cancel the weighted
-    term at its low end, its high end, both, or entirely, so that the sum
-    is trimmed at either end and can vanish."""
+    """A Whitney cell q^(k-1)·left + (m[k] + r)·p as the row builder adds
+    it, QPoly + and - across valuations, against plain lists: on random
+    signed spans for k = 0..12, m = 1..4 and r = 0..3, with left absent,
+    zero, random, or built to cancel the weighted term at its low end, its
+    high end, both, or entirely, so that the sum is trimmed at either end
+    and can vanish."""
     rng = random.Random(20)
     modes = ("absent", "zero", "random", "low", "high", "both", "all")
     checked = set()
@@ -247,20 +261,26 @@ def test_cell_step_matches_the_dense_kernels():
                 for r in range(4):
                     mode = "absent" if k == 0 else rng.choice(modes)
                     v = rng.randrange(4) + max(k - 1, 0)
-                    p_span = _random_span(rng, rng.randrange(1, 9))
-                    p = QPoly([0] * v + list(p_span))
-                    weighted = p.window(k) * m + p * r
-                    if mode in ("absent", "zero"):
-                        left, left_cell = QPoly.zero(), None if mode == "absent" else (0, ())
+                    p = [0] * v + list(_random_span(rng, rng.randrange(1, 9)))
+                    # (m[k] + r)·p = r·p + m·(p + q·p + ... + q^(k-1)·p)
+                    weighted = _list_sum([], [r * c for c in p])
+                    for i in range(k):
+                        weighted = _list_sum(weighted, [0] * i + [m * c for c in p])
+                    b = triangles._weight_step(QPoly(p), k, m, r)
+                    assert list(b.coeffs) == weighted and _is_normal(b)
+                    if mode == "absent":
+                        checked.add((mode, not weighted))
+                        continue
+                    if mode == "zero":
+                        left = []
                     elif mode == "random":
-                        u = rng.randrange(12)
-                        left = QPoly([0] * u + list(_random_span(rng, rng.randrange(1, 9))))
-                        left_cell = triangles._span_of(left)
+                        left = [0] * rng.randrange(12)
+                        left += _random_span(rng, rng.randrange(1, 9))
                     else:
                         # q^(k-1)·left is -weighted, kept at the ends that are
                         # to cancel and changed at the others; weighted has
                         # p's v >= k - 1 leading zeros, which the shift needs
-                        target = [-c for c in weighted.coeffs]
+                        target = [-c for c in weighted]
                         lo = next(i for i, c in enumerate(target) if c)
                         if mode in ("high", "both"):
                             target[lo + 1 : -1] = [
@@ -270,12 +290,19 @@ def test_cell_step_matches_the_dense_kernels():
                             target[lo] += 7
                         if mode == "low":
                             target[-1] += 7
-                        left = QPoly(target[k - 1 :])
-                        left_cell = triangles._span_of(left)
-                    got = triangles._cell(left_cell, (v, p_span), k, m, r)
-                    want = (left.shift(k - 1) if k else QPoly.zero()) + weighted
-                    assert _is_span(got), (k, m, r, mode, got)
-                    assert triangles._qpoly(*got) == want, (k, m, r, mode)
+                        left = target[k - 1 :]
+                    shifted = [0] * (k - 1) + left
+                    want = _list_sum(shifted, weighted)
+                    a = QPoly(left).shift(k - 1)
+                    neg_a = QPoly([-c for c in shifted])
+                    neg_b = QPoly([-c for c in weighted])
+                    for total in (a + b, b + a, a - neg_b, b - neg_a):
+                        assert list(total.coeffs) == want, (k, m, r, mode)
+                        assert _is_normal(total), (k, m, r, mode)
+                    difference = _list_sum(shifted, [-c for c in weighted])
+                    for diff in (a - b, neg_b - neg_a):
+                        assert list(diff.coeffs) == difference, (k, m, r, mode)
+                        assert _is_normal(diff), (k, m, r, mode)
                     checked.add((mode, not want))
     assert ("all", True) in checked
     assert {mode for mode, _ in checked} == set(modes)
@@ -293,7 +320,7 @@ def test_span_step_and_weight_step_match_the_dense_kernels():
                     want = p.window(k) * m + p * r
                     got = triangles._span_step(span, k, m, r)
                     assert _is_span((v if got else 0, got))
-                    assert triangles._qpoly(v, got) == want
+                    assert QPoly([0] * v + list(got)) == want
                     assert triangles._weight_step(p, k, m, r) == want
     assert triangles._weight_step(QPoly.zero(), 3, 2, 1) is QPoly.zero()
 
@@ -307,14 +334,15 @@ def test_rows_resumed_from_any_cached_row_equal_the_fresh_run():
 
 
 def test_emitted_cells_are_normalised_and_zero_is_shared():
-    """No cell ends in a zero coefficient, and a zero cell is QPoly.zero()
-    itself, which report's zero-run writer tests by identity."""
+    """No cell's span starts or ends in a zero coefficient, and a zero
+    cell is QPoly.zero() itself, as every ring operation gives it."""
     for m, r in ((1, 0), (2, 0), (1, 2), (3, 2)):
         zeros = 0
         for row in islice(triangles.qr_whitney_rows(m, r), 20):
             for cell in row:
                 assert type(cell) is QPoly
                 assert not cell.coeffs or cell.coeffs[-1], cell
+                assert not cell or cell.span[0] and cell.span[-1], cell
                 assert cell or cell is QPoly.zero()
                 zeros += not cell
         assert zeros == (19 if r == 0 else 0)
