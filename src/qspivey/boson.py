@@ -162,10 +162,7 @@ class NormalForm:
         """self·other - q**t · other·self."""
         if t < 0:
             raise ValueError("twist exponent must be nonnegative")
-        # q**t · c is c shifted by t; a product by the monomial would walk
-        # its t stored zeros for every coefficient
-        twisted = NormalForm([(kl, c.shift(t)) for kl, c in (other * self).terms])
-        return self * other - twisted
+        return self * other - (other * self) * QPoly.monomial(t)
 
     def coefficient(self, k: int, l: int) -> QPoly:
         """Coefficient of ad^k a^l, zero if absent."""

@@ -36,7 +36,7 @@ verify_result2_xs give one report per x of any iterable of x,
 verify_result1_xpoly and verify_result2_xpoly the one symbolic report,
 and verify_result1 and verify_result2 are the one-x case.
 _dowling_sides sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k)
-is built from powers stepped by triangles._weight_step, the O(deg) step
+is built from powers stepped by t.window(j)·m + t·r, the O(deg) step
 of the Whitney recurrence, and by shift, so the only dense products are
 the n + 1 products D_{m,0}(k)·S_k per x.  katriel and result1 are its
 (m, r) = (1, 0) case: there W is the q-Stirling triangle, m[j] + r is [j]
@@ -145,7 +145,7 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
     S_k do not depend on x, so they are built once and read at each x.
     For each j with W[l,j] != 0 and X_j != 0 at some x in xs,
     t = W[l,j]·(m[j]+r)^(n-k) steps from k = n down to 0 by
-    triangles._weight_step, and t·q^(jk) is slot j of S_k.  A slot may be
+    t.window(j)·m + t·r, and t·q^(jk) is slot j of S_k.  A slot may be
     left out only if X_j is 0 at every x: the literal [x][x-1]..[x-j+1]
     vanishes for j > x, so one x at which it does not keeps the slot.
     S_k is the XQPoly of its slots: read at x for the corrected shape,
@@ -169,8 +169,8 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
             # t is W[l,j]·(m[j]+r)^(n-k)
             slots[k][j] = t.shift(j * k)
             if k:
-                t = triangles._weight_step(t, j, m, r)
-    sums = [XQPoly._make(slot) for slot in slots]
+                t = t.window(j) * m + t * r
+    sums = [XQPoly(slot) for slot in slots]
     if xs is None:
         points = [(lhs, d, sums)]
     else:

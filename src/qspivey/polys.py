@@ -23,20 +23,24 @@ start or both end, and only there is it trimmed.  A product adds the vals
 and convolves the spans, skipping zero coefficients of both; Z and Z[q]
 have no zero divisors, so its span needs no trim.  A scalar, or a value
 whose span is one coefficient c (a monomial c·v^j), is a one-term
-operand: _mul scales the other span by c in one pass, and at c = 1 (a
-unit monomial v^j, the ring's one at j = 0) keeps it as it is.
+operand: _mul scales the other span by c in one pass of map(mul, ...),
+and at c = 1 (a unit monomial v^j, the ring's one at j = 0) keeps it as
+it is.  Zeros inside the span stay zeros: 0·c is 0 in Z, and a zero
+QPoly times anything is the shared zero.
 
 With v the ring's variable, shift(s), the product by v^s, is O(1): it
 adds s to val.  window(k), the product by [k] = 1 + v + ... + v^(k-1),
 is a running sum over the span, and unwindow(k) the exact division by
 [k], which raises on a nonzero remainder rather than truncate; both are
-O(len(span) + k) and keep val.  They serve q_falling, the q-Wick reorder
-in boson.py, the Dowling slots in identities.py and the Whitney rows in
-triangles.py.  The schoolbook convolution _mul is the reference shift
-and window are tested against, and unwindow is tested as the inverse of
-window.  XQPoly.eval_x sums c_j·s^j over plain ints, with no QPoly built
-per term, and is tested against the Horner reference; QPoly.eval_int is
-Horner's rule over the span, times v^val.
+O(len(span) + k) and keep val.  They serve q_falling and the q-Wick
+reorder in boson.py, and the Whitney step p·(m[k] + r) = p.window(k)·m +
+p·r, which builds the rows in triangles.py and the Dowling slots in
+identities.py; no module but this one builds a value from a span.  The
+schoolbook convolution _mul is the reference shift and window are tested
+against, and unwindow is tested as the inverse of window.  XQPoly.eval_x
+sums c_j·s^j over plain ints, with no QPoly built per term, and is tested
+against the Horner reference; QPoly.eval_int is Horner's rule over the
+span, times v^val.
 
 Validation stays at the boundary: the constructors, const, monomial and
 from_json check every coefficient, and shift and monomial refuse a power
@@ -54,7 +58,7 @@ identities rely on the empty-product reading of their j = 0 terms.
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable
 
 
@@ -244,8 +248,7 @@ class _Dense:
             c = b[0]
             if c == self._C1:
                 return self._new(val, a)
-            zero = self._C0
-            return self._new(val, tuple([ai * c if ai else zero for ai in a]))
+            return self._new(val, tuple(map(mul, a, repeat(c))))
         out = [self._C0] * (len(a) + len(b) - 1)
         # zeros are skipped on both sides, so a sparse operand costs its
         # nonzero terms

@@ -26,15 +26,14 @@ against the normal-ordering engine by identities.verify_triangle_vs_oracle.
 Row sums at x = 1 give the q-Bell numbers and (q,r)-Dowling numbers; with
 x kept symbolic they give the q-Bell and (q,r)-Dowling polynomials.
 
-A q-row cell is q^(k-1)·left + _weight_step(p, k, m, r), on plain
-QPolys: polys stores each value as its leading-zero count and its span,
-so the shift only moves left's count, the sum adds the spans over their
-overlap, and the builder holds no span state of its own.  _weight_step,
-the (m[k] + r)·p step, is _span_step on p's span, in C: p·[k] is
-itertools.accumulate over a[i] - a[i-k], and the products by m and r are
-map(mul, ...) (skipped at m = 1 and r = 0); identities._dowling_sides
-takes it too.  The dense window kernel of polys is the reference it is
-tested against.
+A q-row cell is q^(k-1)·left + m·(p·[k]) + r·p on plain QPolys, built
+from polys' public kernels alone: shift, window and two scalings.  polys
+stores each value as its leading-zero count and its span, so the shift
+only moves left's count, window is a running sum over p's span, a
+scaling is one pass over it (none at m = 1, and r = 0 gives the shared
+zero), and the sums add spans over their overlap; the builder holds no
+span state of its own.  identities._dowling_sides steps its slots by the
+same expression.
 
 A row generator holds only the last row.  The builders return nested
 tuples and keep one triangle per parameter set, the longest built so
@@ -46,8 +45,7 @@ with no cache, so its memory stays flat in n as well.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
-from operator import add, mul, sub
+from itertools import islice
 from typing import Iterator
 
 from .polys import QPoly, XQPoly
@@ -119,9 +117,9 @@ def qr_whitney_rows(
     while True:
         n = len(last)
         # column 0 has no left neighbour, and column n no cell above it
-        row = [_weight_step(last[0], 0, m, r)]
+        row = [last[0] * r]
         row += [
-            last[k - 1].shift(k - 1) + _weight_step(last[k], k, m, r)
+            last[k - 1].shift(k - 1) + last[k].window(k) * m + last[k] * r
             for k in range(1, n)
         ]
         row.append(last[n - 1].shift(n - 1))
@@ -129,41 +127,9 @@ def qr_whitney_rows(
         yield last
 
 
-def _span_step(a: tuple, k: int, m: int, r: int) -> tuple:
-    """The span of a·(m[k] + r), for a span a (first and last items nonzero).
-
-    Since m >= 1 and r >= 0, m[k] + r has a nonzero constant term, so the
-    product keeps a's leading-zero count, and for k >= 1 its first item is
-    (m + r)·a[0] and its last m·a[-1] (k >= 2) or (m + r)·a[-1] (k = 1):
-    the product is a span again, with no trim.  a·[k] is the running sum
-    of a[i] - a[i-k]; the products by m = 1 and r = 0 are skipped.
-    """
-    if not a:
-        return a
-    if k == 0 or k == 1:
-        c = m + r if k else r
-        if c == 1:
-            return a
-        return tuple(map(mul, a, repeat(c))) if c else ()
-    b = tuple(map(mul, a, repeat(m))) if m != 1 else a
-    w = accumulate(map(sub, chain(b, repeat(0, k - 1)), chain(repeat(0, k), b)))
-    if not r:
-        return tuple(w)
-    w = list(w)
-    w[: len(a)] = map(add, w, map(mul, a, repeat(r)))
-    return tuple(w)
-
-
-def _weight_step(p: QPoly, k: int, m: int, r: int) -> QPoly:
-    """p·(m[k] + r), the step of the Whitney recurrence in column k: the
-    span step on p's span, at p's val."""
-    return QPoly._new(p.val, _span_step(p.span, k, m, r))
-
-
 def qr_dowling_poly(n: int, m: int, r: int) -> XQPoly:
     """The (q,r)-Dowling polynomial: Whitney row n read in x."""
-    # the row's cells are checked QPolys already
-    return XQPoly._make(qr_whitney(n, m, r)[n])
+    return XQPoly(qr_whitney(n, m, r)[n])
 
 
 def r_whitney(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:

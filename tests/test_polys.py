@@ -428,9 +428,10 @@ def _ring_result(p, want):
 def test_every_kernel_on_random_valuations():
     """Both rings on operands with up to ~150 zeros below spans shorter
     and longer than 64, against the schoolbook list reference: + and -
-    across valuations with cancellation at either end and to zero, neg, *,
-    shift, window, unwindow, eval_int and eval_x, ==, hash, degree and
-    coeffs."""
+    across valuations with cancellation at either end and to zero, neg, *
+    (with the one-term scaling by c = 1, -1, 3, 10**40 and 0 on either
+    side), shift, window, unwindow, eval_int and eval_x, ==, hash, degree
+    and coeffs."""
     rng = random.Random(20261019)
     vals = (0, 1, 2, 64, 150)
     seen = {QPoly: set(), XQPoly: set()}
@@ -451,6 +452,9 @@ def test_every_kernel_on_random_valuations():
         _ring_result(pa - pb, _ref_add(a, [-c for c in b]))
         _ring_result(-pa, [-c for c in a])
         _ring_result(pa * pb, _ref_mul(a, b))
+        for c in (1, -1, 3, 10**40, 0):
+            _ring_result(pa * c, [ai * c for ai in a])
+            _ring_result(c * pa, [ai * c for ai in a])
         s, w = rng.choice(vals), rng.choice((0, 1, 2, 5, 64, 100))
         _ring_result(pa.shift(s), [0] * s + a)
         _ring_result(pa.window(w), _ref_mul(a, [1] * w))
@@ -484,6 +488,11 @@ def test_every_kernel_on_random_valuations():
         _ring_result(pxa - pxb, _x_add(xa, _x_neg(xb)))
         _ring_result(-pxa, _x_neg(xa))
         _ring_result(pxa * pxb, _x_mul(xa, xb))
+        for c in (1, -1, 3, 10**40, 0):
+            term = [0] * rng.choice((0, 1, 9)) + [c]
+            one_term = QPoly(term)
+            _ring_result(pxa * one_term, _x_mul(xa, [term]))
+            _ring_result(one_term * pxa, _x_mul(xa, [term]))
         s, w = rng.choice(vals), rng.choice((0, 1, 2, 5, 64))
         _ring_result(pxa.shift(s), [[]] * s + xa)
         _ring_result(pxa.window(w), _x_mul(xa, [[1]] * w))

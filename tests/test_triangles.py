@@ -184,10 +184,6 @@ def test_builders_match_the_recurrence_with_plain_products(monkeypatch):
                 for k in range(n + 1)
             ))
         assert rows == tuple(want)
-    p = QPoly([3, 0, -2, 5])
-    for k in range(5):
-        for m, r in ((1, 0), (1, 2), (3, 0), (3, 2)):
-            assert triangles._weight_step(p, k, m, r) == p * (q_int(k) * m + r)
     for s in range(n_max + 1):
         want = QPoly.one()
         for k in range(n_max + 1):
@@ -227,11 +223,6 @@ def _random_span(rng, length):
     return tuple(span)
 
 
-def _is_span(cell):
-    v, span = cell
-    return (v, span) == (0, ()) or bool(span and span[0] and span[-1])
-
-
 def _list_sum(a, b):
     """a + b on plain coefficient lists, trimmed of trailing zeros."""
     out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
@@ -266,7 +257,7 @@ def test_cell_step_matches_the_dense_kernels():
                     weighted = _list_sum([], [r * c for c in p])
                     for i in range(k):
                         weighted = _list_sum(weighted, [0] * i + [m * c for c in p])
-                    b = triangles._weight_step(QPoly(p), k, m, r)
+                    b = QPoly(p).window(k) * m + QPoly(p) * r
                     assert list(b.coeffs) == weighted and _is_normal(b)
                     if mode == "absent":
                         checked.add((mode, not weighted))
@@ -308,21 +299,27 @@ def test_cell_step_matches_the_dense_kernels():
     assert {mode for mode, _ in checked} == set(modes)
 
 
-def test_span_step_and_weight_step_match_the_dense_kernels():
+def test_whitney_step_matches_the_schoolbook_product():
+    """The Whitney step p·(m[k] + r) as the builders take it, window(k)·m +
+    p·r, against the schoolbook product by m[k] + r, on random signed spans
+    at random valuations for k = 0..12, m = 1..4 and r = 0..3: the result
+    is normal, and a zero result is the shared zero."""
     rng = random.Random(21)
+    zeros = 0
     for _ in range(40):
-        span = _random_span(rng, rng.randrange(1, 12))
-        v = rng.randrange(5)
-        p = QPoly([0] * v + list(span))
+        v = rng.choice((0, 1, 2, 3, 64, 150))
+        p = QPoly([0] * v + list(_random_span(rng, rng.randrange(1, 12))))
         for k in range(13):
             for m in range(1, 5):
                 for r in range(4):
-                    want = p.window(k) * m + p * r
-                    got = triangles._span_step(span, k, m, r)
-                    assert _is_span((v if got else 0, got))
-                    assert QPoly([0] * v + list(got)) == want
-                    assert triangles._weight_step(p, k, m, r) == want
-    assert triangles._weight_step(QPoly.zero(), 3, 2, 1) is QPoly.zero()
+                    got = p.window(k) * m + p * r
+                    assert got == p * (q_int(k) * m + r), (v, k, m, r)
+                    assert _is_normal(got), (v, k, m, r)
+                    zeros += not got
+    # k = 0 with r = 0 is the only zero weight
+    assert zeros == 40 * 4
+    z = QPoly.zero()
+    assert z.window(3) * 2 + z * 1 is QPoly.zero()
 
 
 def test_rows_resumed_from_any_cached_row_equal_the_fresh_run():
