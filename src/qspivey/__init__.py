@@ -32,10 +32,8 @@ from .identities import (
     verify_lemma,
     verify_q_expansion,
     verify_result1,
-    verify_result1_xpoly,
     verify_result1_xs,
     verify_result2,
-    verify_result2_xpoly,
     verify_result2_xs,
     verify_result3,
     verify_spivey,
@@ -79,10 +77,8 @@ __all__ = [
     "verify_lemma",
     "verify_q_expansion",
     "verify_result1",
-    "verify_result1_xpoly",
     "verify_result1_xs",
     "verify_result2",
-    "verify_result2_xpoly",
     "verify_result2_xs",
     "verify_result3",
     "verify_spivey",

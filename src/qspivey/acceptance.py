@@ -261,7 +261,8 @@ def criterion_6() -> list[Task]:
     x in 0..6 (one task per (n, mshift)); the literal shape fails at
     (n, mshift, x) = (1, 2, 1).  A side has degree n + mshift in x, so the
     7 x-points certify the polynomial identity only up to n + mshift <= 6;
-    the tests check verify_result1_xpoly over the whole range."""
+    the tests check the symbolic form, verify_result1_xs(n, mshift, None,
+    "corrected"), over the whole range."""
     tasks: list[Task] = [
         partial(identities.verify_result1_xs, n, total - n, range(7), "corrected")
         for total in range(9)
@@ -284,8 +285,9 @@ def criterion_7() -> list[Task]:
     m in 1..3, r in 0..2, x in 0..5 (one task per (n, l, m, r)); the literal
     shape fails at (n, l, m, r, x) = (1, 1, 2, 1, 1), where q = 1 gives 10
     against 6.  A side has degree n + l in x, so the 6 x-points certify the
-    polynomial identity only up to n + l <= 5; the tests check
-    verify_result2_xpoly over the whole range."""
+    polynomial identity only up to n + l <= 5; the tests check the symbolic
+    form, verify_result2_xs(n, l, m, r, None, "corrected"), over the whole
+    range."""
     tasks: list[Task] = [
         partial(
             identities.verify_result2_xs, n, total - n, m, r, range(6), "corrected"

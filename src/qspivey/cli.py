@@ -22,12 +22,14 @@ report is its two sides as text, written once when it was checked, and
 its verdict is whether the two texts are equal.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
-an internal error, 2 on invalid flags or expressions (with no output
-written in that case) or when stdout or --out cannot be written.  An
-internal error in mid-stream leaves the pieces written so far on
-stdout; --out to a new or regular file goes to a temporary file in the
-same directory, renamed onto the target only when complete, so it is
-never partial (see _write_file).
+an internal error, 2 on invalid flags or expressions, an integer of more
+than opexpr.MAX_DIGITS digits among them (with no output written in that
+case), or when stdout or --out cannot be written.  Computed ints are
+written in full at any length (see main).  An internal error in
+mid-stream leaves the pieces written so far on stdout; --out to a new or
+regular file goes to a temporary file in the same directory, renamed
+onto the target only when complete, so it is never partial (see
+_write_file).
 """
 
 from __future__ import annotations
@@ -57,15 +59,23 @@ _AXIS_FLAGS = tuple(
 )
 
 
+class _TooManyDigits(UsageError):
+    pass
+
+
 def _parse_int(text: str, flag: str) -> int:
-    """A decimal integer: ASCII digits after an optional '-'.
+    """A decimal integer: ASCII digits after an optional '-', at most
+    opexpr.MAX_DIGITS of them.
 
     int() alone would also read non-ASCII digits such as '٣', which the
-    --expr grammar rejects.
+    --expr grammar rejects, and main lifts the interpreter's own bound on
+    the digits int() reads.
     """
     digits = text[1:] if text.startswith("-") else text
     if not digits or not opexpr._DIGITS.issuperset(digits):
         raise UsageError(f"{flag}: expected an integer, got {text!r}")
+    if len(digits) > opexpr.MAX_DIGITS:
+        raise _TooManyDigits(f"{flag}: more than {opexpr.MAX_DIGITS} digits")
     return int(text)
 
 
@@ -80,6 +90,8 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     try:
         lo = _parse_int(lo_s, flag)
         hi = _parse_int(hi_s, flag) if dots else lo
+    except _TooManyDigits:
+        raise
     except UsageError:
         raise UsageError(f"{flag}: expected an integer or lo..hi, got {text!r}")
     if lo < 0 or hi < 0:
@@ -322,6 +334,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    CPython (3.10.7 and later) refuses to turn an int of more than 4300
+    digits into text, a guard against the quadratic parse of untrusted
+    digit strings (CVE-2020-10735).  The CLI writes only ints it computed,
+    and _parse_int and opexpr bound the digit strings it reads, so main
+    lifts that limit while it runs, forked --jobs shards included, and
+    gives the caller's setting back when it returns.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return _main(argv)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,25 +23,27 @@ printed shapes, selected by ``variant``:
 The corrected shapes are the ones the operator algebra produces; the
 verifiers treat both shapes as data and let the arithmetic decide.
 
-katriel, result1 (and result1_xpoly) and result2 (and result2_xpoly) are
-all one (q,r)-Dowling expansion,
+katriel, result1 and result2 are all one (q,r)-Dowling expansion,
 
     D_{m,r}(n+l) == Σ_j Σ_k W[l,j]·C(n,k)·(m[j]+r)^(n-k)·q^(jk)·D_{m,0}(k)·X_j,
 
 whose two sides the private _dowling_sides computes at each x of a range
 of integers, building its x-free parts once, or symbolically in x.  The
-private _dowling_reports owns the argument checks of result1 and result2
-and turns those sides into reports: verify_result1_xs and
-verify_result2_xs give one report per x of any iterable of x,
-verify_result1_xpoly and verify_result2_xpoly the one symbolic report,
-and verify_result1 and verify_result2 are the one-x case.
+private _dowling_reports is its one caller: it owns the argument checks
+and turns those sides into reports.  verify_result1_xs and
+verify_result2_xs give one report per x of any iterable of x, and for
+xs=None the one symbolic report, tagged result1-poly or result2-poly,
+which only the corrected shape has: verify_result1_xs(n, mshift, None,
+"corrected")[0] and verify_result2_xs(n, l, m, r, None, "corrected")[0]
+are the symbolic form.  verify_result1 and verify_result2 are the one-x
+case, and verify_katriel is verify_result1 at x = 1 under its own tag.
 _dowling_sides sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k)
 is built from powers stepped by t.window(j)·m + t·r, the O(deg) step
 of the Whitney recurrence, and by shift, so the only dense products are
 the n + 1 products D_{m,0}(k)·S_k per x.  katriel and result1 are its
 (m, r) = (1, 0) case: there W is the q-Stirling triangle, m[j] + r is [j]
 and D_{1,0} the q-Bell polynomial, which is how the paper's (q,r)-Dowling
-formula generalises the q-Bell form of Spivey's formula.  All five read
+formula generalises the q-Bell form of Spivey's formula.  All three read
 the one q-triangle builder, so they check the expansion, not the
 triangle; the triangle is checked against the normal-ordering engine
 (triangle-oracle) and, at q = 1, against the integer triangle.  spivey,
@@ -56,8 +58,8 @@ read it.
 Identities in x are checked at integer substitutions.  Both sides are
 polynomials in x of degree at most n plus the shift, so agreement at
 degree + 1 distinct points is agreement as polynomials; for the corrected
-shapes verify_result1_xpoly and verify_result2_xpoly also compare the two
-sides directly as XQPoly values.
+shapes the symbolic form, verify_result{1,2}_xs(..., None, "corrected"),
+also compares the two sides directly as XQPoly values.
 """
 
 from __future__ import annotations
@@ -193,23 +195,18 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
     return pairs
 
 
-def verify_katriel(n: int, l: int) -> VerificationReport:
-    """q-Bell numbers: B_{n+l} == sum_{j,k} S[l,j] C(n,k) [j]^(n-k) q^(jk) B_k."""
-    if n < 0 or l < 0:
-        raise ValueError("arguments must be nonnegative")
-    [(lhs, rhs)] = _dowling_sides(n, l, 1, 0, [1])
-    return VerificationReport.check("katriel", "n/a", {"n": n, "l": l}, lhs, rhs)
-
-
 def _dowling_reports(
     identity: str, params: dict, n: int, l: int, m: int, r: int, xs, variant: str
 ) -> list[VerificationReport]:
     """The reports of one (q,r)-Dowling instance, from one _dowling_sides:
     one per x in xs, in order, with x added to params, or for xs None the
-    one symbolic report, tagged identity + "-poly".  xs is read once, so a
-    one-shot iterator gives the same reports as a list.
+    one symbolic report, tagged identity + "-poly", which the literal shape
+    does not have.  xs is read once, so a one-shot iterator gives the same
+    reports as a list.
     """
     _check_variant(variant)
+    if xs is None and variant == "literal":
+        raise ValueError("the literal shape has no symbolic form in x")
     if m < 1:
         raise ValueError("weight m must be >= 1")
     if xs is not None:
@@ -238,17 +235,20 @@ def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationRep
 
 
 def verify_result1_xs(
-    n: int, mshift: int, xs: Iterable[int], variant: str
+    n: int, mshift: int, xs: Iterable[int] | None, variant: str
 ) -> list[VerificationReport]:
-    """verify_result1 at each x in xs, in order, from one _dowling_sides."""
+    """verify_result1 at each x in xs, in order, from one _dowling_sides;
+    for xs None, the one symbolic report of the corrected shape."""
     params = {"n": n, "mshift": mshift}
     return _dowling_reports("result1", params, n, mshift, 1, 0, xs, variant)
 
 
-def verify_result1_xpoly(n: int, mshift: int) -> VerificationReport:
-    """The corrected q-Bell expansion compared symbolically in x."""
-    params = {"n": n, "mshift": mshift}
-    return _dowling_reports("result1", params, n, mshift, 1, 0, None, "corrected")[0]
+def verify_katriel(n: int, l: int) -> VerificationReport:
+    """q-Bell numbers: B_{n+l} == sum_{j,k} S[l,j] C(n,k) [j]^(n-k) q^(jk) B_k,
+    the sides of verify_result1 at x = 1 in the corrected shape."""
+    rep = verify_result1(n, l, 1, "corrected")
+    params = {"n": n, "l": l}
+    return VerificationReport("katriel", "n/a", params, rep.lhs_text, rep.rhs_text)
 
 
 def verify_result2(
@@ -264,17 +264,12 @@ def verify_result2(
 
 
 def verify_result2_xs(
-    n: int, l: int, m: int, r: int, xs: Iterable[int], variant: str
+    n: int, l: int, m: int, r: int, xs: Iterable[int] | None, variant: str
 ) -> list[VerificationReport]:
-    """verify_result2 at each x in xs, in order, from one _dowling_sides."""
+    """verify_result2 at each x in xs, in order, from one _dowling_sides;
+    for xs None, the one symbolic report of the corrected shape."""
     params = {"n": n, "l": l, "m": m, "r": r}
     return _dowling_reports("result2", params, n, l, m, r, xs, variant)
-
-
-def verify_result2_xpoly(n: int, l: int, m: int, r: int) -> VerificationReport:
-    """The corrected (q,r)-Dowling expansion compared symbolically in x."""
-    params = {"n": n, "l": l, "m": m, "r": r}
-    return _dowling_reports("result2", params, n, l, m, r, None, "corrected")[0]
 
 
 def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> VerificationReport:

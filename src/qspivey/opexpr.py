@@ -11,15 +11,16 @@ tighter than + and -):
 a is the lowering operator, ad the raising operator, and N abbreviates
 ad*a.  The symbols m and r stand for nonnegative integers and must be
 bound when parsing; they appear in the AST as integer literals.
-A uint is a run of ASCII digits 0-9; other Unicode digits such as "²"
-are rejected.  Exponents are nonnegative integer literals, and
-parentheses nest at most MAX_NESTING levels deep.  q is not a symbol of
-the language; deformation lives in the coefficients, not the grammar.  A
-Unicode minus sign is accepted for "-".
+A uint is a run of at most MAX_DIGITS ASCII digits 0-9; other Unicode
+digits such as "²" are rejected.  Exponents are nonnegative integer
+literals, and parentheses nest at most MAX_NESTING levels deep.  q is not
+a symbol of the language; deformation lives in the coefficients, not the
+grammar.  A Unicode minus sign is accepted for "-".
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Union
 
 from .boson import NormalForm
@@ -69,6 +70,11 @@ OpExpr = Union[Lit, Atom, Pow, Prod, Sum]
 # parse well inside Python's default recursion limit of 1000
 MAX_NESTING = 200
 
+# the most digits a uint may have: CPython's default bound on the digits
+# int() reads, which the CLI lifts for its output, so that an absurd
+# digit string fails at once rather than in a quadratic parse
+MAX_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
 _MINUS = {"-", "−"}
 _DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also admits "²"
 _ATOMS = {"a": NormalForm.lowering, "ad": NormalForm.raising, "N": NormalForm.number}
@@ -94,6 +100,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", start)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(f"integer of more than {MAX_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def parse_expr(self) -> OpExpr:

@@ -108,9 +108,10 @@ class _Dense:
     A subclass sets _C0 and _C1 (the coefficient zero and one), _check
     (returns a checked coefficient or raises TypeError) and, after its
     body, _ZERO and _ONE.
-    It binds the arithmetic dunders by name in its own body (QPoly also
-    the shift, window and unwindow kernels it takes), because
+    It binds the arithmetic dunders by name in its own body, because
     bench/tracer.py wraps only what it finds in a class's own namespace.
+    The shift, window and unwindow kernels are not re-bound: both rings
+    inherit them, so a patch of _Dense reaches both.
     """
 
     __slots__ = ("val", "span")
@@ -351,9 +352,6 @@ class QPoly(_Dense):
     __neg__ = _Dense._neg
     __mul__ = __rmul__ = _Dense._mul
     __pow__ = _Dense._pow
-    shift = _Dense.shift
-    window = _Dense.window
-    unwindow = _Dense.unwindow
 
     def eval_int(self, v: int) -> int:
         """Evaluate at an integer point: Horner's rule over the span, times

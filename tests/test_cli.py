@@ -152,6 +152,104 @@ def test_normal_order_parse_error_exit_two(capsys):
     assert "position" in err
 
 
+# 4301 digits, one past CPython's default int-to-str limit, and its text
+_BIG = 10**4300 + 7
+_BIG_TEXT = "1" + "0" * 4299 + "7"
+
+
+def _int_of_text(text):
+    """int(text) for a digit string of any length, read in chunks that
+    stay below the interpreter's digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_normal_order_writes_a_coefficient_past_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "normal-order", "--expr", "9^4600")
+    assert code == 0, err
+    [term] = json.loads(out)
+    assert (term["k"], term["l"]) == (0, 0)
+    [digits] = term["coeff"]
+    assert len(digits) > 4300
+    assert _int_of_text(digits) == 9**4600
+
+
+def test_every_int_writer_writes_past_the_digit_limit(capsys, monkeypatch):
+    """The JSON int, the QPoly span and the CSV cell each write a 4301-digit
+    int in full, in process and in a forked --jobs shard."""
+
+    def int_rows(m, r):
+        yield [_BIG]
+
+    def q_rows(m, r):
+        yield [QPoly([0, _BIG])]
+
+    monkeypatch.setattr(triangles, "r_whitney_classic_rows", int_rows)
+    monkeypatch.setattr(triangles, "qr_whitney_rows", q_rows)
+    for kind, cell in (("stirling2", _BIG_TEXT), ("q-stirling2", ["0", _BIG_TEXT])):
+        code, out, err = run_cli(capsys, "triangle", "--kind", kind, "--n", "0")
+        assert code == 0, err
+        assert json.loads(out)["rows"] == [[cell]]
+        code, out, err = run_cli(
+            capsys, "triangle", "--kind", kind, "--n", "0", "--format", "csv"
+        )
+        assert code == 0, err
+        csv_cell = cell if kind == "stirling2" else dumps(cell)
+        assert list(csv.reader(io.StringIO(out)))[2:] == [[csv_cell]]
+
+    def big_case(identity, variant, params):
+        return VerificationReport.check(identity, "n/a", params, _BIG, _BIG)
+
+    monkeypatch.setattr(identities, "run_case", big_case)
+    outs = []
+    for jobs in ("1", "2"):
+        argv = ("verify", "--identity", "bell-rec", "--n", "0..1", "--jobs", jobs)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [json.loads(line)["lhs"] for line in outs[0].splitlines()[:2]] == [
+        _BIG_TEXT,
+        _BIG_TEXT,
+    ]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_main_gives_the_callers_digit_limit_back(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for n in ("3", "x"):
+            run_cli(capsys, "numbers", "--kind", "bell", "--n", n)
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_an_over_long_digit_string_exits_two_with_no_output(capsys):
+    """An integer flag or an --expr uint of more than opexpr.MAX_DIGITS
+    digits is refused before any int() reads it."""
+    long = "9" * (opexpr.MAX_DIGITS + 1)
+    for argv in (
+        ("numbers", "--kind", "bell", "--n", long),
+        ("verify", "--identity", "bell-rec", "--n", f"0..{long}"),
+        ("verify", "--identity", "bell-rec", "--jobs", long),
+        ("normal-order", "--expr", f"a^{long}"),
+        ("normal-order", "--expr", f"ad*{long}"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:3]
+        assert f"more than {opexpr.MAX_DIGITS} digits" in err
+    # MAX_DIGITS digits are still an integer
+    most = "1" + "0" * (opexpr.MAX_DIGITS - 1)
+    assert cli._parse_int(most, "--n") == 10 ** (opexpr.MAX_DIGITS - 1)
+
+
 def test_verify_pass_exit_zero_and_line_shape(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--identity", "spivey", "--n", "0..3", "--mshift", "0..3"

@@ -58,6 +58,21 @@ def test_katriel_sweep():
             assert identities.verify_katriel(n, l).passed
 
 
+def test_katriel_is_result1_at_x_one():
+    """Over criterion 5's range, n + l <= 9: katriel's side texts are those
+    of the corrected result1 at x = 1, under katriel's own tag and params."""
+    for total in range(10):
+        for n in range(total + 1):
+            l = total - n
+            kat = identities.verify_katriel(n, l)
+            one = identities.verify_result1(n, l, 1, "corrected")
+            assert (kat.lhs_text, kat.rhs_text) == (one.lhs_text, one.rhs_text)
+            assert (kat.identity, kat.variant) == ("katriel", "n/a")
+            assert kat.params == {"n": n, "l": l}
+    with pytest.raises(ValueError, match="nonnegative"):
+        identities.verify_katriel(-1, 0)
+
+
 def test_result1_corrected_passes():
     for n in range(5):
         for mshift in range(5):
@@ -88,14 +103,17 @@ def test_result1_variant_validation():
 
 
 def test_result1_xpoly_passes_and_matches_pointwise():
-    """Over criterion 6's whole range, n + mshift <= 8: a side has degree
-    n + mshift in x, so the sweep's 7 x-points alone certify the
-    polynomial identity only up to n + mshift <= 6."""
+    """The symbolic form, xs=None, over criterion 6's whole range,
+    n + mshift <= 8: a side has degree n + mshift in x, so the sweep's 7
+    x-points alone certify the polynomial identity only up to
+    n + mshift <= 6."""
     for total in range(9):
         for n in range(total + 1):
             mshift = total - n
-            rep = identities.verify_result1_xpoly(n, mshift)
+            [rep] = identities.verify_result1_xs(n, mshift, None, "corrected")
             assert rep.passed
+            assert (rep.identity, rep.variant) == ("result1-poly", "corrected")
+            assert rep.params == {"n": n, "mshift": mshift}
             lhs = XQPoly.from_json(rep.lhs)
             for x in range(4):
                 point = identities.verify_result1(n, mshift, x, "corrected")
@@ -255,15 +273,30 @@ def test_result2_validates():
 
 
 def test_result2_xpoly_passes():
-    """Over criterion 7's whole range, n + l <= 7, m in 1..3, r in 0..2: a
-    side has degree n + l in x, so the sweep's 6 x-points alone certify
-    the polynomial identity only up to n + l <= 5."""
+    """The symbolic form, xs=None, over criterion 7's whole range,
+    n + l <= 7, m in 1..3, r in 0..2: a side has degree n + l in x, so the
+    sweep's 6 x-points alone certify the polynomial identity only up to
+    n + l <= 5."""
     for total in range(8):
         for n in range(total + 1):
             for m in (1, 2, 3):
                 for r in (0, 1, 2):
-                    rep = identities.verify_result2_xpoly(n, total - n, m, r)
-                    assert rep.passed, (n, total - n, m, r)
+                    args = (n, total - n, m, r)
+                    [rep] = identities.verify_result2_xs(*args, None, "corrected")
+                    assert rep.passed, args
+                    assert rep.identity == "result2-poly"
+
+
+def test_the_literal_shape_has_no_symbolic_form():
+    """xs=None asks for the symbolic form, which only the corrected shape
+    has; the literal shape fails at (n, mshift, x) = (1, 2, 1), so a
+    passing symbolic report under its name would hide that."""
+    with pytest.raises(ValueError, match="no symbolic form"):
+        identities.verify_result1_xs(1, 2, None, "literal")
+    with pytest.raises(ValueError, match="no symbolic form"):
+        identities.verify_result2_xs(1, 1, 2, 1, None, "literal")
+    # the pointwise literal reports are unchanged
+    assert not identities.verify_result1_xs(1, 2, [1], "literal")[0].passed
 
 
 def test_result2_lhs_rebuilt_from_the_operator_engine():

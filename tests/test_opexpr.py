@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from qspivey import NormalForm, ParseError, QPoly, normal_order, parse, to_normal_form
-from qspivey.opexpr import Atom, Lit, Pow, Prod, Sum
+from qspivey.opexpr import MAX_DIGITS, Atom, Lit, Pow, Prod, Sum
 
 
 def test_parse_power():
@@ -69,6 +69,19 @@ def test_syntax_errors_carry_positions():
         parse("N^-1")
     with pytest.raises(ParseError):
         parse("N^N")
+
+
+def test_an_over_long_uint_is_a_parse_error():
+    """A uint of more than MAX_DIGITS digits fails at its first digit, so
+    no int() reads it; MAX_DIGITS digits are still one uint."""
+    long = "1" * (MAX_DIGITS + 1)
+    with pytest.raises(ParseError, match="more than") as err:
+        parse(f"a^{long}")
+    assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        parse(f"ad * {long}")
+    assert err.value.position == 5
+    assert parse("a^" + "0" * (MAX_DIGITS - 1) + "3") == parse("a^3")
 
 
 def test_to_normal_form_atoms():

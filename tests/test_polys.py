@@ -628,6 +628,31 @@ def test_unit_window_and_unwindow_return_the_value():
             assert p.window(1) == p.unwindow(1) == p
 
 
+@pytest.mark.parametrize("kernel", ["shift", "window", "unwindow"])
+def test_a_patch_of_a_kernel_reaches_both_rings(monkeypatch, kernel):
+    """shift, window and unwindow have one binding, on _Dense, so a patch
+    of it (a fault injected to audit the routes, say) reaches QPoly,
+    XQPoly and every module that steps its values with them."""
+    from qspivey import NormalForm, polys
+
+    seen = []
+    real = getattr(polys._Dense, kernel)
+
+    def spy(self, k):
+        seen.append(type(self))
+        return real(self, k)
+
+    monkeypatch.setattr(polys._Dense, kernel, spy)
+    for cls in (QPoly, XQPoly):
+        assert kernel not in vars(cls)
+        getattr(cls.monomial(2), kernel)(1)
+    assert seen == [QPoly, XQPoly]
+    seen.clear()
+    # the q-Wick reorder of a^2·ad^2 takes all three kernels
+    NormalForm.lowering() ** 2 * NormalForm.raising() ** 2
+    assert QPoly in seen
+
+
 def test_eval_x_against_horner_on_edge_inputs():
     """The integer eval_x kernel against the Horner reference: zero, s = 0
     and 1, s >= 10**6, coefficients past 2**64 and negative ones."""
