@@ -8,28 +8,31 @@ triangle row, row sum or polynomial coefficient by report.json_text, a
 normal-form term by report.term_json), and parallel runs (--jobs) merge
 results in the same order as sequential ones.
 
-Each command checks its flags and returns the pieces of its output and
-its exit code; main writes each piece as it comes.  triangle, numbers
-and poly stream: one table, _KINDS, names the row generator of each kind
-(the integer rows or the q-rows), which they drive with no cache.
-triangle writes rows 0..n, numbers one row sum per row and poly the
-cells of row n, all through one list writer, _json_list (or _csv_rows),
-so each holds two rows at once, not the triangle and its text.
-normal-order holds the normal form and writes it one term at a time,
-not its whole text.  verify and sweep compute every report first, so a
-failing task writes nothing, and write their lines as one piece; each
-report is its two sides as text, written once when it was checked, and
-its verdict is whether the two texts are equal.
+argparse parses every flag (integer flags through type= readers built on
+_integer); a command checks only the rules that tie flags together and
+returns the pieces of its output and its exit code; main writes each
+piece as it comes.  triangle, numbers and poly stream: one table,
+_KINDS, names the row generator of each kind (the integer rows or the
+q-rows), which they drive with no cache.  triangle writes rows 0..n,
+numbers one row sum per row and poly the cells of row n, all through one
+list writer, _json_list (or _csv_rows), so each holds two rows at once,
+not the triangle and its text.  normal-order holds the normal form and
+writes it one term at a time, not its whole text.  verify and sweep
+compute every report first, so a failing task writes nothing, and write
+their lines as one piece; each report is its two sides as text, written
+once when it was checked, and its verdict is whether the two texts are
+equal.
 
 Exit codes: 0 when everything requested passed, 1 on a failing report or
 an internal error, 2 on invalid flags or expressions, an integer of more
 than opexpr.MAX_DIGITS digits among them (with no output written in that
-case), or when stdout or --out cannot be written.  Computed ints are
-written in full at any length (see main).  An internal error in
-mid-stream leaves the pieces written so far on stdout; --out to a new or
-regular file goes to a temporary file in the same directory, renamed
-onto the target only when complete, so it is never partial (see
-_write_file).
+case), or when stdout or --out cannot be written.  Every usage error,
+argparse's own included, is written as the top-level usage line and then
+"qspivey: error: <message>".  Computed ints are written in full at any
+length (see main).  An internal error in mid-stream leaves the pieces
+written so far on stdout; --out to a new or regular file goes to a
+temporary file in the same directory, renamed onto the target only when
+complete, so it is never partial (see _write_file).
 """
 
 from __future__ import annotations
@@ -59,11 +62,15 @@ _AXIS_FLAGS = tuple(
 )
 
 
-class _TooManyDigits(UsageError):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError, so _main writes
+    them in the one form every usage error takes; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _parse_int(text: str, flag: str) -> int:
+def _integer(text: str) -> int:
     """A decimal integer: ASCII digits after an optional '-', at most
     opexpr.MAX_DIGITS of them.
 
@@ -73,31 +80,42 @@ def _parse_int(text: str, flag: str) -> int:
     """
     digits = text[1:] if text.startswith("-") else text
     if not digits or not opexpr._DIGITS.issuperset(digits):
-        raise UsageError(f"{flag}: expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if len(digits) > opexpr.MAX_DIGITS:
-        raise _TooManyDigits(f"{flag}: more than {opexpr.MAX_DIGITS} digits")
+        raise argparse.ArgumentTypeError(f"more than {opexpr.MAX_DIGITS} digits")
     return int(text)
 
 
-def _int_flag(args: argparse.Namespace, name: str) -> int | None:
-    text = getattr(args, name)
-    return None if text is None else _parse_int(text, f"--{name}")
+def _nonnegative(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("values must be nonnegative")
+    return value
 
 
-def _parse_range(text: str, flag: str) -> tuple[int, int]:
-    """Inclusive integer range: 'lo..hi' or a single value."""
+def _last_row(text: str) -> int:
+    """The last row n of a streamed command; rows 0..n take an islice
+    stop of n + 1, which must not pass sys.maxsize."""
+    n = _nonnegative(text)
+    if n >= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be below {sys.maxsize}")
+    return n
+
+
+def _positive(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _range(text: str) -> tuple[int, int]:
+    """Inclusive range of nonnegative integers: 'lo..hi' or a single value."""
     lo_s, dots, hi_s = text.partition("..")
-    try:
-        lo = _parse_int(lo_s, flag)
-        hi = _parse_int(hi_s, flag) if dots else lo
-    except _TooManyDigits:
-        raise
-    except UsageError:
-        raise UsageError(f"{flag}: expected an integer or lo..hi, got {text!r}")
-    if lo < 0 or hi < 0:
-        raise UsageError(f"{flag}: values must be nonnegative")
+    lo = _nonnegative(lo_s)
+    hi = _nonnegative(hi_s) if dots else lo
     if lo > hi:
-        raise UsageError(f"{flag}: empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -109,37 +127,19 @@ def _emit(lines: list[str], failed: int) -> tuple[list[str], int]:
 
 
 def _m_r(cmd: str, args: argparse.Namespace, weighted: bool | None):
-    """The validated (m, r) of a command.
+    """The (m, r) of a command, checked against its kind.
 
     weighted=True: --m >= 1 is required and --r defaults to 0; False: the
-    kind takes neither flag; None: both are optional symbol bindings.  A
-    value that is given must be nonnegative.
+    kind takes neither flag; None: both are optional symbol bindings.
     """
-    m, r = _int_flag(args, "m"), _int_flag(args, "r")
+    m, r = args.m, args.r
     if weighted is False and (m is not None or r is not None):
         raise UsageError(f"{cmd}: --m/--r do not apply to kind {args.kind}")
     if weighted:
         if m is None or m < 1:
             raise UsageError(f"{cmd}: --m is required and must be >= 1 for {args.kind}")
         r = 0 if r is None else r
-    for flag, value in (("m", m), ("r", r)):
-        if value is not None and value < 0:
-            raise UsageError(f"{cmd}: --{flag} must be nonnegative")
     return m, r
-
-
-def _n_max(cmd: str, args: argparse.Namespace) -> int:
-    n = _int_flag(args, "n")
-    if n is None or n < 0:
-        raise UsageError(f"{cmd}: --n is required and must be nonnegative")
-    return n
-
-
-def _jobs(cmd: str, args: argparse.Namespace) -> int:
-    jobs = _parse_int(args.jobs, "--jobs")
-    if jobs < 1:
-        raise UsageError(f"{cmd}: --jobs must be >= 1")
-    return jobs
 
 
 # kind -> (row generator in triangles: the integer rows or the q-rows,
@@ -157,13 +157,12 @@ _KINDS = {
 
 
 def _kind_rows(cmd: str, args: argparse.Namespace):
-    """The validated n and (m, r) of a command, and rows 0..n of its kind's
-    triangle, made by the row generator with no cache."""
+    """The n and (m, r) of a command, and rows 0..n of its kind's triangle,
+    made by the row generator with no cache."""
     rows_of, weighted = _KINDS[args.kind]
-    n = _n_max(cmd, args)
     m, r = _m_r(cmd, args, weighted)
     rows = getattr(triangles, rows_of)(m or 1, r or 0)
-    return n, m, r, islice(rows, n + 1)
+    return args.n, m, r, islice(rows, args.n + 1)
 
 
 def _json_list(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
@@ -246,15 +245,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
             axes = axes[:1]  # the q-Stirling rows take no weight or shift
     elif args.kind is not None:
         raise UsageError("verify: --kind only applies to triangle-oracle")
-    jobs = _jobs("verify", args)
     names = [name for name, _ in axes]
     for name in _AXIS_FLAGS:
         if getattr(args, name) is not None and name not in names:
             raise UsageError(f"verify: --{name} does not apply to {identity}")
     bounds = {}
     for name, default in axes:
-        given = getattr(args, name)
-        bounds[name] = default if given is None else _parse_range(given, f"--{name}")
+        bounds[name] = getattr(args, name) or default
         least = spec.lower.get(name, 0)
         if bounds[name][0] < least:
             raise UsageError(f"verify: {identity} needs {name} >= {least}")
@@ -264,15 +261,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
     cases = [{**dict(zip(names, combo)), **fixed} for combo in product(*spans)]
     tasks = [partial(identities.run_case, identity, args.variant, p) for p in cases]
-    return _emit(*acceptance.report_lines(tasks, jobs))
+    return _emit(*acceptance.report_lines(tasks, args.jobs))
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
-    return _emit(*acceptance.run_suite(jobs=_jobs("sweep", args)))
+    return _emit(*acceptance.run_suite(jobs=args.jobs))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="qspivey",
         description="Exact q-analogue triangles, polynomials and identity verification.",
     )
@@ -284,33 +281,33 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["stirling2", "q-stirling2", "r-whitney", "qr-whitney"],
     )
-    p.add_argument("--n", help="largest row index")
-    p.add_argument("--m")
-    p.add_argument("--r")
+    p.add_argument("--n", required=True, type=_last_row, help="largest row index")
+    p.add_argument("--m", type=_nonnegative)
+    p.add_argument("--r", type=_nonnegative)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("poly", help="emit a q-Bell or (q,r)-Dowling polynomial")
     p.add_argument("--kind", required=True, choices=["q-bell", "qr-dowling"])
-    p.add_argument("--n")
-    p.add_argument("--m")
-    p.add_argument("--r")
+    p.add_argument("--n", required=True, type=_last_row)
+    p.add_argument("--m", type=_nonnegative)
+    p.add_argument("--r", type=_nonnegative)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("numbers", help="emit Bell, q-Bell or r-Dowling numbers")
     p.add_argument("--kind", required=True, choices=["bell", "q-bell", "r-dowling"])
-    p.add_argument("--n", help="largest index")
-    p.add_argument("--m")
-    p.add_argument("--r")
+    p.add_argument("--n", required=True, type=_last_row, help="largest index")
+    p.add_argument("--m", type=_nonnegative)
+    p.add_argument("--r", type=_nonnegative)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_numbers)
 
     p = sub.add_parser("normal-order", help="normally order an operator expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--m")
-    p.add_argument("--r")
+    p.add_argument("--m", type=_nonnegative)
+    p.add_argument("--r", type=_nonnegative)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_normal_order)
 
@@ -319,14 +316,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["literal", "corrected"], default=None)
     p.add_argument("--kind", choices=["q-stirling", "qr-whitney"], default=None)
     for name in _AXIS_FLAGS:
-        p.add_argument(f"--{name}", default=None, metavar="LO..HI")
-    p.add_argument("--jobs", default="1")
+        p.add_argument(f"--{name}", type=_range, metavar="LO..HI")
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run the acceptance suite")
     p.add_argument("--suite", choices=["acceptance"], default="acceptance")
-    p.add_argument("--jobs", default="1")
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -334,12 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.
+    """Run one command and return its exit code; --help alone leaves
+    through argparse's SystemExit(0).
 
     CPython (3.10.7 and later) refuses to turn an int of more than 4300
     digits into text, a guard against the quadratic parse of untrusted
     digit strings (CVE-2020-10735).  The CLI writes only ints it computed,
-    and _parse_int and opexpr bound the digit strings it reads, so main
+    and _integer and opexpr bound the digit strings it reads, so main
     lifts that limit while it runs, forked --jobs shards included, and
     gives the caller's setting back when it returns.
     """
@@ -357,9 +355,6 @@ def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
-    try:
         pieces, code = args.func(args)
     except UsageError as e:
         sys.stderr.write(parser.format_usage())
@@ -369,7 +364,7 @@ def _main(argv: list[str] | None) -> int:
         sys.stderr.write(f"qspivey: error: {e}\n")
         return 2
     except Exception as e:  # internal error: report, no output
-        sys.stderr.write(f"qspivey: internal error: {e}\n")
+        sys.stderr.write(f"qspivey: internal error: {str(e) or type(e).__name__}\n")
         return 1
     try:
         if args.out:
@@ -390,7 +385,7 @@ def _main(argv: list[str] | None) -> int:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
         return 2
     except Exception as e:  # internal error in mid-stream: stdout keeps its part
-        sys.stderr.write(f"qspivey: internal error: {e}\n")
+        sys.stderr.write(f"qspivey: internal error: {str(e) or type(e).__name__}\n")
         return 1
     return code
 

@@ -305,9 +305,17 @@ def verify_lemma(
     lem4: (m·N + r)·ad^k == ad^k·(m[k] + r + m·q^k·N).
     lem3: N·ad^k == ad^k·([k] + q^k·N), which is lem4 at (m, r) = (1, 0);
           it runs lem4's body under its own tag, with params k alone.
+    A lemma refuses a nonzero m, r or cap that it does not take, rather
+    than check another instance than the one asked for.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    takes = {"lem1": (), "lem2": ("cap",), "lem3": (), "lem4": ("m", "r")}.get(which)
+    if takes is None:
+        raise ValueError(f"unknown lemma {which!r}")
+    for name, value in (("m", m), ("r", r), ("cap", cap)):
+        if value and name not in takes:
+            raise ValueError(f"{which} takes no {name}, got {name}={value}")
     ad = NormalForm.raising()
     if which == "lem1":
         if k < 1:
@@ -325,12 +333,10 @@ def verify_lemma(
         return VerificationReport.check("lem2", "n/a", params, lhs, rhs)
     if which == "lem3":
         m, r, params = 1, 0, {"k": k}
-    elif which == "lem4":
+    else:
         if m < 0 or r < 0:
             raise ValueError("m and r must be nonnegative")
         params = {"k": k, "m": m, "r": r}
-    else:
-        raise ValueError(f"unknown lemma {which!r}")
     op = NormalForm.number() * m + NormalForm.identity() * r
     lhs = op * (ad**k)
     rhs = (ad**k) * (
@@ -369,11 +375,13 @@ def verify_triangle_vs_oracle(
     For the (q,r)-Whitney triangle, m^k·W[n,k] must be the (k,k)
     coefficient of (m·N + r)^n.  The q-Stirling triangle is its (m, r) =
     (1, 0) case, so S[n,k] must be the (k,k) coefficient of N^n; its params
-    name only the kind and n.
+    name only the kind and n, and it refuses a nonzero m or r.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if kind == "q-stirling":
+        if m or r:
+            raise ValueError(f"q-stirling takes no m or r, got m={m}, r={r}")
         m, r, params = 1, 0, {"kind": kind, "n": n}
     elif kind == "qr-whitney":
         params = {"kind": kind, "n": n, "m": m, "r": r}

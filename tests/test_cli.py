@@ -4,6 +4,8 @@ Most tests drive qspivey.cli.main in process and capture stdout; a couple
 spawn real subprocesses where that is the thing under test.
 """
 
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -17,6 +19,8 @@ import sys
 from itertools import islice, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qspivey import QPoly, acceptance, cli, identities, opexpr, report, triangles
 from qspivey.report import VerificationReport, dumps, encode
@@ -247,7 +251,7 @@ def test_an_over_long_digit_string_exits_two_with_no_output(capsys):
         assert f"more than {opexpr.MAX_DIGITS} digits" in err
     # MAX_DIGITS digits are still an integer
     most = "1" + "0" * (opexpr.MAX_DIGITS - 1)
-    assert cli._parse_int(most, "--n") == 10 ** (opexpr.MAX_DIGITS - 1)
+    assert cli._integer(most) == 10 ** (opexpr.MAX_DIGITS - 1)
 
 
 def test_verify_pass_exit_zero_and_line_shape(capsys):
@@ -1111,3 +1115,222 @@ def test_deep_expressions_give_a_result_or_exit_two(capsys):
         code, out, err = run_cli(capsys, "normal-order", "--expr", expr)
         assert (code, out) == (2, ""), expr
         assert f"(at position {position})" in err, expr
+
+
+def _assert_usage_error(code, out, err, argv):
+    """Exit 2 with empty stdout, and stderr's last line, and no line before
+    it, starts with "qspivey: error:"."""
+    lines = err.splitlines()
+    assert (code, out) == (2, ""), argv
+    assert lines and lines[-1].startswith("qspivey: error:"), (argv, err)
+    assert not any(line.startswith("qspivey: error:") for line in lines[:-1]), err
+
+
+def test_every_usage_error_takes_one_form(capsys):
+    """argparse's own errors and the commands' errors alike: the top-level
+    usage line, then one "qspivey: error:" line, exit 2, no stdout."""
+    usage = cli._build_parser().format_usage()
+    for argv in (
+        ("triangle", "--kind", "bogus", "--n", "2"),
+        ("triangle", "--kind", "stirling2"),
+        ("verify", "--identity", "nope"),
+        ("verify", "--identity", "spivey", "--n", "two"),
+        ("sweep", "--jobs", "0"),
+        ("numbers", "--kind", "bell", "--n", "٣"),
+        ("triangle", "--kind", "stirling2", "--n", "9223372036854775807"),
+        ("numbers", "--kind", "bell", "--n", "3", "--bogus"),
+        ("triangle", "--kind", "stirling2", "--n", "2", "--m", "2"),
+        ("verify", "--identity", "spivey", "--x", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        _assert_usage_error(code, out, err, argv)
+        assert err.startswith(usage), argv
+
+
+@pytest.mark.parametrize("command", ["triangle", "numbers", "poly"])
+def test_a_row_n_past_islice_exits_two(capsys, command):
+    """Rows 0..n take an islice stop of n + 1, so n >= sys.maxsize is a
+    usage error, not an internal one."""
+    kind = {"triangle": "stirling2", "numbers": "bell", "poly": "q-bell"}[command]
+    for n in (sys.maxsize, sys.maxsize + 1, 2**64):
+        argv = (command, "--kind", kind, "--n", str(n))
+        code, out, err = run_cli(capsys, *argv)
+        _assert_usage_error(code, out, err, argv)
+        assert f"argument --n: must be below {sys.maxsize}" in err
+
+
+def test_an_internal_error_with_no_message_names_its_type(capsys, monkeypatch):
+    """A MemoryError() carries no text; stderr names its type, before any
+    output and in mid-stream alike."""
+
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    def one_row_then_out_of_memory(m, r):
+        yield [1]
+        raise MemoryError()
+
+    monkeypatch.setattr(identities, "run_case", out_of_memory)
+    code, out, err = run_cli(capsys, "verify", "--identity", "spivey", "--n", "0")
+    assert (code, out, err) == (1, "", "qspivey: internal error: MemoryError\n")
+
+    monkeypatch.setattr(triangles, "r_whitney_classic_rows", one_row_then_out_of_memory)
+    code, out, err = run_cli(capsys, "numbers", "--kind", "bell", "--n", "3")
+    assert code == 1 and err == "qspivey: internal error: MemoryError\n"
+    assert out == '{"kind":"bell","n_max":3,"values":["1"'
+
+
+# --- the argv property test: argv drawn from the parser's own tables ------
+
+_COMMANDS = next(
+    action.choices
+    for action in cli._build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+def _flag(command, flag):
+    """The argparse action of one flag of one subcommand."""
+    return next(a for a in _COMMANDS[command]._actions if flag in a.option_strings)
+
+
+_LONG = "9" * (opexpr.MAX_DIGITS + 1)
+# every integer reader refuses these but "0", which only --jobs refuses
+_BAD_INTS = ["-1", "", "0", "٣", "²", _LONG]
+_BAD_RANGES = [*_BAD_INTS, "5..2", "1..", "..3", "0..٢"]
+_BAD_EXPRS = ["(a*ad", "a+", "a*b", "ad^", "m*a", "r*ad^2", ")a(", "q*a"]
+# largest in-domain value of each verify axis; the others stay <= 6
+_AXIS_MAX = {"cap": 10, "m": 3, "r": 3}
+
+
+def _text(n):
+    return st.integers(0, n).map(str)
+
+
+def _lo_hi(name, least):
+    top = _AXIS_MAX.get(name, 6)
+    return st.integers(least, top).flatmap(
+        lambda lo: st.integers(lo, min(lo + 3, top)).map(
+            lambda hi: f"{lo}" if hi == lo else f"{lo}..{hi}"
+        )
+    )
+
+
+def _optional(flag, values):
+    """[] or [flag, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _expr(symbols):
+    """Expressions of the opexpr grammar over a, ad, N and the bound
+    symbols, with exponents <= 4 that never nest."""
+    atom = st.one_of(
+        st.sampled_from(["a", "ad", "N", *symbols]), st.integers(0, 20).map(str)
+    )
+    inner = st.lists(atom, min_size=1, max_size=3).map(
+        lambda xs: "(" + "+".join(xs) + ")"
+    )
+    power = st.tuples(st.one_of(atom, inner), st.integers(0, 4)).map(
+        lambda p: f"{p[0]}^{p[1]}"
+    )
+    factor = st.one_of(atom, inner, power)
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    signed = st.tuples(st.sampled_from("+-"), term).map("".join)
+    return st.tuples(term, st.lists(signed, max_size=2)).map(
+        lambda t: t[0] + "".join(t[1])
+    )
+
+
+@st.composite
+def _in_domain(draw, command):
+    """Flags drawn inside each flag's own domain, sizes kept small."""
+    if command in ("triangle", "poly", "numbers"):
+        kind = draw(st.sampled_from(_flag(command, "--kind").choices))
+        argv = ["--kind", kind, "--n", draw(_text(6))]
+        if cli._KINDS[kind][1]:
+            argv += ["--m", str(draw(st.integers(1, 3)))]
+            argv += draw(_optional("--r", _text(3)))
+        if command == "triangle":
+            formats = st.sampled_from(_flag(command, "--format").choices)
+            argv += draw(_optional("--format", formats))
+        return argv
+    if command == "normal-order":
+        argv = draw(_optional("--m", _text(3))) + draw(_optional("--r", _text(3)))
+        return argv + ["--expr=" + draw(_expr([flag[2:] for flag in argv[::2]]))]
+    if command == "verify":
+        identity = draw(st.sampled_from(_flag(command, "--identity").choices))
+        spec = identities.IDENTITIES[identity]
+        argv, axes = ["--identity", identity], spec.axes
+        if identity == "triangle-oracle":
+            kinds = st.sampled_from(_flag(command, "--kind").choices)
+            argv += draw(_optional("--kind", kinds))
+            if argv[-1] != "qr-whitney":
+                axes = axes[:1]
+        if spec.variant:
+            variants = st.sampled_from(_flag(command, "--variant").choices)
+            argv += draw(_optional("--variant", variants))
+        for name, _ in axes:
+            argv += draw(_optional(f"--{name}", _lo_hi(name, spec.lower.get(name, 0))))
+        return argv + draw(_optional("--jobs", st.sampled_from(["1", "2"])))
+    return []  # sweep: a valid sweep is the acceptance suite, pinned elsewhere
+
+
+@st.composite
+def _near_miss(draw, command):
+    """One flag of the command with a value outside its domain, or a flag
+    the command does not have."""
+    actions = [
+        a
+        for a in _COMMANDS[command]._actions
+        if a.option_strings and a.dest not in ("help", "out")
+    ]
+    action = draw(st.sampled_from(actions))
+    flag = action.option_strings[0]
+    if action.choices is not None:
+        values = ["bogus"]
+    elif action.type is cli._range:
+        values = _BAD_RANGES
+    elif action.type is cli._last_row:
+        values = [*_BAD_INTS, str(sys.maxsize)]
+    elif action.type is not None:
+        values = _BAD_INTS
+    else:  # --expr
+        values = _BAD_EXPRS
+    return draw(st.sampled_from([[flag, v] for v in values] + [["--bogus", "1"]]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command, *draw(_in_domain(command))]
+    if command == "sweep" or draw(st.booleans()):
+        argv += draw(_near_miss(command))
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_argv())
+@example(["verify", "--identity", "result1", "--variant", "literal", "--n", "0..1"])
+@example(["triangle", "--kind", "qr-whitney", "--n", "3", "--m", "2", "--format", "csv"])
+@example(["normal-order", "--expr", "(m*N+r)^2", "--m", "2"])
+def test_every_drawn_argv_gets_a_result_or_a_clean_exit_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        _assert_usage_error(code, out, err, argv)
+    elif code == 1:
+        assert "internal error" not in err, (argv, err)
+        assert argv[0] == "verify", argv
+        assert json.loads(out.splitlines()[-1])["failed"] >= 1, argv
+    else:
+        assert err == "", (argv, err)
+        if argv[0] == "verify":
+            *lines, summary = map(json.loads, out.splitlines())
+            assert summary["failed"] == 0 and all(line["passed"] for line in lines)
+        elif "csv" in argv:
+            assert list(csv.reader(io.StringIO(out)))[1][0] == argv[2]
+        else:
+            json.loads(out)

@@ -478,3 +478,51 @@ def test_run_case_dispatch():
     assert rep.passed
     with pytest.raises(ValueError):
         identities.run_case("fermat", None, {"n": 3})
+
+
+@pytest.mark.parametrize(
+    "which, kwargs, name",
+    [
+        ("lem3", {"m": 2}, "m"),
+        ("lem3", {"r": 1}, "r"),
+        ("lem3", {"cap": 5}, "cap"),
+        ("lem1", {"m": 2}, "m"),
+        ("lem1", {"r": 1}, "r"),
+        ("lem1", {"cap": 5}, "cap"),
+        ("lem2", {"m": 2, "cap": 5}, "m"),
+        ("lem2", {"r": 1, "cap": 5}, "r"),
+        ("lem4", {"m": 2, "cap": 5}, "cap"),
+    ],
+)
+def test_a_lemma_refuses_an_argument_it_would_ignore(which, kwargs, name):
+    """lem3 at m = 2 would report lem3 at (1, 0) and pass; every argument a
+    lemma does not take must keep its default 0."""
+    with pytest.raises(ValueError, match=f"{which} takes no {name}"):
+        identities.verify_lemma(which, 4, **kwargs)
+    # the same call without the ignored argument runs
+    kept = {key: v for key, v in kwargs.items() if key != name}
+    assert identities.verify_lemma(which, 4, **kept).passed
+
+
+@pytest.mark.parametrize("m, r", [(2, 1), (2, 0), (0, 1)])
+def test_the_q_stirling_oracle_refuses_a_weight_or_shift(m, r):
+    with pytest.raises(ValueError, match="q-stirling takes no m or r"):
+        identities.verify_triangle_vs_oracle("q-stirling", 3, m, r)
+
+
+@pytest.mark.parametrize(
+    "verify, params, lhs, rhs",
+    [
+        (identities.verify_result1, (0, 1, 2), ["2"], ["1", "1"]),
+        (identities.verify_result2, (0, 1, 2, 0, 1), ["1"], ["2"]),
+        (identities.verify_result3, (0, 1, 2, 0), "1", "2"),
+    ],
+    ids=["result1", "result2", "result3"],
+)
+def test_the_literal_shapes_fail_already_at_n_zero(verify, params, lhs, rhs):
+    """At n = 0 each expansion is only D(l) = sum_j W[l,j]·X_j, so these
+    witnesses put the literal fault in the basis X_j; the corrected shape
+    passes at each."""
+    rep = verify(*params, "literal")
+    assert (rep.lhs, rep.rhs, rep.passed) == (lhs, rhs, False)
+    assert verify(*params, "corrected").passed
