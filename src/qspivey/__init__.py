@@ -29,7 +29,10 @@ from .identities import (
     run_case,
     verify_bell_recurrence,
     verify_katriel,
-    verify_lemma,
+    verify_lem1,
+    verify_lem2,
+    verify_lem3,
+    verify_lem4,
     verify_q_expansion,
     verify_result1,
     verify_result1_xs,
@@ -74,7 +77,10 @@ __all__ = [
     "to_normal_form",
     "verify_bell_recurrence",
     "verify_katriel",
-    "verify_lemma",
+    "verify_lem1",
+    "verify_lem2",
+    "verify_lem3",
+    "verify_lem4",
     "verify_q_expansion",
     "verify_result1",
     "verify_result1_xs",

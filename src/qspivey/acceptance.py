@@ -232,15 +232,14 @@ def criterion_3() -> list[Task]:
 
 def criterion_4() -> list[Task]:
     """The four operator lemmas over their stated ranges."""
-    lemma = identities.verify_lemma
     tasks: list[Task] = []
-    tasks += [partial(lemma, "lem1", k) for k in range(1, 11)]
-    tasks += [partial(lemma, "lem3", k) for k in range(1, 11)]
+    tasks += [partial(identities.verify_lem1, k) for k in range(1, 11)]
+    tasks += [partial(identities.verify_lem3, k) for k in range(1, 11)]
     for k in range(1, 9):
         for m in range(4):
             for r in range(4):
-                tasks.append(partial(lemma, "lem4", k, m=m, r=r))
-    tasks += [partial(lemma, "lem2", k, cap=12) for k in range(5)]
+                tasks.append(partial(identities.verify_lem4, k, m, r))
+    tasks += [partial(identities.verify_lem2, k, 12) for k in range(5)]
     return tasks
 
 

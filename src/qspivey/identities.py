@@ -1,7 +1,8 @@
 """Every verifier: the Spivey-type expansion identities and their
-q-analogues, the operator lemmas (verify_lemma), the triangle against
-normal ordering (verify_triangle_vs_oracle), the r = 0 Whitney reduction
-(verify_whitney_special) and the q-expansion law (verify_q_expansion).
+q-analogues, the operator lemmas (verify_lem1..verify_lem4), the
+triangle against normal ordering (verify_triangle_vs_oracle), the r = 0
+Whitney reduction (verify_whitney_special) and the q-expansion law
+(verify_q_expansion).
 
 Each verifier recomputes both sides of one identity instance from scratch
 and returns VerificationReport.check of the two, which encodes both sides
@@ -53,7 +54,9 @@ q = 1.
 
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
-read it.
+read it.  A verifier's parameters are exactly its row's axes, plus variant
+or kind where the row has one, and each lower bound is the least value it
+accepts; tests/test_identities.py holds every row to both.
 
 Identities in x are checked at integer substitutions.  Both sides are
 polynomials in x of degree at most n plus the shift, so agreement at
@@ -64,7 +67,6 @@ also compares the two sides directly as XQPoly values.
 
 from __future__ import annotations
 
-from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -293,57 +295,52 @@ def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> Verification
     return VerificationReport.check("result3", variant, params, lhs, rhs)
 
 
-def verify_lemma(
-    which: str, k: int, m: int = 0, r: int = 0, cap: int = 0
-) -> VerificationReport:
-    """Operator-level ground truths used by everything above.
+def verify_lem1(k: int) -> VerificationReport:
+    """lem1: the q^k-twisted commutator of a with ad^k is [k]·ad^(k-1)."""
+    if k < 1:
+        raise ValueError("lem1 needs k >= 1")
+    ad = NormalForm.raising()
+    lhs = NormalForm.lowering().q_commutator(ad**k, k)
+    rhs = (ad ** (k - 1)) * q_int(k)
+    return VerificationReport.check("lem1", "n/a", {"k": k}, lhs, rhs)
 
-    lem1: the q^k-twisted commutator of a with ad^k is [k]·ad^(k-1).
-    lem2: a^k acts on the truncated coherent vector as multiplication by
-          x^k, compared on the cap - k window where the truncation is
-          faithful.
-    lem4: (m·N + r)·ad^k == ad^k·(m[k] + r + m·q^k·N).
-    lem3: N·ad^k == ad^k·([k] + q^k·N), which is lem4 at (m, r) = (1, 0);
-          it runs lem4's body under its own tag, with params k alone.
-    A lemma refuses a nonzero m, r or cap that it does not take, rather
-    than check another instance than the one asked for.
-    """
+
+def verify_lem2(k: int, cap: int) -> VerificationReport:
+    """lem2: a^k acts on the truncated coherent vector as multiplication by
+    x^k, compared on the cap - k window where the truncation is faithful."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    takes = {"lem1": (), "lem2": ("cap",), "lem3": (), "lem4": ("m", "r")}.get(which)
-    if takes is None:
-        raise ValueError(f"unknown lemma {which!r}")
-    for name, value in (("m", m), ("r", r), ("cap", cap)):
-        if value and name not in takes:
-            raise ValueError(f"{which} takes no {name}, got {name}={value}")
+    if cap < k:
+        raise ValueError("lem2 needs cap >= k")
+    lowered = (NormalForm.lowering() ** k).apply(coherent_truncated(cap))
+    lhs = lowered.truncated(cap - k).amps
+    rhs = coherent_truncated(cap - k).scale(XQPoly.monomial(k)).amps
+    return VerificationReport.check("lem2", "n/a", {"k": k, "cap": cap}, lhs, rhs)
+
+
+def _lem4(identity: str, params: dict, k: int, m: int, r: int) -> VerificationReport:
+    """(m·N + r)·ad^k == ad^k·(m[k] + r + m·q^k·N), reported under identity."""
+    if k < 0 or m < 0 or r < 0:
+        raise ValueError("arguments must be nonnegative")
     ad = NormalForm.raising()
-    if which == "lem1":
-        if k < 1:
-            raise ValueError("lem1 needs k >= 1")
-        lhs = NormalForm.lowering().q_commutator(ad**k, k)
-        rhs = (ad ** (k - 1)) * q_int(k)
-        return VerificationReport.check("lem1", "n/a", {"k": k}, lhs, rhs)
-    if which == "lem2":
-        if cap < k:
-            raise ValueError("lem2 needs cap >= k")
-        lowered = (NormalForm.lowering() ** k).apply(coherent_truncated(cap))
-        lhs = lowered.truncated(cap - k).amps
-        rhs = coherent_truncated(cap - k).scale(XQPoly.monomial(k)).amps
-        params = {"k": k, "cap": cap}
-        return VerificationReport.check("lem2", "n/a", params, lhs, rhs)
-    if which == "lem3":
-        m, r, params = 1, 0, {"k": k}
-    else:
-        if m < 0 or r < 0:
-            raise ValueError("m and r must be nonnegative")
-        params = {"k": k, "m": m, "r": r}
     op = NormalForm.number() * m + NormalForm.identity() * r
     lhs = op * (ad**k)
     rhs = (ad**k) * (
         NormalForm.identity() * (q_int(k) * m + r)
         + NormalForm.number() * (QPoly.monomial(k) * m)
     )
-    return VerificationReport.check(which, "n/a", params, lhs, rhs)
+    return VerificationReport.check(identity, "n/a", params, lhs, rhs)
+
+
+def verify_lem3(k: int) -> VerificationReport:
+    """lem3: N·ad^k == ad^k·([k] + q^k·N), lem4 at (m, r) = (1, 0) under
+    its own tag, with params k alone."""
+    return _lem4("lem3", {"k": k}, k, 1, 0)
+
+
+def verify_lem4(k: int, m: int, r: int) -> VerificationReport:
+    """lem4: (m·N + r)·ad^k == ad^k·(m[k] + r + m·q^k·N)."""
+    return _lem4("lem4", {"k": k, "m": m, "r": r}, k, m, r)
 
 
 # highest power of m·N + r built so far per (m, r), as (e, (m·N + r)^e),
@@ -420,10 +417,10 @@ def verify_q_expansion(s: int, n: int) -> VerificationReport:
 class IdentitySpec(NamedTuple):
     """How one identity tag is driven over parameter ranges.
 
-    verify:  takes one keyword argument per axis, plus variant if it has one
+    verify:  takes exactly the axes, plus variant or kind where it has one
     axes:    (name, (lo, hi)) pairs in sweep order, (lo, hi) the default range
     variant: whether the verifier takes the literal/corrected shape
-    lower:   per-axis lower bounds, where an axis must stay above 0
+    lower:   each axis's least value that verify accepts, where it is above 0
     """
 
     verify: Callable[..., VerificationReport]
@@ -452,14 +449,10 @@ IDENTITIES: dict[str, IdentitySpec] = {
     ),
     "result3": IdentitySpec(verify_result3, (_N, _L, _M, _R), True, _M_GE_1),
     "katriel": IdentitySpec(verify_katriel, (_N, _L)),
-    "lem1": IdentitySpec(partial(verify_lemma, "lem1"), (_K,), lower=_K_GE_1),
-    "lem2": IdentitySpec(
-        partial(verify_lemma, "lem2"), (("k", (0, 3)), ("cap", (10, 10)))
-    ),
-    "lem3": IdentitySpec(partial(verify_lemma, "lem3"), (_K,), lower=_K_GE_1),
-    "lem4": IdentitySpec(
-        partial(verify_lemma, "lem4"), (_K, ("m", (0, 2)), ("r", (0, 2)))
-    ),
+    "lem1": IdentitySpec(verify_lem1, (_K,), lower=_K_GE_1),
+    "lem2": IdentitySpec(verify_lem2, (("k", (0, 3)), ("cap", (10, 10)))),
+    "lem3": IdentitySpec(verify_lem3, (_K,)),
+    "lem4": IdentitySpec(verify_lem4, (_K, ("m", (0, 2)), ("r", (0, 2)))),
     # --kind q-stirling keeps only the n axis; the CLI handles that case
     "triangle-oracle": IdentitySpec(
         verify_triangle_vs_oracle, (_N, _M, _R), lower=_M_GE_1

@@ -168,11 +168,9 @@ def r_whitney_classic_rows(
         yield last
     while True:
         n = len(last)
-        row = []
-        for k in range(n + 1):
-            v = last[k - 1] if k >= 1 else 0
-            if k <= n - 1:
-                v += (m * k + r) * last[k]
-            row.append(v)
+        # column 0 has no left neighbour, and column n no cell above it
+        row = [last[0] * r]
+        row += [last[k - 1] + (m * k + r) * last[k] for k in range(1, n)]
+        row.append(last[n - 1])
         last = tuple(row)
         yield last

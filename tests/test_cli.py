@@ -16,6 +16,7 @@ import random
 import stat
 import subprocess
 import sys
+import tempfile
 from itertools import islice, product
 
 import pytest
@@ -295,6 +296,18 @@ def test_verify_axis_ordering_is_documented_product_order(capsys):
         {"l": 0, "n": 1},
         {"l": 1, "n": 1},
     ]
+
+
+def test_lem3_takes_k_from_zero_as_lem4_does(capsys):
+    """lem3 is lem4's body at (m, r) = (1, 0), and both hold at k = 0."""
+    sides = []
+    for argv in (["lem3"], ["lem4", "--m", "1", "--r", "0"]):
+        code, out, err = run_cli(capsys, "verify", "--identity", *argv, "--k", "0")
+        line, summary = map(json.loads, out.splitlines())
+        assert (code, err, summary) == (0, "", {"failed": 0, "passed": 1, "total": 1})
+        assert line["passed"] and line["params"]["k"] == 0
+        sides.append((line["lhs"], line["rhs"]))
+    assert sides[0] == sides[1]
 
 
 def test_verify_usage_errors(capsys):
@@ -810,6 +823,21 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["values"] == ["1", "1", "2", "5"]
 
 
+def test_importing_the_cli_loads_no_heavy_module():
+    """report.Record stands in for a dataclass, and acceptance imports
+    multiprocessing only when a run forks, so start-up loads none of these."""
+    heavy = ["dataclasses", "inspect", "multiprocessing", "csv", "concurrent"]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    check = f"import sys, qspivey.cli; print([m for m in {heavy} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", check],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_device_on_stdout_exits_two_without_a_traceback():
     with open("/dev/full", "w") as full:
@@ -1308,16 +1336,48 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(_argv())
-@example(["verify", "--identity", "result1", "--variant", "literal", "--n", "0..1"])
-@example(["triangle", "--kind", "qr-whitney", "--n", "3", "--m", "2", "--format", "csv"])
-@example(["normal-order", "--expr", "(m*N+r)^2", "--m", "2"])
-def test_every_drawn_argv_gets_a_result_or_a_clean_exit_two(argv):
+def _run(argv):
+    """cli.main(argv)'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_out_holds_stdout(argv, target, code, out):
+    """argv with --out to a new path, an existing regular file or
+    /dev/null: the same exit code and nothing on stdout.  On exit 0 or 1 a
+    file target then holds the bytes argv wrote to stdout; on exit 2 a new
+    target is not created and an existing one is unchanged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, before = os.devnull, None
+        if target != os.devnull:
+            path = os.path.join(tmp, "out")
+            if target == "existing":
+                before = b"kept\n"
+                with open(path, "wb") as fh:
+                    fh.write(before)
+        assert _run([*argv, "--out", path])[:2] == (code, ""), argv
+        if path != os.devnull:
+            after = None
+            with contextlib.suppress(FileNotFoundError), open(path, "rb") as fh:
+                after = fh.read()
+            assert after == (before if code == 2 else out.encode()), argv
+            assert os.listdir(tmp) == ([] if after is None else ["out"]), argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_argv(), st.sampled_from([None, "new", "existing", os.devnull]))
+@example(
+    ["verify", "--identity", "result1", "--variant", "literal", "--n", "0..1"], "new"
+)
+@example(
+    ["triangle", "--kind", "qr-whitney", "--n", "3", "--m", "2", "--format", "csv"],
+    "existing",
+)
+@example(["normal-order", "--expr", "(m*N+r)^2", "--m", "2"], None)
+def test_every_drawn_argv_gets_a_result_or_a_clean_exit_two(argv, target):
+    code, out, err = _run(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
         _assert_usage_error(code, out, err, argv)
@@ -1334,3 +1394,5 @@ def test_every_drawn_argv_gets_a_result_or_a_clean_exit_two(argv):
             assert list(csv.reader(io.StringIO(out)))[1][0] == argv[2]
         else:
             json.loads(out)
+    if target is not None:
+        _assert_out_holds_stdout(argv, target, code, out)

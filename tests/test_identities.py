@@ -6,6 +6,7 @@ payloads; those failures are pinned here as hard expectations, not
 tolerated flakiness.
 """
 
+import inspect
 import random
 
 import pytest
@@ -348,26 +349,24 @@ def test_result3_reduces_to_spivey_at_weight_one():
 
 def test_lemma_sweeps():
     for k in range(1, 9):
-        assert identities.verify_lemma("lem1", k).passed
+        assert identities.verify_lem1(k).passed
     for k in range(9):
-        assert identities.verify_lemma("lem3", k).passed
+        assert identities.verify_lem3(k).passed
     for k in range(6):
         for m in range(3):
             for r in range(3):
-                assert identities.verify_lemma("lem4", k, m=m, r=r).passed
+                assert identities.verify_lem4(k, m=m, r=r).passed
     for k in range(5):
-        assert identities.verify_lemma("lem2", k, cap=9).passed
+        assert identities.verify_lem2(k, cap=9).passed
 
 
 def test_lemma_validation():
     with pytest.raises(ValueError):
-        identities.verify_lemma("lem1", 0)
+        identities.verify_lem1(0)
     with pytest.raises(ValueError):
-        identities.verify_lemma("lem2", 5, cap=4)
+        identities.verify_lem2(5, cap=4)
     with pytest.raises(ValueError):
-        identities.verify_lemma("lem9", 1)
-    with pytest.raises(ValueError):
-        identities.verify_lemma("lem3", -1)
+        identities.verify_lem3(-1)
 
 
 def test_lem3_is_the_printed_lemma():
@@ -375,7 +374,7 @@ def test_lem3_is_the_printed_lemma():
     N·ad^k == ad^k·([k] + q^k·N), is built here directly."""
     N, ad = NormalForm.number(), NormalForm.raising()
     for k in range(13):
-        rep = identities.verify_lemma("lem3", k)
+        rep = identities.verify_lem3(k)
         printed = (ad**k) * (NormalForm.identity() * q_int(k) + N * QPoly.monomial(k))
         assert rep.passed and rep.identity == "lem3" and rep.params == {"k": k}
         assert rep.lhs == (N * (ad**k)).to_json()
@@ -480,6 +479,33 @@ def test_run_case_dispatch():
         identities.run_case("fermat", None, {"n": 3})
 
 
+def _fixed(identity):
+    """What a row's verifier takes besides its axes: variant where the row
+    has one, and kind for triangle-oracle, whose axes are qr-whitney's."""
+    if identities.IDENTITIES[identity].variant:
+        return {"variant": "corrected"}
+    return {"kind": "qr-whitney"} if identity == "triangle-oracle" else {}
+
+
+@pytest.mark.parametrize("identity", sorted(identities.IDENTITIES))
+def test_a_verifier_takes_exactly_its_rows_axes(identity):
+    spec = identities.IDENTITIES[identity]
+    names = {name for name, _ in spec.axes} | set(_fixed(identity))
+    assert set(inspect.signature(spec.verify).parameters) == names
+
+
+@pytest.mark.parametrize("identity", sorted(identities.IDENTITIES))
+def test_each_lower_bound_is_the_least_value_its_verifier_accepts(identity):
+    """With every axis at its lower bound the verifier runs, and one below
+    any single bound it refuses the instance."""
+    spec = identities.IDENTITIES[identity]
+    least = {name: spec.lower.get(name, 0) for name, _ in spec.axes}
+    assert spec.verify(**least, **_fixed(identity)).identity == identity
+    for name, bound in least.items():
+        with pytest.raises(ValueError):
+            spec.verify(**{**least, name: bound - 1}, **_fixed(identity))
+
+
 @pytest.mark.parametrize(
     "which, kwargs, name",
     [
@@ -491,17 +517,18 @@ def test_run_case_dispatch():
         ("lem1", {"cap": 5}, "cap"),
         ("lem2", {"m": 2, "cap": 5}, "m"),
         ("lem2", {"r": 1, "cap": 5}, "r"),
-        ("lem4", {"m": 2, "cap": 5}, "cap"),
+        ("lem4", {"m": 2, "r": 1, "cap": 5}, "cap"),
     ],
 )
 def test_a_lemma_refuses_an_argument_it_would_ignore(which, kwargs, name):
-    """lem3 at m = 2 would report lem3 at (1, 0) and pass; every argument a
-    lemma does not take must keep its default 0."""
-    with pytest.raises(ValueError, match=f"{which} takes no {name}"):
-        identities.verify_lemma(which, 4, **kwargs)
+    """lem3 at m = 2 would report lem3 at (1, 0) and pass; a lemma's
+    signature takes only its own axes, so any other argument is refused."""
+    verify = identities.IDENTITIES[which].verify
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        verify(4, **kwargs)
     # the same call without the ignored argument runs
     kept = {key: v for key, v in kwargs.items() if key != name}
-    assert identities.verify_lemma(which, 4, **kept).passed
+    assert verify(4, **kept).passed
 
 
 @pytest.mark.parametrize("m, r", [(2, 1), (2, 0), (0, 1)])
