@@ -34,9 +34,7 @@ from .identities import (
     verify_lem3,
     verify_lem4,
     verify_q_expansion,
-    verify_result1,
     verify_result1_xs,
-    verify_result2,
     verify_result2_xs,
     verify_result3,
     verify_spivey,
@@ -82,9 +80,7 @@ __all__ = [
     "verify_lem3",
     "verify_lem4",
     "verify_q_expansion",
-    "verify_result1",
     "verify_result1_xs",
-    "verify_result2",
     "verify_result2_xs",
     "verify_result3",
     "verify_spivey",

@@ -267,7 +267,7 @@ def criterion_6() -> list[Task]:
         for total in range(9)
         for n in range(total + 1)
     ]
-    inner = identities.verify_result1(1, 2, 1, "literal")
+    [inner] = identities.verify_result1_xs(1, 2, [1], "literal")
     tasks.append(
         _pin(
             "result1-literal-witness",
@@ -296,7 +296,7 @@ def criterion_7() -> list[Task]:
         for m in (1, 2, 3)
         for r in (0, 1, 2)
     ]
-    inner = identities.verify_result2(1, 1, 2, 1, 1, "literal")
+    [inner] = identities.verify_result2_xs(1, 1, 2, 1, [1], "literal")
     at_q1 = [QPoly.from_json(side).eval_int(1) for side in (inner.lhs, inner.rhs)]
     tasks.append(
         _pin(
@@ -312,7 +312,9 @@ def criterion_7() -> list[Task]:
 def criterion_8() -> list[Task]:
     """Classical r-Dowling expansion: corrected passes on n + l <= 10,
     m in 1..3, r in 0..2; witnesses pinned, and the m = 1, r = 0 slice
-    must coincide with the classical Spivey values."""
+    must coincide with the classical Spivey values.  spivey is result3's
+    body at (m, r) = (1, 0), so result3-vs-spivey compares one body with
+    itself and only pins the bytes, as whitney-special does at m = 1."""
     tasks: list[Task] = [
         partial(identities.verify_result3, n, total - n, m, r, "corrected")
         for total in range(11)

@@ -94,8 +94,9 @@ def _nonnegative(text: str) -> int:
 
 
 def _last_row(text: str) -> int:
-    """The last row n of a streamed command; rows 0..n take an islice
-    stop of n + 1, which must not pass sys.maxsize."""
+    """A nonnegative integer below sys.maxsize, the largest index: the last
+    row n of a streamed command (rows 0..n take an islice stop of n + 1),
+    or an end of a verify range."""
     n = _nonnegative(text)
     if n >= sys.maxsize:
         raise argparse.ArgumentTypeError(f"must be below {sys.maxsize}")
@@ -112,8 +113,8 @@ def _positive(text: str) -> int:
 def _range(text: str) -> tuple[int, int]:
     """Inclusive range of nonnegative integers: 'lo..hi' or a single value."""
     lo_s, dots, hi_s = text.partition("..")
-    lo = _nonnegative(lo_s)
-    hi = _nonnegative(hi_s) if dots else lo
+    lo = _last_row(lo_s)
+    hi = _last_row(hi_s) if dots else lo
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
@@ -258,8 +259,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     if identity == "lem2" and bounds["cap"][0] < bounds["k"][1]:
         raise UsageError("verify: lem2 needs cap >= k")
 
-    spans = [range(lo, hi + 1) for lo, hi in bounds.values()]
-    cases = [{**dict(zip(names, combo)), **fixed} for combo in product(*spans)]
+    spans = {name: range(lo, hi + 1) for name, (lo, hi) in bounds.items()}
+    if "x" in spans:  # passed whole: one task per instance (see IdentitySpec)
+        fixed["xs"] = spans.pop("x")
+    cases = [{**dict(zip(spans, c)), **fixed} for c in product(*spans.values())]
     tasks = [partial(identities.run_case, identity, args.variant, p) for p in cases]
     return _emit(*acceptance.report_lines(tasks, args.jobs))
 

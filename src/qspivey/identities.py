@@ -36,8 +36,8 @@ verify_result2_xs give one report per x of any iterable of x, and for
 xs=None the one symbolic report, tagged result1-poly or result2-poly,
 which only the corrected shape has: verify_result1_xs(n, mshift, None,
 "corrected")[0] and verify_result2_xs(n, l, m, r, None, "corrected")[0]
-are the symbolic form.  verify_result1 and verify_result2 are the one-x
-case, and verify_katriel is verify_result1 at x = 1 under its own tag.
+are the symbolic form; verify_katriel is the corrected result1 at
+xs = [1] under its own tag.
 _dowling_sides sums over j first: S_k = Σ_j X_j·q^(jk)·W[l,j]·(m[j]+r)^(n-k)
 is built from powers stepped by t.window(j)·m + t·r, the O(deg) step
 of the Whitney recurrence, and by shift, so the only dense products are
@@ -50,13 +50,15 @@ triangle; the triangle is checked against the normal-ordering engine
 (triangle-oracle) and, at q = 1, against the integer triangle.  spivey,
 stirling-def, bell-rec and result3 read that integer triangle (result3
 its rows and their row sums, the r-Dowling numbers), never the q-rows at
-q = 1.
+q = 1.  spivey is result3's body at (m, r) = (1, 0) under its own tag,
+as lem3 is lem4's.
 
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
-read it.  A verifier's parameters are exactly its row's axes, plus variant
-or kind where the row has one, and each lower bound is the least value it
-accepts; tests/test_identities.py holds every row to both.
+read it.  A verifier's parameters are exactly its row's axes, the x axis
+as xs, plus variant or kind where the row has one, and each lower bound
+is the least value it accepts; tests/test_identities.py holds every row
+to both.
 
 Identities in x are checked at integer substitutions.  Both sides are
 polynomials in x of degree at most n plus the shift, so agreement at
@@ -117,24 +119,14 @@ def verify_bell_recurrence(n: int) -> VerificationReport:
 
 
 def verify_spivey(n: int, mshift: int) -> VerificationReport:
-    """B_{n+mshift} == sum_j sum_k j^(n-k) · S(mshift,j) · C(n,k) · B_k.
+    """B_{n+mshift} == sum_j sum_k j^(n-k) · S(mshift,j) · C(n,k) · B_k,
+    result3's body at (m, r) = (1, 0), where W is the Stirling triangle
+    and the r-Dowling numbers are the Bell numbers.
 
     0^0 counts as 1, which is what makes the j = 0 column collapse
     correctly at k = n.
     """
-    if n < 0 or mshift < 0:
-        raise ValueError("arguments must be nonnegative")
-    bells = triangles.bell(n + mshift)
-    srow = triangles.stirling2(mshift)[mshift]
-    lhs = bells[n + mshift]
-    rhs = 0
-    for j in range(mshift + 1):
-        if not srow[j]:
-            continue
-        for k in range(n + 1):
-            rhs += j ** (n - k) * srow[j] * binom(n, k) * bells[k]
-    params = {"n": n, "mshift": mshift}
-    return VerificationReport.check("spivey", "n/a", params, lhs, rhs)
+    return _result3("spivey", "n/a", {"n": n, "mshift": mshift}, n, mshift, 1, 0)
 
 
 def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected"):
@@ -226,57 +218,41 @@ def _dowling_reports(
     ]
 
 
-def verify_result1(n: int, mshift: int, x: int, variant: str) -> VerificationReport:
-    """q-Bell polynomials at integer x, in the literal or corrected shape.
-
-    Both shapes share the summand S[mshift,j] · C(n,k) · [j]^(n-k) · q^(jk)
-    · B_k(x); they differ in the final x-dependent factor (see the module
-    docstring).
-    """
-    return verify_result1_xs(n, mshift, [x], variant)[0]
-
-
 def verify_result1_xs(
     n: int, mshift: int, xs: Iterable[int] | None, variant: str
 ) -> list[VerificationReport]:
-    """verify_result1 at each x in xs, in order, from one _dowling_sides;
-    for xs None, the one symbolic report of the corrected shape."""
+    """q-Bell polynomials at each integer x in xs, in order, or for xs None
+    symbolically in x.  Both shapes share the summand S[mshift,j] · C(n,k)
+    · [j]^(n-k) · q^(jk) · B_k(x) and differ in the final x-dependent
+    factor (see the module docstring)."""
     params = {"n": n, "mshift": mshift}
     return _dowling_reports("result1", params, n, mshift, 1, 0, xs, variant)
 
 
 def verify_katriel(n: int, l: int) -> VerificationReport:
     """q-Bell numbers: B_{n+l} == sum_{j,k} S[l,j] C(n,k) [j]^(n-k) q^(jk) B_k,
-    the sides of verify_result1 at x = 1 in the corrected shape."""
-    rep = verify_result1(n, l, 1, "corrected")
+    the sides of the corrected result1 at x = 1."""
+    [rep] = verify_result1_xs(n, l, [1], "corrected")
     params = {"n": n, "l": l}
     return VerificationReport("katriel", "n/a", params, rep.lhs_text, rep.rhs_text)
-
-
-def verify_result2(
-    n: int, l: int, m: int, r: int, x: int, variant: str
-) -> VerificationReport:
-    """(q,r)-Dowling polynomials at integer x, literal or corrected shape.
-
-    The shared summand is W[l,j] · C(n,k) · (m[j]+r)^(n-k) · q^(jk) ·
-    D_{m,0}(k; x); the literal shape additionally multiplies by m^j and the
-    q-falling factor, the corrected shape by x^j only.
-    """
-    return verify_result2_xs(n, l, m, r, [x], variant)[0]
 
 
 def verify_result2_xs(
     n: int, l: int, m: int, r: int, xs: Iterable[int] | None, variant: str
 ) -> list[VerificationReport]:
-    """verify_result2 at each x in xs, in order, from one _dowling_sides;
-    for xs None, the one symbolic report of the corrected shape."""
+    """(q,r)-Dowling polynomials at each integer x in xs, in order, or for
+    xs None symbolically in x.  The shared summand is W[l,j] · C(n,k) ·
+    (m[j]+r)^(n-k) · q^(jk) · D_{m,0}(k; x); the literal shape also
+    multiplies by m^j and the q-falling factor, the corrected one by x^j."""
     params = {"n": n, "l": l, "m": m, "r": r}
     return _dowling_reports("result2", params, n, l, m, r, xs, variant)
 
 
-def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> VerificationReport:
-    """Classical r-Dowling numbers, the q = 1, x = 1 shadow of result2."""
-    _check_variant(variant)
+def _result3(
+    identity: str, variant: str, params: dict, n: int, l: int, m: int, r: int
+) -> VerificationReport:
+    """D_{m,r}(n+l) == Σ_j Σ_k W(l,j)·C(n,k)·(m·j + r)^(n-k)·D_{m,0}(k) over
+    the integer rows (an extra m^j in the literal shape), under identity."""
     if m < 1:
         raise ValueError("weight m must be >= 1")
     if n < 0 or l < 0 or r < 0:
@@ -291,8 +267,13 @@ def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> Verification
         scale = m**j if variant == "literal" else 1
         for k in range(n + 1):
             rhs += scale * wrow[j] * binom(n, k) * (m * j + r) ** (n - k) * d0[k]
-    params = {"n": n, "l": l, "m": m, "r": r}
-    return VerificationReport.check("result3", variant, params, lhs, rhs)
+    return VerificationReport.check(identity, variant, params, lhs, rhs)
+
+
+def verify_result3(n: int, l: int, m: int, r: int, variant: str) -> VerificationReport:
+    """Classical r-Dowling numbers, the q = 1, x = 1 shadow of result2."""
+    _check_variant(variant)
+    return _result3("result3", variant, {"n": n, "l": l, "m": m, "r": r}, n, l, m, r)
 
 
 def verify_lem1(k: int) -> VerificationReport:
@@ -421,9 +402,14 @@ class IdentitySpec(NamedTuple):
     axes:    (name, (lo, hi)) pairs in sweep order, (lo, hi) the default range
     variant: whether the verifier takes the literal/corrected shape
     lower:   each axis's least value that verify accepts, where it is above 0
+
+    An axis named x is always the last one, and it is passed whole: the
+    verifier takes xs, an iterable of x, and returns one report per x in
+    order, so one task checks one instance of the other axes at every x
+    and builds its x-free parts once.
     """
 
-    verify: Callable[..., VerificationReport]
+    verify: Callable[..., VerificationReport | list[VerificationReport]]
     axes: tuple[tuple[str, tuple[int, int]], ...]
     variant: bool = False
     lower: Mapping[str, int] = MappingProxyType({})
@@ -443,9 +429,9 @@ IDENTITIES: dict[str, IdentitySpec] = {
     "spivey": IdentitySpec(verify_spivey, (_N, _MSHIFT)),
     "bell-rec": IdentitySpec(verify_bell_recurrence, (_N,)),
     "stirling-def": IdentitySpec(verify_stirling_def, (_N,)),
-    "result1": IdentitySpec(verify_result1, (_N, _MSHIFT, ("x", (0, 3))), True),
+    "result1": IdentitySpec(verify_result1_xs, (_N, _MSHIFT, ("x", (0, 3))), True),
     "result2": IdentitySpec(
-        verify_result2, (_N, _L, _M, _R, ("x", (0, 3))), True, _M_GE_1
+        verify_result2_xs, (_N, _L, _M, _R, ("x", (0, 3))), True, _M_GE_1
     ),
     "result3": IdentitySpec(verify_result3, (_N, _L, _M, _R), True, _M_GE_1),
     "katriel": IdentitySpec(verify_katriel, (_N, _L)),
@@ -463,8 +449,11 @@ IDENTITIES: dict[str, IdentitySpec] = {
 }
 
 
-def run_case(identity: str, variant: str | None, params: dict) -> VerificationReport:
-    """Run one verification by identity tag, params holding one value per axis."""
+def run_case(
+    identity: str, variant: str | None, params: dict
+) -> VerificationReport | list[VerificationReport]:
+    """Run one verification by identity tag, params holding one value per
+    axis, or xs for the x axis, whose one report per x comes as a list."""
     spec = IDENTITIES.get(identity)
     if spec is None:
         raise ValueError(f"unknown identity {identity!r}")

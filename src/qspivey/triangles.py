@@ -75,8 +75,9 @@ def stirling2(n_max: int) -> tuple[tuple[int, ...], ...]:
 
 
 def bell(n_max: int) -> tuple[int, ...]:
-    """Bell numbers B_0..B_n_max as Stirling row sums."""
-    return tuple(sum(row) for row in stirling2(n_max))
+    """Bell numbers B_0..B_n_max: the r-Dowling numbers at m = 1, r = 0,
+    the Stirling row sums."""
+    return r_dowling(n_max, 1, 0)
 
 
 def q_stirling2(n_max: int) -> tuple[tuple[QPoly, ...], ...]:

@@ -78,10 +78,13 @@ def test_report_lines_keep_task_order_for_any_job_count():
     ]
     flat = acceptance.report_lines(mixed, 1)
     assert flat == _lines_of([
-        *(identities.verify_result2(1, 1, 2, 1, x, "literal") for x in range(3)),
+        *(
+            identities.verify_result2_xs(1, 1, 2, 1, [x], "literal")[0]
+            for x in range(3)
+        ),
         mixed[1],
         identities.verify_spivey(2, 2),
-        *(identities.verify_result1(2, 1, x, "corrected") for x in range(2)),
+        *(identities.verify_result1_xs(2, 1, [x], "corrected")[0] for x in range(2)),
     ])
     assert acceptance.report_lines(mixed, 2) == flat
     assert acceptance.report_lines(mixed[3:4], 2) == ([], 0)

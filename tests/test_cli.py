@@ -962,6 +962,30 @@ def test_pinned_stdout_digest(capsys, command, want_code, want_sha, want_bytes):
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (want_sha, want_bytes)
 
 
+@pytest.mark.parametrize("identity, instances", [("result1", 35), ("result2", 140)])
+def test_verify_runs_one_task_per_instance_over_all_x(
+    capsys, monkeypatch, identity, instances
+):
+    """verify passes the x axis whole, so the default ranges build the
+    x-free parts of each instance once: one _dowling_sides call per
+    instance, not one per (instance, x), with the pinned bytes."""
+    calls = 0
+    sides = identities._dowling_sides
+
+    def counting_sides(*args):
+        nonlocal calls
+        calls += 1
+        return sides(*args)
+
+    monkeypatch.setattr(identities, "_dowling_sides", counting_sides)
+    command = f"verify --identity {identity}"
+    code, out, err = run_cli(capsys, *command.split())
+    pin = next(pin for pin in PINNED_STDOUT if pin[0] == command)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), len(out)) == pin[1:]
+    assert calls == instances
+    assert json.loads(out.splitlines()[-1])["total"] == 4 * instances  # x in 0..3
+
+
 def test_jobs_never_asks_for_more_workers_than_cpus(capsys, monkeypatch):
     """--jobs N runs min(N, CPUs, tasks) shards, never N.
 
@@ -1185,6 +1209,24 @@ def test_a_row_n_past_islice_exits_two(capsys, command):
         code, out, err = run_cli(capsys, *argv)
         _assert_usage_error(code, out, err, argv)
         assert f"argument --n: must be below {sys.maxsize}" in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["--n", f"0..{sys.maxsize + 1}"],
+        ["--n", str(sys.maxsize), "--mshift", "0"],
+    ],
+    ids=["hi-past", "lo-at"],
+)
+def test_a_verify_range_end_at_or_past_maxsize_exits_two(capsys, values):
+    """Each end of a verify range is read as a row n is: one at or past
+    sys.maxsize, too large for range() or for the rows the task asks for,
+    is a usage error, not an internal one."""
+    argv = ("verify", "--identity", "spivey", *values)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_usage_error(code, out, err, argv)
+    assert f": must be below {sys.maxsize}" in err
 
 
 def test_an_internal_error_with_no_message_names_its_type(capsys, monkeypatch):

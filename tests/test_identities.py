@@ -66,7 +66,7 @@ def test_katriel_is_result1_at_x_one():
         for n in range(total + 1):
             l = total - n
             kat = identities.verify_katriel(n, l)
-            one = identities.verify_result1(n, l, 1, "corrected")
+            [one] = identities.verify_result1_xs(n, l, [1], "corrected")
             assert (kat.lhs_text, kat.rhs_text) == (one.lhs_text, one.rhs_text)
             assert (kat.identity, kat.variant) == ("katriel", "n/a")
             assert kat.params == {"n": n, "l": l}
@@ -78,12 +78,12 @@ def test_result1_corrected_passes():
     for n in range(5):
         for mshift in range(5):
             for x in range(5):
-                rep = identities.verify_result1(n, mshift, x, "corrected")
+                [rep] = identities.verify_result1_xs(n, mshift, [x], "corrected")
                 assert rep.passed, (n, mshift, x)
 
 
 def test_result1_literal_fails_with_pinned_payload():
-    rep = identities.verify_result1(1, 2, 1, "literal")
+    [rep] = identities.verify_result1_xs(1, 2, [1], "literal")
     assert not rep.passed
     assert rep.lhs == ["1", "2", "1", "1"]
     assert rep.rhs == ["1", "1"]
@@ -92,15 +92,15 @@ def test_result1_literal_fails_with_pinned_payload():
 def test_result1_literal_agrees_when_the_factors_coincide():
     # at x = 1 and mshift <= 1 every surviving q-falling factor equals x^j
     for n in range(5):
-        assert identities.verify_result1(n, 1, 1, "literal").passed
-        assert identities.verify_result1(n, 0, 3, "literal").passed
+        assert identities.verify_result1_xs(n, 1, [1], "literal")[0].passed
+        assert identities.verify_result1_xs(n, 0, [3], "literal")[0].passed
 
 
 def test_result1_variant_validation():
     with pytest.raises(ValueError):
-        identities.verify_result1(1, 1, 1, "fixed")
+        identities.verify_result1_xs(1, 1, [1], "fixed")
     with pytest.raises(ValueError):
-        identities.verify_result1(-1, 0, 0, "corrected")
+        identities.verify_result1_xs(-1, 0, [0], "corrected")
 
 
 def test_result1_xpoly_passes_and_matches_pointwise():
@@ -117,7 +117,7 @@ def test_result1_xpoly_passes_and_matches_pointwise():
             assert rep.params == {"n": n, "mshift": mshift}
             lhs = XQPoly.from_json(rep.lhs)
             for x in range(4):
-                point = identities.verify_result1(n, mshift, x, "corrected")
+                [point] = identities.verify_result1_xs(n, mshift, [x], "corrected")
                 assert lhs.eval_x(x) == QPoly.from_json(point.lhs)
 
 
@@ -127,7 +127,7 @@ def test_result1_at_q_one_is_the_classical_polynomial_identity():
     for n in range(4):
         for mshift in range(4):
             for x in range(4):
-                rep = identities.verify_result1(n, mshift, x, "corrected")
+                [rep] = identities.verify_result1_xs(n, mshift, [x], "corrected")
                 row = triangles.stirling2(n + mshift)[n + mshift]
                 classical = sum(row[k] * x**k for k in range(len(row)))
                 assert QPoly.from_json(rep.lhs).eval_int(1) == classical
@@ -140,12 +140,13 @@ def test_result2_corrected_passes():
             for m in (1, 2, 3):
                 for r in (0, 2):
                     for x in (0, 1, 3):
-                        rep = identities.verify_result2(n, l, m, r, x, "corrected")
+                        args = (n, l, m, r, [x], "corrected")
+                        [rep] = identities.verify_result2_xs(*args)
                         assert rep.passed, (n, l, m, r, x)
 
 
 def test_result2_literal_fails_with_pinned_payload():
-    rep = identities.verify_result2(1, 1, 2, 1, 1, "literal")
+    [rep] = identities.verify_result2_xs(1, 1, 2, 1, [1], "literal")
     assert not rep.passed
     assert QPoly.from_json(rep.lhs).eval_int(1) == 6
     assert QPoly.from_json(rep.rhs).eval_int(1) == 10
@@ -219,7 +220,10 @@ def test_batched_verifiers_match_one_x_at_a_time():
             for n in range(total + 1):
                 args = (n, total - n)
                 got = identities.verify_result1_xs(*args, range(7), variant)
-                want = [identities.verify_result1(*args, x, variant) for x in range(7)]
+                want = [
+                    identities.verify_result1_xs(*args, [x], variant)[0]
+                    for x in range(7)
+                ]
                 assert got == want, (args, variant)
                 literal_failures += sum(not rep.passed for rep in got)
         for total in range(8):
@@ -229,7 +233,7 @@ def test_batched_verifiers_match_one_x_at_a_time():
                         args = (n, total - n, m, r)
                         got = identities.verify_result2_xs(*args, range(6), variant)
                         want = [
-                            identities.verify_result2(*args, x, variant)
+                            identities.verify_result2_xs(*args, [x], variant)[0]
                             for x in range(6)
                         ]
                         assert got == want, (args, variant)
@@ -259,7 +263,7 @@ def test_batched_verifiers_read_a_one_shot_iterator_once():
 def test_result2_reduces_to_katriel_at_weight_one():
     for n in range(5):
         for l in range(5):
-            two = identities.verify_result2(n, l, 1, 0, 1, "corrected")
+            [two] = identities.verify_result2_xs(n, l, 1, 0, [1], "corrected")
             kat = identities.verify_katriel(n, l)
             assert two.passed and kat.passed
             assert two.lhs == kat.lhs
@@ -268,9 +272,9 @@ def test_result2_reduces_to_katriel_at_weight_one():
 
 def test_result2_validates():
     with pytest.raises(ValueError):
-        identities.verify_result2(1, 1, 0, 0, 1, "corrected")
+        identities.verify_result2_xs(1, 1, 0, 0, [1], "corrected")
     with pytest.raises(ValueError):
-        identities.verify_result2(1, 1, 1, 0, 1, "original")
+        identities.verify_result2_xs(1, 1, 1, 0, [1], "original")
 
 
 def test_result2_xpoly_passes():
@@ -469,7 +473,7 @@ def test_triangle_oracle_range_takes_one_product_per_n(monkeypatch):
 def test_run_case_dispatch():
     rep = identities.run_case("spivey", None, {"n": 2, "mshift": 2})
     assert rep.identity == "spivey" and rep.passed
-    rep = identities.run_case("result1", "literal", {"n": 1, "mshift": 2, "x": 1})
+    [rep] = identities.run_case("result1", "literal", {"n": 1, "mshift": 2, "xs": [1]})
     assert not rep.passed
     rep = identities.run_case("lem2", None, {"k": 2, "cap": 8})
     assert rep.passed
@@ -487,10 +491,24 @@ def _fixed(identity):
     return {"kind": "qr-whitney"} if identity == "triangle-oracle" else {}
 
 
+def _verify_at(identity, values):
+    """The row's verifier at one value per axis, the x axis passed whole as
+    xs=[value], and its one report."""
+    spec = identities.IDENTITIES[identity]
+    args = {name: value for name, value in values.items() if name != "x"}
+    if "x" in values:
+        [rep] = spec.verify(**args, xs=[values["x"]], **_fixed(identity))
+        return rep
+    return spec.verify(**args, **_fixed(identity))
+
+
 @pytest.mark.parametrize("identity", sorted(identities.IDENTITIES))
 def test_a_verifier_takes_exactly_its_rows_axes(identity):
+    """The x axis, where a row has one, is its last and is passed as xs."""
     spec = identities.IDENTITIES[identity]
-    names = {name for name, _ in spec.axes} | set(_fixed(identity))
+    axes = [name for name, _ in spec.axes]
+    assert "x" not in axes[:-1]
+    names = {"xs" if name == "x" else name for name in axes} | set(_fixed(identity))
     assert set(inspect.signature(spec.verify).parameters) == names
 
 
@@ -500,10 +518,10 @@ def test_each_lower_bound_is_the_least_value_its_verifier_accepts(identity):
     any single bound it refuses the instance."""
     spec = identities.IDENTITIES[identity]
     least = {name: spec.lower.get(name, 0) for name, _ in spec.axes}
-    assert spec.verify(**least, **_fixed(identity)).identity == identity
+    assert _verify_at(identity, least).identity == identity
     for name, bound in least.items():
         with pytest.raises(ValueError):
-            spec.verify(**{**least, name: bound - 1}, **_fixed(identity))
+            _verify_at(identity, {**least, name: bound - 1})
 
 
 @pytest.mark.parametrize(
@@ -540,8 +558,8 @@ def test_the_q_stirling_oracle_refuses_a_weight_or_shift(m, r):
 @pytest.mark.parametrize(
     "verify, params, lhs, rhs",
     [
-        (identities.verify_result1, (0, 1, 2), ["2"], ["1", "1"]),
-        (identities.verify_result2, (0, 1, 2, 0, 1), ["1"], ["2"]),
+        (identities.verify_result1_xs, (0, 1, [2]), ["2"], ["1", "1"]),
+        (identities.verify_result2_xs, (0, 1, 2, 0, [1]), ["1"], ["2"]),
         (identities.verify_result3, (0, 1, 2, 0), "1", "2"),
     ],
     ids=["result1", "result2", "result3"],
@@ -549,7 +567,12 @@ def test_the_q_stirling_oracle_refuses_a_weight_or_shift(m, r):
 def test_the_literal_shapes_fail_already_at_n_zero(verify, params, lhs, rhs):
     """At n = 0 each expansion is only D(l) = sum_j W[l,j]·X_j, so these
     witnesses put the literal fault in the basis X_j; the corrected shape
-    passes at each."""
-    rep = verify(*params, "literal")
+    passes at each.  result1 and result2 take their one x as xs."""
+
+    def one(variant):
+        rep = verify(*params, variant)
+        return rep[0] if isinstance(rep, list) else rep
+
+    rep = one("literal")
     assert (rep.lhs, rep.rhs, rep.passed) == (lhs, rhs, False)
-    assert verify(*params, "corrected").passed
+    assert one("corrected").passed

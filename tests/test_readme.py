@@ -1,5 +1,6 @@
 """The `$ qspivey ...` examples of README.md's CLI section, run through
-cli.main and checked against the output the README shows.
+cli.main and checked against the output the README shows, and the python
+block of its Library section, which must run without error.
 
 An example is a `$ qspivey ...` line in a ```sh block and the lines after
 it, up to the next `$` line or the end of the block.  A `...` line elides
@@ -20,10 +21,15 @@ from qspivey import cli
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _section(title):
+    """The text of README.md's section `## title`, up to the next `## `."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _examples():
     """(argv, tail, shown lines, shown exit code or None) per example."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("CLI")
     examples = []
     for block in re.findall(r"```sh\n(.*?)```", section, re.S):
         for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
@@ -72,3 +78,8 @@ def test_a_readme_example_prints_what_it_shows(argv, tail, shown, shown_code):
         assert lines == shown
     if shown_code is not None:
         assert code == shown_code
+
+
+def test_the_library_block_runs():
+    [block] = re.findall(r"```python\n(.*?)```", _section("Library"), re.S)
+    exec(compile(block, "README.md (Library)", "exec"), {})

@@ -67,6 +67,27 @@ def _q_cell(n, k):
     return plant
 
 
+def _int_cell(n, k, at):
+    """r_whitney_classic_rows adds 1 to cell (n, k) of the integer rows at
+    (m, r) = at; the rows after it grow from the faulty row."""
+
+    def plant(monkeypatch):
+        rows = triangles.r_whitney_classic_rows
+
+        def faulty(m, r, last=None):
+            for row in rows(m, r, last):
+                if (m, r) == at and len(row) == n + 1:
+                    row = (*row[:k], row[k] + 1, *row[k + 1 :])
+                    yield row
+                    yield from rows(m, r, row)
+                    return
+                yield row
+
+        monkeypatch.setattr(triangles, "r_whitney_classic_rows", faulty)
+
+    return plant
+
+
 def _window(monkeypatch):
     """window swaps coefficients 2 and 3 of its result when k >= 2 and the
     result's span has at least 6 terms."""
@@ -97,15 +118,23 @@ def _mul(monkeypatch):
     _patch_kernel(monkeypatch, "_mul", faulty)
 
 
-# (fault, failing lines per criterion); criteria: 2 q-Stirling and 3
-# (q,r)-Whitney rows vs normal ordering, 5 katriel, 6 result1, 7 result2,
-# 9 the specialization chain, 10 the q-expansion law
+# (fault, failing lines per criterion); criteria: 1 classical Spivey and
+# the Bell numbers, 2 q-Stirling and 3 (q,r)-Whitney rows vs normal
+# ordering, 5 katriel, 6 result1, 7 result2, 8 result3, 9 the
+# specialization chain, 10 the q-expansion law
 AUDIT = [
     pytest.param(
         _q_cell(8, 4), {2: 2, 5: 14, 6: 42, 9: 2, 10: 5}, id="q-cell-8-4"
     ),
     # escapes: the sweep checks the q-structure of the rows only for n <= 9
     pytest.param(_q_cell(10, 5), {}, id="q-cell-10-5-escapes"),
+    pytest.param(_int_cell(6, 3, (1, 0)), {1: 101, 8: 54, 9: 3}, id="int-cell-6-3"),
+    # (1, 0) rows past n = 12 are read only by criterion 1's spivey and
+    # bell-rec rows, which reach n = 24
+    pytest.param(_int_cell(20, 10, (1, 0)), {1: 16}, id="int-cell-20-10"),
+    pytest.param(_int_cell(6, 3, (2, 1)), {8: 30, 9: 1}, id="int-cell-6-3-at-2-1"),
+    # escapes: the sweep reads the (3, 2) integer rows only up to n = 10
+    pytest.param(_int_cell(11, 5, (3, 2)), {}, id="int-cell-11-5-at-3-2-escapes"),
     # the recurrence and the q-Wick reorder share window, so 2-3 miss it
     pytest.param(_window, {5: 22, 6: 90, 7: 465, 10: 39}, id="window"),
     pytest.param(_mul, {5: 15, 6: 60, 7: 390, 10: 47}, id="qpoly-mul"),
