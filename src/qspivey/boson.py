@@ -35,7 +35,8 @@ triangles.py.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Tuple, Union
 
 from .polys import QPoly, XQPoly, _json_int, _to_qpoly
 from .qcalc import q_falling

@@ -53,6 +53,19 @@ its rows and their row sums, the r-Dowling numbers), never the q-rows at
 q = 1.  spivey is result3's body at (m, r) = (1, 0) under its own tag,
 as lem3 is lem4's.
 
+Size rule: a corrected-shape _dowling_sides call with more x points than
+n (len(xs) > n) takes both sides symbolically in x once, exactly as for
+xs=None, and evaluates the two at each x; every other call (n points or
+fewer, or the literal shape) reads each x on its own.  Per x, that read
+takes n + 1 dense products and 2n + 3 XQPoly.eval_x calls; the symbolic
+read takes Σ_k (k+1)(l+1) coefficient products once, then 2 evaluations
+per x.  Timed on a grid of n, l in {1, 2, 4, 6, 8, 10, 14} and 2..20
+points (m = 2, r = 1, 2 vCPU Xeon, CPython 3.11), the symbolic read
+became the faster one at 2 to 8 points, about n/2, so the rule leaves a
+margin of about 2x; wherever len(xs) > n it took 0.26-0.96 of the per-x
+time.  Criteria 6 and 7 (x = 0..6 and 0..5) read their instances with
+n < 7 and n < 6 this way; katriel (one x) never does.
+
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
 read it.  A verifier's parameters are exactly its row's axes, the x axis
@@ -147,11 +160,15 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
     S_k is the XQPoly of its slots: read at x for the corrected shape,
     summed against X_j = m^j·[x][x-1]..[x-j+1] for the literal one.  The
     n + 1 products D_{m,0}(k)·S_k per x are the only dense products.
+    A corrected-shape call with more x points than n takes the sides
+    symbolically in x once and reads them at each x (see the module
+    docstring for the size rule).
     """
+    symbolic = xs is None or variant == "corrected" and len(xs) > n
     row = triangles.qr_whitney(l, m, r)[l]
     lhs = triangles.qr_dowling_poly(n + l, m, r)
     d = [triangles.qr_dowling_poly(k, m, 0) for k in range(n + 1)]
-    if xs is None:
+    if symbolic:
         xfs = None
     elif variant == "literal":
         xfs = [[q_falling(x, j) * (m**j) for j in range(l + 1)] for x in xs]
@@ -167,7 +184,7 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
             if k:
                 t = t.window(j) * m + t * r
     sums = [XQPoly(slot) for slot in slots]
-    if xs is None:
+    if symbolic:
         points = [(lhs, d, sums)]
     else:
         points = []
@@ -186,6 +203,9 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
         for k in range(1, n + 1):
             rhs = rhs + d_x[k] * (s_x[k] * binom(n, k))
         pairs.append((lhs_x, rhs))
+    if symbolic and xs is not None:
+        [(lhs, rhs)] = pairs
+        return [(lhs.eval_x(x), rhs.eval_x(x)) for x in xs]
     return pairs
 
 
@@ -252,7 +272,12 @@ def _result3(
     identity: str, variant: str, params: dict, n: int, l: int, m: int, r: int
 ) -> VerificationReport:
     """D_{m,r}(n+l) == Σ_j Σ_k W(l,j)·C(n,k)·(m·j + r)^(n-k)·D_{m,0}(k) over
-    the integer rows (an extra m^j in the literal shape), under identity."""
+    the integer rows (an extra m^j in the literal shape), under identity.
+
+    The sum over k is taken in Horner form in c = m·j + r, from b_k =
+    C(n,k)·D_{m,0}(k): acc ← acc·c + b_k for k = 0..n leaves
+    Σ_k b_k·c^(n-k), which at c = 0 is b_n, as 0^0 = 1 makes it.
+    """
     if m < 1:
         raise ValueError("weight m must be >= 1")
     if n < 0 or l < 0 or r < 0:
@@ -260,13 +285,16 @@ def _result3(
     wrow = triangles.r_whitney_classic(l, m, r)[l]
     d0 = triangles.r_dowling(n, m, 0)
     lhs = triangles.r_dowling(n + l, m, r)[n + l]
+    b = [binom(n, k) * d0[k] for k in range(n + 1)]
     rhs = 0
-    for j in range(l + 1):
-        if not wrow[j]:
+    for j, w in enumerate(wrow):
+        if not w:
             continue
-        scale = m**j if variant == "literal" else 1
-        for k in range(n + 1):
-            rhs += scale * wrow[j] * binom(n, k) * (m * j + r) ** (n - k) * d0[k]
+        c = m * j + r
+        acc = 0
+        for bk in b:
+            acc = acc * c + bk
+        rhs += (m**j if variant == "literal" else 1) * w * acc
     return VerificationReport.check(identity, variant, params, lhs, rhs)
 
 
@@ -303,10 +331,10 @@ def _lem4(identity: str, params: dict, k: int, m: int, r: int) -> VerificationRe
     """(m·N + r)·ad^k == ad^k·(m[k] + r + m·q^k·N), reported under identity."""
     if k < 0 or m < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    ad = NormalForm.raising()
+    ad_k = NormalForm.raising() ** k
     op = NormalForm.number() * m + NormalForm.identity() * r
-    lhs = op * (ad**k)
-    rhs = (ad**k) * (
+    lhs = op * ad_k
+    rhs = ad_k * (
         NormalForm.identity() * (q_int(k) * m + r)
         + NormalForm.number() * (QPoly.monomial(k) * m)
     )

@@ -35,9 +35,14 @@ criterion 11, which parses every sweep line and re-renders it, checks
 each written side byte for byte against the json module; it refuses a
 line whose passed its sides contradict.
 
-dumps writes all other JSON text through one module-level encoder with
-sorted keys and no whitespace, the text json.dumps gives with those
-options, without building an encoder per call.
+dumps writes all other JSON text, the text json.dumps gives with sorted
+keys and no whitespace, through the json module's C encoder, built once
+at import with those options and ASCII escaping, so no call builds an
+encoder (JSONEncoder.encode builds one per call).  It keeps no
+circular-reference markers, which a call that raised would leave behind;
+what it writes (params, command heads and summaries, encodings, decoded
+JSON) is a tree, never cyclic.  Without the C accelerator it is
+JSONEncoder.encode.
 VerificationReport and the opexpr AST nodes are Records: plain __slots__
 classes that are immutable, equal field by field within one class, and
 repr and pickle like frozen dataclasses, so importing them loads no
@@ -53,11 +58,25 @@ from .boson import NormalForm
 from .polys import QPoly, XQPoly
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# _ENCODER's options in the C encoder, built once; see the module docstring
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None,
+    _ENCODER.default,
+    json.encoder.encode_basestring_ascii,
+    None,
+    _ENCODER.key_separator,
+    _ENCODER.item_separator,
+    _ENCODER.sort_keys,
+    _ENCODER.skipkeys,
+    _ENCODER.allow_nan,
+)
 
 
 def dumps(obj) -> str:
     """Canonical JSON text: sorted keys and no whitespace."""
-    return _ENCODER.encode(obj)
+    if _C_ENCODER is None:  # no C accelerator
+        return _ENCODER.encode(obj)
+    return "".join(_C_ENCODER(obj, 0))
 
 
 def encode(value) -> Any:

@@ -947,6 +947,21 @@ PINNED_STDOUT = [
      "2de693e1ab99250016b4e7ff380efe5a024868c5c36a05b2ad900b3e6ce36836", 89203),
     ("verify --identity lem2 --k 0..12 --cap 120", 0,
      "aa140bf096e4e89a2a287fe694f0fa1393e5b9548db79b28cd7fdcbc71537e63", 589732),
+    # corrected instances with more x points than n are read off their
+    # symbolic sides, the others at each x; these ranges hold both kinds
+    ("verify --identity result2 --n 0..9 --l 0..3 --m 3 --r 2 --x 0..12", 0,
+     "264f7f597ff5fba7fbec4849a56231bb4796f6bead57aefc70db85de9bbbc1cb", 284874),
+    ("verify --identity result1 --n 0..10 --mshift 0..4 --x 0..8", 0,
+     "2b7264aae3a491af3affaadfd34e1c1ded251c86771088f083489c4236783d53", 286076),
+    # the integer double sums, over rows where m·j + r = 0 (j = 0, r = 0)
+    # and in both shapes
+    ("verify --identity spivey --n 0..30 --mshift 0..30", 0,
+     "a5c24c30002901421bd11e28ba35a166d6674144b9ee257629e6c91e0a45f72e", 144146),
+    ("verify --identity result3 --n 0..12 --l 0..6 --m 1..3 --r 0..2", 0,
+     "5c0eaf921167b02bc6b7585323ee1da108b8b8e03e8d5d78f3b71db0522d5403", 103335),
+    ("verify --identity result3 --n 0..12 --l 0..6 --m 1..3 --r 0..2"
+     " --variant literal", 1,
+     "01244b77828278ec640cf81a609ff75327a84786582e215268dbf40358c3c78e", 102595),
 ]
 
 

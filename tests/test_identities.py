@@ -209,6 +209,52 @@ def test_dowling_sides_match_the_term_by_term_sum():
     assert (lhs.to_json(), rhs.to_json()) == (["5", "1"], ["8", "2"])
 
 
+def test_many_x_corrected_sides_are_the_symbolic_sides_at_each_x():
+    """With n, n + 1 or n + 2 points, on either side of the size rule, the
+    corrected sides at each x are the symbolic sides read there and the
+    term-by-term sums at that x."""
+    for n in range(4):
+        for l in range(4):
+            for m in (1, 2, 3):
+                for r in (0, 1, 2):
+                    args = (n, l, m, r)
+                    [(lhs, rhs)] = identities._dowling_sides(*args)
+                    for size in (n, n + 1, n + 2):
+                        xs = range(size)
+                        got = identities._dowling_sides(*args, xs)
+                        read = [(lhs.eval_x(x), rhs.eval_x(x)) for x in xs]
+                        assert got == read, (args, size)
+                        ref = [_ref_dowling_sides(*args, x) for x in xs]
+                        assert got == ref, (args, size)
+
+
+@pytest.mark.parametrize(
+    "size, variant, evals",
+    [
+        (3, "corrected", 3 * 9),  # per x: lhs, 4 D_{m,0}(k) and 4 S_k
+        (4, "corrected", 4 * 2),  # per x: the symbolic lhs and rhs
+        (4, "literal", 4 * 5),  # per x: lhs and 4 D_{m,0}(k)
+    ],
+)
+def test_the_size_rule_reads_only_many_x_corrected_calls_symbolically(
+    monkeypatch, size, variant, evals
+):
+    """At n = 3 a corrected call with 4 points takes the sides once in x
+    and evaluates both at each x; 3 points, or the literal shape, keep the
+    per-x read.  Counted by XQPoly.eval_x calls."""
+    calls = 0
+    eval_x = XQPoly.eval_x
+
+    def counting(self, s):
+        nonlocal calls
+        calls += 1
+        return eval_x(self, s)
+
+    monkeypatch.setattr(XQPoly, "eval_x", counting)
+    identities._dowling_sides(3, 2, 2, 1, range(size), variant)
+    assert calls == evals
+
+
 def test_batched_verifiers_match_one_x_at_a_time():
     """One call over the x range of criteria 6 and 7 gives the single-x
     reports in x order, for both shapes and every instance of the two
@@ -349,6 +395,36 @@ def test_result3_reduces_to_spivey_at_weight_one():
             sp = identities.verify_spivey(n, l)
             assert three.lhs == sp.lhs
             assert three.rhs == sp.rhs
+
+
+def _ref_result3_rhs(n, l, m, r, variant):
+    """result3's double sum term by term, each power taken with ** (so 0^0
+    is 1), over the same integer rows."""
+    wrow = triangles.r_whitney_classic(l, m, r)[l]
+    d0 = triangles.r_dowling(n, m, 0)
+    return sum(
+        (m**j if variant == "literal" else 1)
+        * wrow[j]
+        * binom(n, k)
+        * (m * j + r) ** (n - k)
+        * d0[k]
+        for j in range(l + 1)
+        for k in range(n + 1)
+    )
+
+
+def test_result3_horner_sum_is_the_term_by_term_double_sum():
+    """r = 0 puts m·j + r = 0 in column j = 0; spivey is the (1, 0) case."""
+    for n in range(7):
+        for l in range(6):
+            for m in (1, 2, 3):
+                for r in (0, 1, 2):
+                    for variant in ("literal", "corrected"):
+                        rep = identities.verify_result3(n, l, m, r, variant)
+                        want = _ref_result3_rhs(n, l, m, r, variant)
+                        assert rep.rhs == str(want), (n, l, m, r, variant)
+            want = _ref_result3_rhs(n, l, 1, 0, "corrected")
+            assert identities.verify_spivey(n, l).rhs == str(want), (n, l)
 
 
 def test_lemma_sweeps():

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from qspivey import FockVector, NormalForm, QPoly, XQPoly
+from qspivey import FockVector, NormalForm, QPoly, XQPoly, report
 from qspivey.report import VerificationReport, dumps, encode, json_text, term_json
 
 
@@ -276,6 +276,49 @@ def test_dumps_is_canonical_json_dumps():
     assert dumps({"b": [2**64, None], "a": "\u00e9"}) == (
         '{"a":"\\u00e9","b":[18446744073709551616,null]}'
     )
+
+
+_DUMPS_TABLE = [
+    'say "hi"',
+    "back\\slash and /slash",
+    "\x00\x01\x1f\x7f\n\r\t\b\f",
+    "\u00e9\u00df\u20ac\u2713\U0001d52e",
+    "",
+    [[1, ["2", [3, []]]], [[]]],
+    {"b": 1, "a": 2, "\u00e9": 3, "A": 4, "": 5},
+    {"z": {"y": [True, False, None], "x": {}}, "w": []},
+    [True, False, None],
+    2**64,
+    -(2**64) - 1,
+    [2**200, -(2**65)],
+    [],
+    {},
+    0,
+    True,
+    None,
+]
+
+
+@pytest.mark.parametrize("value", _DUMPS_TABLE, ids=range(len(_DUMPS_TABLE)))
+def test_dumps_is_json_dumps_on_each_kind_of_value(value):
+    want = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert dumps(value) == want
+
+
+def test_dumps_writes_the_same_after_a_refused_value(monkeypatch):
+    """The prebuilt encoder keeps no state from a call that raised: an
+    encoder with circular-reference markers would keep the ids of the
+    containers it was in and refuse them later.  Without the C
+    accelerator dumps writes the same text."""
+    inner = {"b": object()}
+    outer = {"a": [1, inner]}
+    with pytest.raises(TypeError):
+        dumps(outer)
+    inner["b"] = 2
+    assert dumps(outer) == '{"a":[1,{"b":2}]}'
+    monkeypatch.setattr(report, "_C_ENCODER", None)
+    for value in _DUMPS_TABLE:
+        assert dumps(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def test_reports_are_immutable_records_that_pickle():
