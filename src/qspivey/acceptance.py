@@ -34,7 +34,10 @@ flag, and the tests run each criterion through it.  run_suite runs
 criteria 1..10 as one task list, so --jobs shards by task; each sweep
 line comes with its passed flag and with criterion 11's check of that
 line: it must parse back into a report that re-renders to the identical
-bytes, and one that does not fails criterion 11, not the run.
+bytes, and one that does not fails criterion 11, not the run.  The line
+is parsed by the json module's scanner, built once at import, with no
+decoder set-up per line (_round_trips); a line the scanner cannot read,
+nested too deep included, is one that does not round-trip.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Callable, Union
 
 from . import identities, triangles
 from .polys import QPoly
-from .report import VerificationReport, json_text
+from .report import VerificationReport
 
 Task = Union[
     VerificationReport,
@@ -388,19 +393,31 @@ CRITERIA: tuple[tuple[int, str, Callable[[], list[Task]]], ...] = (
 def _line(num: int, slug: str, rep: VerificationReport) -> str:
     """dumps({"criterion": num, "slug": slug, "report": rep.to_json()}),
     with the report's line spliced in; an int is its own JSON number."""
-    return f'{{"criterion":{num:d},"report":{rep.to_json_line()},"slug":{json_text(slug)}}}'
+    report = rep.to_json_line()
+    return f'{{"criterion":{num:d},"report":{report},"slug":{encode_basestring_ascii(slug)}}}'
+
+
+# the json module's scanner, the parser under json.loads, built once
+_SCAN = make_scanner(json.JSONDecoder())
 
 
 def _round_trips(line: str) -> bool:
     """Criterion 11 on one line: it parses back into a report that
     re-renders to the identical bytes.  The rebuilt report writes its sides
     with dumps, so each side's direct text is held to the json module's.
-    Bad JSON, a missing key or a wrong or contradicting passed is False."""
+    The line is read by the json module's scanner, built once, which must
+    end where the line does: json.loads would also strip whitespace around
+    the value, but no written line has any, so its verdicts are the same.
+    Bad JSON (the scanner's StopIteration, or RecursionError for nesting
+    past the interpreter's limit), trailing data, a missing key or a wrong
+    or contradicting passed is False."""
     try:
-        d = json.loads(line)
+        d, end = _SCAN(line, 0)
+        if end != len(line):
+            return False
         rep = VerificationReport.from_json(d["report"])
         return _line(d["criterion"], d["slug"], rep) == line
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, StopIteration, RecursionError):
         return False
 
 

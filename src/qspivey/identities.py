@@ -66,6 +66,16 @@ margin of about 2x; wherever len(xs) > n it took 0.26-0.96 of the per-x
 time.  Criteria 6 and 7 (x = 0..6 and 0..5) read their instances with
 n < 7 and n < 6 this way; katriel (one x) never does.
 
+Equal sides: where _dowling_sides finds the two sides equal, as XQPoly
+or at an x, it hands back the one value as both, so a symbolic read
+evaluates it once per x and VerificationReport.check writes its text
+once; verify_triangle_vs_oracle does the same with its two rows.  The
+left side D_{m,r}(n+l) at each x is kept in _DOWLING_AT, per (m, r) for
+the last total n + l read there, one value per x: criteria 5-7 run the
+n + l + 1 instances of one total in a row, which then evaluate it once.
+A new total at (m, r) drops the values of the last one, so the store
+holds at most one total per (m, r), as _POWERS holds one power.
+
 IDENTITIES is the one table of tags: verifier, axes with their default
 ranges, variant support and per-axis lower bounds; run_case and the CLI
 read it.  A verifier's parameters are exactly its row's axes, the x axis
@@ -187,8 +197,9 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
     if symbolic:
         points = [(lhs, d, sums)]
     else:
+        lhs_at = _dowling_at(m, r, n + l, lhs, xs)
         points = []
-        for x, xf in zip(xs, xfs):
+        for x, xf, lhs_x in zip(xs, xfs, lhs_at):
             if variant == "literal":
                 s_x = [
                     sum((c * f for c, f in zip(slot, xf) if c), QPoly.zero())
@@ -196,17 +207,44 @@ def _dowling_sides(n: int, l: int, m: int, r: int, xs=None, variant="corrected")
                 ]
             else:
                 s_x = [s.eval_x(x) for s in sums]
-            points.append((lhs.eval_x(x), [p.eval_x(x) for p in d], s_x))
+            points.append((lhs_x, [p.eval_x(x) for p in d], s_x))
     pairs = []
     for lhs_x, d_x, s_x in points:
         rhs = d_x[0] * s_x[0]  # C(n,0) = 1
         for k in range(1, n + 1):
             rhs = rhs + d_x[k] * (s_x[k] * binom(n, k))
-        pairs.append((lhs_x, rhs))
+        # equal sides are handed back as one value, which check writes once
+        pairs.append((lhs_x, lhs_x if rhs == lhs_x else rhs))
     if symbolic and xs is not None:
         [(lhs, rhs)] = pairs
-        return [(lhs.eval_x(x), rhs.eval_x(x)) for x in xs]
+        lhs_at = _dowling_at(m, r, n + l, lhs, xs)
+        if rhs is lhs:
+            return [(lhs_x, lhs_x) for lhs_x in lhs_at]
+        return [(lhs_x, rhs.eval_x(x)) for x, lhs_x in zip(xs, lhs_at)]
     return pairs
+
+
+# the values of D_{m,r}(total) read so far, per (m, r) for the last total
+# read there, as (total, {x: D_{m,r}(total) at x}): the n + l + 1
+# instances of one total that criteria 5-7 run in a row share one lhs
+_DOWLING_AT: dict[tuple[int, int], tuple[int, dict[int, QPoly]]] = {}
+
+
+def _dowling_at(m: int, r: int, total: int, lhs: XQPoly, xs) -> list[QPoly]:
+    """lhs, D_{m,r}(total), at each x in xs, each read from the values kept
+    for (m, r) or evaluated and kept; a new total at (m, r) drops the
+    values of the last one."""
+    kept = _DOWLING_AT.get((m, r))
+    if kept is None or kept[0] != total:
+        kept = _DOWLING_AT[(m, r)] = (total, {})
+    values = kept[1]
+    out = []
+    for x in xs:
+        v = values.get(x)
+        if v is None:
+            v = values[x] = lhs.eval_x(x)
+        out.append(v)
+    return out
 
 
 def _dowling_reports(
@@ -398,6 +436,8 @@ def verify_triangle_vs_oracle(
     op = _whitney_power(m, r, n)
     lhs = [c * (m**k) for k, c in enumerate(row)]
     rhs = [op.coefficient(k, k) for k in range(n + 1)]
+    if rhs == lhs:  # equal sides are written once
+        rhs = lhs
     return VerificationReport.check("triangle-oracle", "n/a", params, lhs, rhs)
 
 

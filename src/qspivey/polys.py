@@ -24,9 +24,10 @@ and convolves the spans, skipping zero coefficients of both; Z and Z[q]
 have no zero divisors, so its span needs no trim.  A scalar, or a value
 whose span is one coefficient c (a monomial c·v^j), is a one-term
 operand: _mul scales the other span by c in one pass of map(mul, ...),
-and at c = 1 (a unit monomial v^j, the ring's one at j = 0) keeps it as
-it is.  Zeros inside the span stay zeros: 0·c is 0 in Z, and a zero
-QPoly times anything is the shared zero.
+and at c = 1 (a unit monomial v^j) keeps it as it is.  So p·1, 1·p and
+p·p.one() are p itself, with no value built, and so are p + 0, 0 + p
+and p + p.zero().  Zeros inside the span stay zeros: 0·c is 0 in Z,
+and a zero QPoly times anything is the shared zero.
 
 With v the ring's variable, shift(s), the product by v^s, is O(1): it
 adds s to val.  window(k), the product by [k] = 1 + v + ... + v^(k-1),
@@ -214,7 +215,13 @@ class _Dense:
 
     def _add(self, other):
         o = self._operand(other)
-        return NotImplemented if o is None else self._sum(self.val, self.span, *o)
+        if o is None:
+            return NotImplemented
+        if not o[1]:  # a sum with zero is the other operand itself
+            return self
+        if not self.span and type(other) is type(self):
+            return other
+        return self._sum(self.val, self.span, *o)
 
     def _neg(self):
         return self._new(self.val, tuple(map(neg, self.span)))
@@ -241,14 +248,17 @@ class _Dense:
         if not a or not b:
             return self._ZERO
         val = self.val + v
-        # a one-term operand c·v^j scales the other span in one pass, zeros
-        # kept as zeros; at c = 1, a unit monomial, the span is kept as it is
+        # a one-term operand c·v^j scales the other operand p (the left one
+        # if both have one term) in one pass, zeros kept as zeros; at c = 1,
+        # a unit monomial, p's span is kept as it is, and at j = 0 too, the
+        # ring's one, the product is p itself
         if len(b) == 1 or len(a) == 1:
-            if len(b) != 1:
-                a, b = b, a
+            p = self
+            if len(b) != 1:  # so other has a longer span: it is of this ring
+                a, b, p = b, a, other
             c = b[0]
             if c == self._C1:
-                return self._new(val, a)
+                return p if val == p.val else self._new(val, a)
             return self._new(val, tuple(map(mul, a, repeat(c))))
         out = [self._C0] * (len(a) + len(b) - 1)
         # zeros are skipped on both sides, so a sparse operand costs its

@@ -28,12 +28,16 @@ side once with json_text.  Canonical JSON text is injective on
 encodings, so that is the verdict of comparing the encodings: for two
 values of one type it is exact equality, and across types an int equals
 its decimal string and a tuple the list of its items, which lets a pin
-state its expectation in the simplest form.  A report's line
-(to_json_line) splices the two texts into its frame; lhs and rhs decode
-them on demand.  from_json writes the sides it reads with dumps, so
-criterion 11, which parses every sweep line and re-renders it, checks
-each written side byte for byte against the json module; it refuses a
-line whose passed its sides contradict.
+state its expectation in the simplest form.  A verifier that found its
+two sides equal as values passes the one value as both (rhs is lhs),
+and check writes it once, for both texts.  A report's line
+(to_json_line) splices the two texts into its frame, with identity and
+variant through the encoder's str writer and passed from the two texts,
+so it dispatches on no type; lhs and rhs decode the texts on demand.
+from_json writes the sides it reads with dumps, so criterion 11, which
+parses every sweep line and re-renders it, checks each written side byte
+for byte against the json module; it refuses a line whose passed its
+sides contradict.
 
 dumps writes all other JSON text, the text json.dumps gives with sorted
 keys and no whitespace, through the json module's C encoder, built once
@@ -46,7 +50,9 @@ JSONEncoder.encode.
 VerificationReport and the opexpr AST nodes are Records: plain __slots__
 classes that are immutable, equal field by field within one class, and
 repr and pickle like frozen dataclasses, so importing them loads no
-dataclasses module.
+dataclasses module.  VerificationReport sets its five fields in its own
+__init__, one object.__setattr__ each, rather than in Record's loop over
+__slots__; a wrong field count is still a TypeError.
 """
 
 from __future__ import annotations
@@ -127,11 +133,14 @@ def _list_json(items) -> str:
     return "[" + ",".join(map(json_text, items)) + "]"
 
 
+# the encoder's own str writer, with ASCII escaping
+_str_json = json.encoder.encode_basestring_ascii
+
 # exact type -> writer; a subclass of these goes through encode
 _WRITERS = {
     int: lambda v: f'"{v}"',
     bool: lambda b: "true" if b else "false",
-    str: json.encoder.encode_basestring_ascii,  # the encoder's own str writer
+    str: _str_json,
     QPoly: _qpoly_json,
     XQPoly: _xqpoly_json,
     NormalForm: _normal_form_json,
@@ -215,13 +224,26 @@ class VerificationReport(Record):
     lhs_text: str
     rhs_text: str
 
+    def __init__(
+        self, identity: str, variant: str, params: dict, lhs_text: str, rhs_text: str
+    ) -> None:
+        # Record.__init__'s loop, unrolled: the sweep builds ~7000 reports
+        setattr = object.__setattr__
+        setattr(self, "identity", identity)
+        setattr(self, "variant", variant)
+        setattr(self, "params", params)
+        setattr(self, "lhs_text", lhs_text)
+        setattr(self, "rhs_text", rhs_text)
+
     @classmethod
     def check(
         cls, identity: str, variant: str, params: dict, lhs, rhs
     ) -> "VerificationReport":
         """The report on lhs against rhs: each side written once with
-        json_text."""
-        return cls(identity, variant, params, json_text(lhs), json_text(rhs))
+        json_text, and one side given twice (rhs is lhs) written once."""
+        lhs_text = json_text(lhs)
+        rhs_text = lhs_text if rhs is lhs else json_text(rhs)
+        return cls(identity, variant, params, lhs_text, rhs_text)
 
     @property
     def passed(self) -> bool:
@@ -264,9 +286,12 @@ class VerificationReport(Record):
         return rep
 
     def to_json_line(self) -> str:
-        """dumps(self.to_json()), with the two side texts spliced in."""
+        """dumps(self.to_json()), with the two side texts spliced in; an
+        identity or variant that is not a str raises TypeError."""
+        lhs, rhs = self.lhs_text, self.rhs_text
         return (
-            f'{{"identity":{json_text(self.identity)},"lhs":{self.lhs_text},'
-            f'"params":{dumps(self.params)},"passed":{json_text(self.passed)},'
-            f'"rhs":{self.rhs_text},"variant":{json_text(self.variant)}}}'
+            f'{{"identity":{_str_json(self.identity)},"lhs":{lhs},'
+            f'"params":{dumps(self.params)},'
+            f'"passed":{"true" if lhs == rhs else "false"},'
+            f'"rhs":{rhs},"variant":{_str_json(self.variant)}}}'
         )

@@ -272,6 +272,71 @@ def test_report_from_json_takes_only_a_json_bool_verdict():
             VerificationReport.from_json(dict(rep.to_json(), passed=bad))
 
 
+_GOOD = acceptance._line(1, "s", VerificationReport.check("x", "n/a", {"n": 1}, 1, 1))
+_FAILING = acceptance._line(1, "s", VerificationReport.check("x", "n/a", {"n": 1}, 1, 2))
+_DEEP = "[" * 100000 + "]" * 100000
+
+# criterion 11's verdict on each line, as _round_trips gave it when it parsed
+# with json.loads, before it read lines with the json module's scanner; the
+# deep rows raised RecursionError then, and are False now
+_ROUND_TRIPS = [
+    ("good", _GOOD, True),
+    ("good-failing", _FAILING, True),
+    ("bad-json", _GOOD[:-1], False),
+    ("empty", "", False),
+    ("trailing-data", _GOOD + "x", False),
+    ("trailing-space", _GOOD + " ", False),
+    ("trailing-newline", _GOOD + "\n", False),
+    ("leading-space", " " + _GOOD, False),
+    ("bom", "\ufeff" + _GOOD, False),
+    ("spaced", _GOOD.replace(",", ", "), False),
+    ("top-level-list", "[" + _GOOD + "]", False),
+    ("top-level-number", "7", False),
+    ("top-level-null", "null", False),
+    ("top-level-nan", "NaN", False),
+    ("missing-key", _GOOD.replace('"slug"', '"slag"'), False),
+    ("missing-report-key", _GOOD.replace('"lhs"', '"lhz"'), False),
+    ("string-passed", _GOOD.replace('"passed":true', '"passed":"false"'), False),
+    ("contradicting-passed", _GOOD.replace('"passed":true', '"passed":false'), False),
+    ("contradicting-fail", _FAILING.replace('"passed":false', '"passed":true'), False),
+    ("params-of-ints", _GOOD.replace('{"n":1}', "[1]"), False),
+    ("params-string", _GOOD.replace('{"n":1}', '"ab"'), False),
+    ("params-number", _GOOD.replace('{"n":1}', "5"), False),
+    ("params-triples", _GOOD.replace('{"n":1}', "[[1,2,3]]"), False),
+    ("params-pairs", _GOOD.replace('{"n":1}', '[["n",1]]'), False),
+    ("identity-null", _GOOD.replace('"identity":"x"', '"identity":null'), False),
+    ("identity-number", _GOOD.replace('"identity":"x"', '"identity":5'), False),
+    ("slug-null", _GOOD.replace('"slug":"s"', '"slug":null'), False),
+    ("slug-number", _GOOD.replace('"slug":"s"', '"slug":5'), False),
+    ("slug-escaped", _GOOD.replace('"slug":"s"', '"slug":"\\u0073"'), False),
+    ("criterion-float", _GOOD.replace('"criterion":1', '"criterion":1.0'), False),
+    ("criterion-true", _GOOD.replace('"criterion":1', '"criterion":true'), False),
+    ("criterion-string", _GOOD.replace('"criterion":1', '"criterion":"1"'), False),
+    ("int-sides", _GOOD.replace('"lhs":"1"', '"lhs":1').replace('"rhs":"1"', '"rhs":1'), True),
+    ("deep", _DEEP, False),
+    ("deep-side", _GOOD.replace('"lhs":"1"', '"lhs":' + _DEEP), False),
+]
+
+
+@pytest.mark.parametrize(
+    "line, verdict", [row[1:] for row in _ROUND_TRIPS], ids=[row[0] for row in _ROUND_TRIPS]
+)
+def test_round_trips_gives_the_same_verdict_on_each_malformed_line(line, verdict):
+    assert acceptance._round_trips(line) is verdict
+
+
+def test_a_report_whose_identity_or_variant_is_no_str_does_not_round_trip():
+    """A line's identity and variant are written by the str writer, so a
+    bool or a list there, which a report never writes, is refused; json_text
+    would have written it back as it was read."""
+    for bad in (
+        _GOOD.replace('"identity":"x"', '"identity":true'),
+        _GOOD.replace('"identity":"x"', '"identity":["x"]'),
+        _GOOD.replace('"variant":"n/a"', '"variant":false'),
+    ):
+        assert acceptance._round_trips(bad) is False, bad
+
+
 def test_a_line_that_parses_into_no_report_does_not_round_trip():
     """Criterion 11 counts such a line as not round-tripping; it never
     raises."""

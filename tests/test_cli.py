@@ -953,6 +953,10 @@ PINNED_STDOUT = [
      "264f7f597ff5fba7fbec4849a56231bb4796f6bead57aefc70db85de9bbbc1cb", 284874),
     ("verify --identity result1 --n 0..10 --mshift 0..4 --x 0..8", 0,
      "2b7264aae3a491af3affaadfd34e1c1ded251c86771088f083489c4236783d53", 286076),
+    # crosses the size rule at all nine (m, r), each (m, r) read with a new
+    # total every time: the Dowling store's worst order
+    ("verify --identity result2 --n 0..8 --l 0..8 --m 1..3 --r 0..2 --x 0..5", 0,
+     "d3b3045a3f9de03f9e465361dc2e20bdbe1413002564150f087b0335a1d2f470", 3326660),
     # the integer double sums, over rows where m·j + r = 0 (j = 0, r = 0)
     # and in both shapes
     ("verify --identity spivey --n 0..30 --mshift 0..30", 0,
@@ -999,6 +1003,23 @@ def test_verify_runs_one_task_per_instance_over_all_x(
     assert (code, hashlib.sha256(out.encode()).hexdigest(), len(out)) == pin[1:]
     assert calls == instances
     assert json.loads(out.splitlines()[-1])["total"] == 4 * instances  # x in 0..3
+
+
+def test_the_dowling_store_keeps_one_total_per_m_r(capsys, monkeypatch):
+    """After a verify over all nine (m, r) in the CLI's interleaved order,
+    the store of D_{m,r}(n+l) values holds one total per (m, r), the last
+    one read, with one value per x, and the bytes are the pinned ones."""
+    monkeypatch.setattr(identities, "_DOWLING_AT", {})
+    command = "verify --identity result2 --n 0..8 --l 0..8 --m 1..3 --r 0..2 --x 0..5"
+    code, out, err = run_cli(capsys, *command.split())
+    pin = next(pin for pin in PINNED_STDOUT if pin[0] == command)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), len(out)) == pin[1:]
+    store = identities._DOWLING_AT
+    assert sorted(store) == [(m, r) for m in (1, 2, 3) for r in (0, 1, 2)]
+    for (m, r), (total, values) in store.items():
+        assert total == 16
+        lhs = triangles.qr_dowling_poly(16, m, r)
+        assert values == {x: lhs.eval_x(x) for x in range(6)}
 
 
 def test_jobs_never_asks_for_more_workers_than_cpus(capsys, monkeypatch):

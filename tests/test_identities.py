@@ -23,6 +23,15 @@ from qspivey.qcalc import binom, q_falling, q_int
 from qspivey.report import dumps
 
 
+@pytest.fixture(autouse=True)
+def fresh_caches(monkeypatch):
+    """Each test starts with no rows, operator powers or Dowling values
+    kept, so none leaks from one test or parameter into the next."""
+    monkeypatch.setattr(triangles, "_BUILT", {})
+    monkeypatch.setattr(identities, "_POWERS", {})
+    monkeypatch.setattr(identities, "_DOWLING_AT", {})
+
+
 def test_stirling_def_and_bell_recurrence():
     for n in range(9):
         assert identities.verify_stirling_def(n).passed
@@ -232,7 +241,7 @@ def test_many_x_corrected_sides_are_the_symbolic_sides_at_each_x():
     "size, variant, evals",
     [
         (3, "corrected", 3 * 9),  # per x: lhs, 4 D_{m,0}(k) and 4 S_k
-        (4, "corrected", 4 * 2),  # per x: the symbolic lhs and rhs
+        (4, "corrected", 4),  # per x: the symbolic lhs, which equals the rhs
         (4, "literal", 4 * 5),  # per x: lhs and 4 D_{m,0}(k)
     ],
 )
@@ -253,6 +262,50 @@ def test_the_size_rule_reads_only_many_x_corrected_calls_symbolically(
     monkeypatch.setattr(XQPoly, "eval_x", counting)
     identities._dowling_sides(3, 2, 2, 1, range(size), variant)
     assert calls == evals
+
+
+def test_equal_sides_are_handed_back_as_one_value():
+    """Sides found equal come back as one value, at every x of the
+    symbolic read and of the per-x read and in the symbolic form, and
+    check writes that value's text once; sides that differ stay two."""
+    for args in ((2, 1, 2, 1), (3, 2, 1, 0), (0, 2, 3, 2), (4, 1, 3, 0)):
+        n = args[0]
+        for xs in (range(n), range(n + 2)):  # per x, then symbolic in x
+            pairs = identities._dowling_sides(*args, xs)
+            assert len(pairs) == len(xs) and all(rhs is lhs for lhs, rhs in pairs)
+        [(lhs, rhs)] = identities._dowling_sides(*args)
+        assert rhs is lhs
+        for rep in identities.verify_result2_xs(*args, range(n + 2), "corrected"):
+            assert rep.rhs_text is rep.lhs_text
+    [(lhs, rhs)] = identities._dowling_sides(1, 1, 2, 1, [1], "literal")
+    assert lhs != rhs
+    rep = identities.verify_triangle_vs_oracle("qr-whitney", 5, 2, 1)
+    assert rep.passed and rep.rhs_text is rep.lhs_text
+
+
+def test_the_dowling_store_reads_each_lhs_value_once(monkeypatch):
+    """The n + l + 1 instances of one total at (m, r) evaluate D_{m,r}(n+l)
+    once per x between them, criterion 7's order; the store keeps only the
+    last total per (m, r), and its values are those of a fresh read."""
+    calls = []
+    eval_x = XQPoly.eval_x
+
+    def counting(self, s):
+        calls.append((self, s))
+        return eval_x(self, s)
+
+    monkeypatch.setattr(XQPoly, "eval_x", counting)
+    for total in range(5):
+        for n in range(total + 1):
+            for m, r in ((3, 2), (2, 1)):
+                identities._dowling_sides(n, total - n, m, r, range(3))
+    for m, r in ((3, 2), (2, 1)):
+        lhs = triangles.qr_dowling_poly(4, m, r)
+        assert sum(p == lhs for p, _ in calls) == 3  # x = 0, 1, 2, once each
+        kept_total, values = identities._DOWLING_AT[(m, r)]
+        assert kept_total == 4
+        assert values == {x: eval_x(lhs, x) for x in range(3)}
+    assert sorted(identities._DOWLING_AT) == [(2, 1), (3, 2)]
 
 
 def test_batched_verifiers_match_one_x_at_a_time():

@@ -602,6 +602,39 @@ def test_unit_monomial_operand_matches_plain_convolution():
             _x(pa * sx, _x_mul([a], sxc))
 
 
+def test_products_by_one_and_sums_with_zero_are_the_operand_itself():
+    """p·1, 1·p, p·p.one(), p + 0, 0 + p and p + p.zero() are p itself, in
+    both rings, and each is the value the list convolution and sum give
+    and _sum builds; a unit monomial past j = 0 is a new value."""
+    rng = random.Random(20261024)
+    for _ in range(100):
+        a = _rand_coeffs(rng)
+        xa = _rand_xcoeffs(rng)
+        # the constructor builds a zero of its own, the kernels the shared one
+        pa = QPoly(a) or QPoly.zero()
+        pxa = XQPoly(QPoly(c) for c in xa) or XQPoly.zero()
+        for p, ones, zeros in (
+            (pa, (1, QPoly.one()), (0, QPoly.zero())),
+            (pxa, (1, QPoly.one(), XQPoly.one()), (0, QPoly.zero(), XQPoly.zero())),
+        ):
+            summed = p._sum(p.val, p.span, 0, ())
+            assert summed == p
+            for one in ones:
+                assert p * one is p
+            assert 1 * p is p
+            for zero in zeros:
+                for total in (p + zero, zero + p):
+                    assert total is p and total == summed
+            assert p * p.one() is p and p + p.zero() is p
+        _q(pa * 1, _ref_mul(a, [1]))
+        _q(pa + 0, _ref_add(a, []))
+        _x(pxa * QPoly.one(), [_ref_mul(row, [1]) for row in xa])
+        _x(pxa + XQPoly.zero(), _x_add(xa, []))
+        if pa:
+            assert pa * QPoly.monomial(1) is not pa
+            assert pa * QPoly.monomial(1) == pa.shift(1)
+
+
 def test_a_unit_monomial_product_tests_no_coefficient(monkeypatch):
     """x^s · x^k and x^s · 1 look at no zero QPoly coefficient of x^s: x^s
     stores none, and its span is the one unit coefficient."""

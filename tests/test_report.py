@@ -353,6 +353,60 @@ def test_reports_are_immutable_records_that_pickle():
         assert back == [rep, rep] and type(back[0]) is VerificationReport
 
 
+def test_a_report_with_its_own_init_keeps_the_record_contract():
+    """VerificationReport sets its fields in its own __init__, not in
+    Record's loop; it is built, compared, hashed, printed, pickled and
+    refused exactly as a Record with the same fields."""
+
+    class Plain(report.Record):
+        __slots__ = VerificationReport.__slots__
+
+    assert "__init__" in vars(VerificationReport)
+    fields = ("katriel", "n/a", {"n": 1}, '["1"]', '["2"]')
+    rep, plain = VerificationReport(*fields), Plain(*fields)
+    assert rep._values() == plain._values() == fields
+    assert repr(rep) == "VerificationReport(" + repr(plain).split("(", 1)[1]
+    assert rep == VerificationReport(*fields) and rep != plain
+    hashable = VerificationReport("katriel", "n/a", (("n", 1),), '["1"]', '["2"]')
+    assert hash(hashable) == hash(Plain(*hashable._values())) == hash(hashable._values())
+    assert hash(hashable) == hash(VerificationReport(*hashable._values()))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rep, protocol))
+        assert back == rep and type(back) is VerificationReport
+    for name in VerificationReport.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rep, name)
+    for count in (0, 4, 6):
+        for cls in (VerificationReport, Plain):
+            with pytest.raises(TypeError):
+                cls(*(fields * 2)[:count])
+
+
+def test_one_side_given_twice_is_written_once():
+    """check writes a side given as both sides (rhs is lhs) once: the two
+    texts are one str, as written for each side apart."""
+    for value in (QPoly([0, 2, 1]), XQPoly([1, QPoly([0, 3])]), [1, 2], 7):
+        rep = VerificationReport.check("x", "n/a", {}, value, value)
+        assert rep.rhs_text is rep.lhs_text and rep.passed
+        assert rep.lhs_text == json_text(value)
+    apart = VerificationReport.check("x", "n/a", {}, QPoly([1]), QPoly([1]))
+    assert apart.lhs_text == apart.rhs_text and apart.passed
+
+
+def test_a_line_writes_identity_and_variant_as_json_strs():
+    """to_json_line escapes identity and variant as json.dumps does, and
+    refuses one that is not a str."""
+    rep = VerificationReport("ü\"\n", "é", {"é": 1}, '"1"', '"1"')
+    line = rep.to_json_line()
+    assert line == json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
+    assert line.isascii()
+    for identity, variant in ((None, "n/a"), ("x", True), ("x", ["n/a"])):
+        with pytest.raises(TypeError):
+            VerificationReport(identity, variant, {}, '"1"', '"1"').to_json_line()
+
+
 def test_from_json_refuses_a_verdict_its_sides_contradict():
     """A line's passed must be the verdict of its two sides: a report read
     back can never say passed while its sides differ, or the reverse."""

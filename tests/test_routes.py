@@ -24,9 +24,11 @@ from qspivey.polys import _Dense
 
 @pytest.fixture(autouse=True)
 def fresh_caches(monkeypatch):
-    """Rows and operator powers built under a fault are dropped with it."""
+    """Rows, operator powers and Dowling values built under a fault are
+    dropped with it."""
     monkeypatch.setattr(triangles, "_BUILT", {})
     monkeypatch.setattr(identities, "_POWERS", {})
+    monkeypatch.setattr(identities, "_DOWLING_AT", {})
 
 
 def _patch_kernel(monkeypatch, name, fault):
@@ -118,6 +120,18 @@ def _mul(monkeypatch):
     _patch_kernel(monkeypatch, "_mul", faulty)
 
 
+def _eval_x(monkeypatch):
+    """XQPoly.eval_x swaps coefficients 1 and 2 of a result whose span has
+    at least 3 terms."""
+    eval_x = XQPoly.eval_x
+
+    def faulty(self, s):
+        out = eval_x(self, s)
+        return _swapped(out, 1, 2) if len(out.span) >= 3 else out
+
+    monkeypatch.setattr(XQPoly, "eval_x", faulty)
+
+
 # (fault, failing lines per criterion); criteria: 1 classical Spivey and
 # the Bell numbers, 2 q-Stirling and 3 (q,r)-Whitney rows vs normal
 # ordering, 5 katriel, 6 result1, 7 result2, 8 result3, 9 the
@@ -142,6 +156,11 @@ AUDIT = [
     # expansions, not their values at x: the sweep takes 381 products of
     # two spans of 3 or more terms, not 1121, so fewer lines meet one
     pytest.param(_mul, {5: 15, 6: 18, 7: 30, 10: 47}, id="qpoly-mul"),
+    # a symbolic instance of criteria 6 and 7 evaluates two sides equal as
+    # XQPoly, which one fault keeps equal, so only katriel's one x and the
+    # instances read at each x (n >= 7 and n >= 6) catch it; criterion 9
+    # sums the values it evaluates at q = 1, which the swap keeps
+    pytest.param(_eval_x, {5: 35, 6: 7, 7: 105}, id="eval-x"),
 ]
 
 
