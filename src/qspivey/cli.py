@@ -46,7 +46,7 @@ from functools import partial
 from itertools import count, islice, product
 from typing import Iterable, Iterator
 
-from . import acceptance, identities, opexpr, triangles
+from . import acceptance, identities, opexpr, polys, triangles
 from .report import dumps, json_text, term_json
 
 
@@ -79,7 +79,7 @@ def _integer(text: str) -> int:
     the digits int() reads.
     """
     digits = text[1:] if text.startswith("-") else text
-    if not digits or not opexpr._DIGITS.issuperset(digits):
+    if not digits or not polys.DIGITS.issuperset(digits):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if len(digits) > opexpr.MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"more than {opexpr.MAX_DIGITS} digits")
@@ -118,6 +118,12 @@ def _range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _out_path(text: str) -> str:
+    if not text:  # names no file
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
 
 
 def _emit(lines: list[str], failed: int) -> tuple[list[str], int]:
@@ -277,57 +283,48 @@ def _build_parser() -> _Parser:
         description="Exact q-analogue triangles, polynomials and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)  # a shared flag is declared once, in a parent
+    out.add_argument("--out", type=_out_path)
+    m_r = _Parser(add_help=False, parents=[out])
+    m_r.add_argument("--m", type=_nonnegative)
+    m_r.add_argument("--r", type=_nonnegative)
+    rows = _Parser(add_help=False, parents=[m_r])
+    rows.add_argument("--n", required=True, type=_last_row, help="largest row index")
+    jobs = _Parser(add_help=False, parents=[out])
+    jobs.add_argument("--jobs", type=_positive, default=1)
+    add = sub.add_parser
 
-    p = sub.add_parser("triangle", help="emit a triangle as JSON or CSV")
+    p = add("triangle", help="emit a triangle as JSON or CSV", parents=[rows])
     p.add_argument(
         "--kind",
         required=True,
         choices=["stirling2", "q-stirling2", "r-whitney", "qr-whitney"],
     )
-    p.add_argument("--n", required=True, type=_last_row, help="largest row index")
-    p.add_argument("--m", type=_nonnegative)
-    p.add_argument("--r", type=_nonnegative)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triangle)
 
-    p = sub.add_parser("poly", help="emit a q-Bell or (q,r)-Dowling polynomial")
+    p = add("poly", help="emit a q-Bell or (q,r)-Dowling polynomial", parents=[rows])
     p.add_argument("--kind", required=True, choices=["q-bell", "qr-dowling"])
-    p.add_argument("--n", required=True, type=_last_row)
-    p.add_argument("--m", type=_nonnegative)
-    p.add_argument("--r", type=_nonnegative)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("numbers", help="emit Bell, q-Bell or r-Dowling numbers")
+    p = add("numbers", help="emit Bell, q-Bell or r-Dowling numbers", parents=[rows])
     p.add_argument("--kind", required=True, choices=["bell", "q-bell", "r-dowling"])
-    p.add_argument("--n", required=True, type=_last_row, help="largest index")
-    p.add_argument("--m", type=_nonnegative)
-    p.add_argument("--r", type=_nonnegative)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_numbers)
 
-    p = sub.add_parser("normal-order", help="normally order an operator expression")
+    p = add("normal-order", help="normally order an operator expression", parents=[m_r])
     p.add_argument("--expr", required=True)
-    p.add_argument("--m", type=_nonnegative)
-    p.add_argument("--r", type=_nonnegative)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_normal_order)
 
-    p = sub.add_parser("verify", help="verify one identity over parameter ranges")
+    p = add("verify", help="verify one identity over parameter ranges", parents=[jobs])
     p.add_argument("--identity", required=True, choices=sorted(identities.IDENTITIES))
     p.add_argument("--variant", choices=["literal", "corrected"], default=None)
     p.add_argument("--kind", choices=["q-stirling", "qr-whitney"], default=None)
     for name in _AXIS_FLAGS:
         p.add_argument(f"--{name}", type=_range, metavar="LO..HI")
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="run the acceptance suite")
+    p = add("sweep", help="run the acceptance suite", parents=[jobs])
     p.add_argument("--suite", choices=["acceptance"], default="acceptance")
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -402,7 +399,8 @@ def _write_file(path: str, pieces: Iterable[str]) -> None:
     written, so path is left as it was on any error; a temporary name
     that a killed run left taken is passed over.  Anything else (a
     device, a FIFO, /dev/stdout, a file with more links, or a file in a
-    directory that takes no new file) is written in place.
+    directory that takes no new file) is written in place.  An error in
+    making the temporary file names path, not the temporary name.
     """
     try:
         st = os.stat(path)
@@ -417,9 +415,9 @@ def _write_file(path: str, pieces: Iterable[str]) -> None:
                 with contextlib.suppress(FileExistsError):
                     fh = open(tmp, "x", newline="")
                     break
-        except PermissionError:
-            if st is None:
-                raise
+        except OSError as e:  # no temporary file: write in place, or fail naming path
+            if st is None or not isinstance(e, PermissionError):
+                raise OSError(e.errno, e.strerror, path) from None
         else:
             try:
                 with fh:

@@ -66,6 +66,14 @@ margin of about 2x; wherever len(xs) > n it took 0.26-0.96 of the per-x
 time.  Criteria 6 and 7 (x = 0..6 and 0..5) read their instances with
 n < 7 and n < 6 this way; katriel (one x) never does.
 
+The size rule also decides what faults the sweep catches.  The per-x
+reads (criterion 6 at n = 7, 8, criterion 7 at n = 6, 7, and katriel)
+are the only sweep instances whose sides are compared after evaluation
+at each x.  Read symbolically (the rule at len(xs) > 1), they leave the
+fault counts of tests/test_routes.py narrower: the eval-x row goes from
+{5: 35, 6: 7, 7: 105} to {5: 35, 6: 1}, and the qpoly-mul row loses
+{7: 30}.  So a change to the rule must come with its diff of those rows.
+
 Equal sides: where _dowling_sides finds the two sides equal, as XQPoly
 or at an x, it hands back the one value as both, so a symbolic read
 evaluates it once per x and VerificationReport.check writes its text

@@ -24,6 +24,7 @@ import sys
 from typing import Union
 
 from .boson import NormalForm
+from .polys import DIGITS
 from .report import Record
 
 
@@ -76,7 +77,6 @@ MAX_NESTING = 200
 MAX_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 _MINUS = {"-", "−"}
-_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also admits "²"
 _ATOMS = {"a": NormalForm.lowering, "ad": NormalForm.raising, "N": NormalForm.number}
 
 
@@ -96,7 +96,7 @@ class _Parser:
 
     def read_uint(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", start)
@@ -155,7 +155,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return node
-        if ch in _DIGITS:
+        if ch in DIGITS:
             return Lit(self.read_uint())
         if ch.isalpha():
             while self.pos < len(self.text) and self.text[self.pos].isalpha():

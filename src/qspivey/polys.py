@@ -62,6 +62,8 @@ from itertools import accumulate, chain, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable
 
+DIGITS = frozenset("0123456789")  # every integer reader's; int() also reads "٣"
+
 
 def _json_int(c: object) -> int:
     """A JSON coefficient: a non-bool int, or ASCII digits after an optional '-'.
@@ -72,7 +74,7 @@ def _json_int(c: object) -> int:
         return c
     if isinstance(c, str):
         digits = c[1:] if c.startswith("-") else c
-        if digits.isascii() and digits.isdigit():
+        if digits and DIGITS.issuperset(digits):
             return int(c)
     raise TypeError(f"integer or decimal string expected, got {c!r}")
 

@@ -39,34 +39,44 @@ A row generator holds only the last row.  The builders return nested
 tuples and keep one triangle per parameter set, the longest built so
 far: a request for fewer rows is a prefix of it, and a request for more
 rows drives the generator on from its last row, so the work and the
-stack depth stay flat in n.  The CLI drives the generators directly,
-with no cache, so its memory stays flat in n as well.
+stack depth stay flat in n.  r_dowling keeps its row sums the same way,
+beside the last integer row alone, so spivey, which reads B_0..B_(n+mshift)
+and Stirling row mshift, keeps no integer row past mshift.  The CLI drives
+the generators directly, with no cache, so its memory stays flat in n as
+well.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .polys import QPoly, XQPoly
 
 
-# longest triangle built so far per builder and parameter set; a call for
-# a larger n_max extends it row by row, so no call recurses on n_max - 1
+# longest triangle built so far per builder and parameter set, with its
+# last row; a call for a larger n_max extends it row by row, so no call
+# recurses on n_max - 1
 _BUILT: dict[tuple, tuple] = {}
 
 
-def _built(rows_after, m: int, r: int, n_max: int) -> tuple:
+def _built(
+    rows_after, m: int, r: int, n_max: int, read: Callable | None = None
+) -> tuple:
     """Rows 0..n_max of the triangle that the row generator rows_after
-    makes for (m, r): the rows built so far, extended by
-    rows_after(m, r, last row built, or None when there is none)."""
-    key = (rows_after, m, r)
-    rows = _BUILT.get(key, ())
-    if len(rows) <= n_max:
-        more = rows_after(m, r, rows[-1] if rows else None)
-        rows += tuple(islice(more, n_max + 1 - len(rows)))
-        _BUILT[key] = rows
-    return rows[: n_max + 1]
+    makes for (m, r), or read(row) of each when read is given: those kept
+    so far, extended by rows_after(m, r, last row made, or None when there
+    is none).  With read, only the values read and the last row are kept
+    under their own key, not the rows."""
+    key = (rows_after, m, r) if read is None else (read, rows_after, m, r)
+    kept, last = _BUILT.get(key, ((), None))
+    if len(kept) <= n_max:
+        more = []
+        for last in islice(rows_after(m, r, last), n_max + 1 - len(kept)):
+            more.append(last if read is None else read(last))
+        kept += tuple(more)
+        _BUILT[key] = kept, last
+    return kept[: n_max + 1]
 
 
 def stirling2(n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -141,9 +151,18 @@ def r_whitney(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _check_classic(n_max: int, m: int, r: int) -> None:
+    if m < 1:
+        raise ValueError("weight m must be >= 1")
+    if r < 0 or n_max < 0:
+        raise ValueError("arguments must be nonnegative")
+
+
 def r_dowling(n_max: int, m: int, r: int) -> tuple[int, ...]:
-    """Classical r-Dowling numbers as r-Whitney row sums."""
-    return tuple(sum(row) for row in r_whitney_classic(n_max, m, r))
+    """Classical r-Dowling numbers as r-Whitney row sums, kept as sums:
+    the integer rows they are read from are not."""
+    _check_classic(n_max, m, r)
+    return _built(r_whitney_classic_rows, m, r, n_max, sum)
 
 
 def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -152,10 +171,7 @@ def r_whitney_classic(n_max: int, m: int, r: int) -> tuple[tuple[int, ...], ...]
     Built directly over the integers, never touching the q-triangle; it
     serves every integer answer and cross-checks r_whitney.
     """
-    if m < 1:
-        raise ValueError("weight m must be >= 1")
-    if r < 0 or n_max < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_classic(n_max, m, r)
     return _built(r_whitney_classic_rows, m, r, n_max)
 
 

@@ -668,6 +668,32 @@ def test_out_in_a_closed_directory_writes_its_file_in_place(monkeypatch, tmp_pat
     assert os.listdir(tmp_path) == ["rows.json"]
 
 
+@pytest.mark.parametrize("directory", ["missing", "closed"])
+def test_a_failed_out_names_the_target_not_its_temporary_file(
+    monkeypatch, tmp_path, capsys, directory
+):
+    """The temporary file beside the target is the writer's own; an error
+    in making it names the path the user gave, still with exit 2."""
+    target = tmp_path / "x.json"
+    if directory == "missing":
+        target, errno_text = tmp_path / "missing" / "x.json", "[Errno 2] No such file"
+    else:
+        errno_text = "[Errno 13] Permission denied"
+
+        def no_new_files(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+    argv = ["numbers", "--kind", "bell", "--n", "3", "--out", str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qspivey: error: {errno_text}"), err
+    assert err.endswith(f": {str(target)!r}\n") and ".tmp" not in err, err
+    assert not target.exists()
+
+
 def test_a_fault_in_mid_stream_exits_one(monkeypatch, tmp_path, capsys):
     # triangle streams rows and numbers row sums; both read qr_whitney_rows.
     # normal-order streams its terms, each written by cli.term_json
@@ -1229,10 +1255,29 @@ def test_every_usage_error_takes_one_form(capsys):
         ("numbers", "--kind", "bell", "--n", "3", "--bogus"),
         ("triangle", "--kind", "stirling2", "--n", "2", "--m", "2"),
         ("verify", "--identity", "spivey", "--x", "1"),
+        ("numbers", "--kind", "bell", "--n", "3", "--out", ""),
     ):
         code, out, err = run_cli(capsys, *argv)
         _assert_usage_error(code, out, err, argv)
         assert err.startswith(usage), argv
+
+
+def test_each_shared_flag_is_one_action_in_every_subcommand():
+    """--out, --jobs, --m, --r and the --n of the streamed commands are
+    each declared once, so each subcommand that takes one holds the same
+    argparse action: one reader, one default, one help text."""
+    streamed = ["numbers", "poly", "triangle"]
+    takes = {
+        "--out": sorted(_COMMANDS),
+        "--jobs": ["sweep", "verify"],
+        "--m": ["normal-order", *streamed],
+        "--r": ["normal-order", *streamed],
+        "--n": streamed,
+    }
+    for flag, commands in takes.items():
+        actions = {id(_flag(command, flag)) for command in commands}
+        assert len(actions) == 1, flag
+    assert _flag("sweep", "--out").type is cli._out_path
 
 
 @pytest.mark.parametrize("command", ["triangle", "numbers", "poly"])

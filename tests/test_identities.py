@@ -32,6 +32,18 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(identities, "_DOWLING_AT", {})
 
 
+def test_spivey_keeps_no_integer_row_past_mshift():
+    """spivey reads B_0..B_(n+mshift) and Stirling row mshift: the (1, 0)
+    integer rows kept stop at row mshift, and the Bell numbers are kept as
+    sums beside one row."""
+    assert identities.verify_spivey(40, 3).passed
+    rows, _ = triangles._BUILT[triangles.r_whitney_classic_rows, 1, 0]
+    assert len(rows) == 4
+    bells, last = triangles._BUILT[sum, triangles.r_whitney_classic_rows, 1, 0]
+    assert len(bells) == 44 and len(last) == 44
+    assert bells == tuple(map(sum, triangles.r_whitney_classic(43, 1, 0)))
+
+
 def test_stirling_def_and_bell_recurrence():
     for n in range(9):
         assert identities.verify_stirling_def(n).passed

@@ -41,7 +41,7 @@ def test_rejects_non_integer_coefficients():
     with pytest.raises(TypeError):
         XQPoly(QPoly([1]))
     # JSON coefficients are ints or ASCII decimal strings, nothing int() reads
-    for bad in (1.5, True, "1.5"):
+    for bad in (1.5, True, "1.5", "", "-", "٣", "²", " 1"):
         with pytest.raises(TypeError):
             QPoly.from_json([bad])
         with pytest.raises(TypeError):

@@ -133,6 +133,9 @@ def test_whitney_validates_parameters():
         triangles.qr_whitney(3, 2, -1)
     with pytest.raises(ValueError):
         triangles.r_whitney_classic(3, 0, 0)
+    for args in ((3, 0, 0), (3, 1, -1), (-1, 1, 0)):
+        with pytest.raises(ValueError):
+            triangles.r_dowling(*args)
 
 
 def test_dowling_polynomial_witness():
@@ -154,6 +157,19 @@ def test_r_dowling_values():
     assert triangles.r_dowling(3, 2, 1) == (1, 2, 6, 24)
     # weight 1, shift 0 gives plain Bell numbers
     assert triangles.r_dowling(7, 1, 0) == triangles.bell(7)
+
+
+def test_r_dowling_resumes_its_sums_from_the_last_row_kept(monkeypatch):
+    """r_dowling keeps its sums and the last integer row under their own
+    key, not the rows, and a longer request resumes from that row."""
+    want = tuple(map(sum, triangles.r_whitney_classic(20, 2, 1)))
+    monkeypatch.setattr(triangles, "_BUILT", {})
+    assert triangles.r_dowling(5, 2, 1) == want[:6]
+    assert triangles.r_dowling(20, 2, 1) == want
+    assert triangles.r_dowling(3, 2, 1) == want[:4]
+    (key, (sums, last)), = triangles._BUILT.items()
+    assert key == (sum, triangles.r_whitney_classic_rows, 2, 1)
+    assert sums == want and last == triangles.r_whitney_classic(20, 2, 1)[20]
 
 
 def test_builders_return_fresh_equal_structures():
